@@ -45,7 +45,7 @@ def _summarize_algebra(algebra, decomp) -> dict:
 
 
 def _derived_to_json(report) -> dict:
-    return {
+    out = {
         "solvable_up_to_truncation": report.verdict,
         "commutator_depth": report.commutator_depth,
         "word_length": report.word_length,
@@ -59,6 +59,9 @@ def _derived_to_json(report) -> dict:
             for level in report.levels
         ],
     }
+    if report.stopped is not None:
+        out["stopped"] = report.stopped
+    return out
 
 
 def _echo_options(options: dict, keys: list[str]) -> dict:

@@ -45,6 +45,13 @@ from .representation import (
 )
 
 
+# Entry-size budget of the derived-series probe: a commutator with a
+# numerator or denominator longer than this many bits ends the probe.
+# Every "yes" case in the corpus and the structured families peaks at 23
+# bits; a generic pair passes thousands within seconds.
+_MAX_ENTRY_BITS = 256
+
+
 class ClosureError(ValueError):
     """Raised when an operation requires a product-closed algebra span."""
 
@@ -90,21 +97,29 @@ class AlgebraBasis:
         )
 
 
-def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
-    """Basis of {X : Xg = gX for every g}, the joint kernel of the
-    commutation maps X -> Xg - gX."""
-    rows: list[list[Fraction]] = []
+def _commutation_rows(mats: Sequence[RatMatrix], size: int) -> list[list[int]]:
+    """Rows of the linear system Xg - gX = 0 in the row-major entries of X,
+    one block per generator g, each scaled by g's common denominator."""
+    rows: list[list[int]] = []
     for g in mats:
         if g.nrows != size or g.ncols != size:
             raise ValueError("generator size mismatch")
+        num, _ = g.integer_form
         for i in range(size):
             for j in range(size):
-                row = [Fraction(0)] * (size * size)
+                row = [0] * (size * size)
                 for l in range(size):
-                    row[i * size + l] += g.rows[l][j]
+                    row[i * size + l] += num[l][j]
                 for k in range(size):
-                    row[k * size + j] -= g.rows[i][k]
+                    row[k * size + j] -= num[i][k]
                 rows.append(row)
+    return rows
+
+
+def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
+    """Basis of {X : Xg = gX for every g}, the joint kernel of the
+    commutation maps X -> Xg - gX."""
+    rows = _commutation_rows(mats, size)
     if not rows:
         units = [
             matrix_from_vec(
@@ -113,7 +128,7 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
             for s in range(size * size)
         ]
         return AlgebraBasis.from_span(units, size)
-    ker = kernel_of(RatMatrix.from_rows(rows))
+    ker = kernel_of(RatMatrix.from_integer_form(rows, 1))
     return AlgebraBasis.from_span(
         [matrix_from_vec(v, size, size) for v in ker.basis], size
     )
@@ -139,22 +154,13 @@ def invariant_affine_fields(rep: Representation) -> list[AffineField]:
     if rep.kind != KIND_AFFINE:
         raise ValidationError("kind must be affine (homogeneous form)")
     size = rep.dimension + 1
-    rows: list[list[Fraction]] = []
-    for g in rep.matrices:
-        for i in range(size):
-            for j in range(size):
-                row = [Fraction(0)] * (size * size)
-                for l in range(size):
-                    row[i * size + l] += g.rows[l][j]
-                for k in range(size):
-                    row[k * size + j] -= g.rows[i][k]
-                rows.append(row)
+    rows = _commutation_rows(rep.matrices, size)
     # force the last row of the field matrix to zero
     for j in range(size):
-        row = [Fraction(0)] * (size * size)
-        row[(size - 1) * size + j] = Fraction(1)
+        row = [0] * (size * size)
+        row[(size - 1) * size + j] = 1
         rows.append(row)
-    ker = kernel_of(RatMatrix.from_rows(rows))
+    ker = kernel_of(RatMatrix.from_integer_form(rows, 1))
     n = rep.dimension
     fields = []
     for v in ker.basis:
@@ -583,6 +589,7 @@ class DerivedSeriesReport:
     verdict: str  # "yes" (trivial within depth) or "unknown"
     commutator_depth: int
     word_length: int
+    stopped: str | None = None  # "entry_bits" when the entry-size budget ended the probe
 
     @property
     def solvable_up_to_truncation(self) -> str:
@@ -603,6 +610,12 @@ def truncated_derived_series(
     generators. If some level consists only of the identity the verdict is
     "yes" (solvable up to this truncation); otherwise "unknown". The probe
     never claims non-solvability.
+
+    Each level's pool holds at most max_level matrices and at most
+    max_level commutators are kept. Commutator entries of a generic group
+    grow in bit size from level to level; once one has a numerator or
+    denominator longer than _MAX_ENTRY_BITS the probe stops with "unknown"
+    and stopped="entry_bits".
     """
     if commutator_depth < 1 or word_length < 1:
         raise ValueError("depth and word length must be >= 1")
@@ -613,17 +626,24 @@ def truncated_derived_series(
         if m != ident and m not in gens:
             gens.append(m)
 
+    # Every matrix travels with its inverse, built from products: the
+    # inverse of w g is g^-1 w^-1, of c s c^-1 is c s^-1 c^-1, and of the
+    # commutator a b a^-1 b^-1 is b a b^-1 a^-1. Only the generators are
+    # inverted by elimination, whose cost grows fastest with entry size.
+    letters = [(g, g.inverse()) for g in gens]
+    letters += [(gi, g) for g, gi in letters]
     conjugators = [ident]
-    frontier = [ident]
-    alphabet = gens + [g.inverse() for g in gens]
+    conjugator_invs = [ident]
+    frontier = [(ident, ident)]
     for _ in range(word_length):
         new_frontier = []
-        for w in frontier:
-            for g in alphabet:
+        for w, wi in frontier:
+            for g, gi in letters:
                 nw = w * g
                 if nw not in conjugators:
                     conjugators.append(nw)
-                    new_frontier.append(nw)
+                    conjugator_invs.append(gi * wi)
+                    new_frontier.append((nw, conjugator_invs[-1]))
                     if len(conjugators) >= max_conjugators:
                         break
             if len(conjugators) >= max_conjugators:
@@ -632,45 +652,56 @@ def truncated_derived_series(
         if not frontier or len(conjugators) >= max_conjugators:
             break
 
-    inv_cache: dict[RatMatrix, RatMatrix] = {}
-
-    def inv(m: RatMatrix) -> RatMatrix:
-        if m not in inv_cache:
-            inv_cache[m] = m.inverse()
-        return inv_cache[m]
+    def too_large(m: RatMatrix) -> bool:
+        return any(
+            x.numerator.bit_length() > _MAX_ENTRY_BITS or x.denominator.bit_length() > _MAX_ENTRY_BITS
+            for row in m.rows
+            for x in row
+        )
 
     levels: list[DerivedLevel] = []
-    current = gens
+    current = letters[: len(gens)]
     verdict = "unknown"
+    stopped = None
     for depth in range(1, commutator_depth + 1):
         pool: list[RatMatrix] = []
-        for s in current:
-            if s not in pool:
+        pool_inv: list[RatMatrix] = []
+        for s, si in current:
+            if s not in pool and len(pool) < max_level:
                 pool.append(s)
-        for c in conjugators[1:]:
-            for s in current:
-                m = c * s * inv(c)
-                if m not in pool:
-                    pool.append(m)
+                pool_inv.append(si)
+        for c, ci in zip(conjugators[1:], conjugator_invs[1:]):
+            for s, si in current:
                 if len(pool) >= max_level:
                     break
-            if len(pool) >= max_level:
-                break
+                m = c * s * ci
+                if m not in pool:
+                    pool.append(m)
+                    pool_inv.append(c * si * ci)
         nxt: list[RatMatrix] = []
-        for a, b in combinations(pool, 2):
+        nxt_inv: list[RatMatrix] = []
+        for (a, ai), (b, bi) in combinations(zip(pool, pool_inv), 2):
+            if len(nxt) >= max_level:
+                break
             ab = a * b
             ba = b * a
             if ab == ba:
                 continue
-            comm = ab * inv(a) * inv(b)
-            if comm != ident and comm not in nxt and len(nxt) < max_level:
+            comm = ab * ai * bi
+            if comm != ident and comm not in nxt:
+                if too_large(comm):
+                    stopped = "entry_bits"
+                    break
                 nxt.append(comm)
+                nxt_inv.append(ba * bi * ai)
+        if stopped:
+            break
         levels.append(DerivedLevel(depth, len(pool), len(nxt), not nxt))
         if not nxt:
             verdict = "yes"
             break
-        current = nxt
-    return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length)
+        current = list(zip(nxt, nxt_inv))
+    return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length, stopped)
 
 
 def orbit_dimension_at(a: AlgebraBasis, x: Sequence) -> int:

@@ -256,6 +256,8 @@ def render_text(report: dict) -> str:
                 f"nontrivial_commutators={level['nontrivial_commutators']} "
                 f"all_identity={_fmt_scalar(level['all_identity'])}"
             )
+        if "stopped" in ds:
+            lines.append(f"  stopped at depth {len(ds['levels']) + 1}: {ds['stopped']} budget")
     lines.append(f"certificates: {len(report['certificates'])}")
     for cert in report["certificates"]:
         kind = cert["type"]

@@ -4,17 +4,29 @@ Dense matrices of `fractions.Fraction` entries, reduced row echelon form,
 kernels, images, linear solving, and canonical subspaces. Everything is
 computed without tolerances so that dimension counts downstream are exact.
 All values are immutable and safe to share between threads.
+
+The kernels run on integer rows: a matrix is multiplied through its integer
+numerators over one common denominator, and elimination is fraction-free
+(integer cross-multiplication with gcd content removal, Bareiss 1968 for the
+determinant), so `Fraction` objects are built only for the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
 
 Vec = tuple[Fraction, ...]
+
+ZERO = Fraction(0)
+# One shared object per small integer: kernel results are mostly small
+# integers, and building a new Fraction costs far more than a dict lookup.
+_SMALL_INTS = {i: Fraction(i) for i in range(-256, 257)}
 
 
 def to_fraction(x) -> Fraction:
@@ -31,7 +43,14 @@ def to_fraction(x) -> Fraction:
 
 
 def vector(entries: Iterable) -> Vec:
-    return tuple(to_fraction(x) for x in entries)
+    return tuple([x if type(x) is Fraction else to_fraction(x) for x in entries])
+
+
+def _int_fractions(row: Iterable[int]) -> Vec:
+    try:
+        return tuple(map(_SMALL_INTS.__getitem__, row))
+    except KeyError:
+        return tuple([Fraction(x) for x in row])
 
 
 def zero_vec(n: int) -> Vec:
@@ -45,9 +64,6 @@ def unit_vec(n: int, i: int) -> Vec:
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
 
 def vec_scale(c: Fraction, v: Vec) -> Vec:
     return tuple(c * a for a in v)
@@ -55,6 +71,40 @@ def vec_scale(c: Fraction, v: Vec) -> Vec:
 
 def is_zero_vec(v: Vec) -> bool:
     return all(a == 0 for a in v)
+
+
+def _integer_row(row: Sequence) -> tuple[list[int], int]:
+    """(numerators, d) with row == numerators / d, d the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def primitive_part(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def eliminate(v: list[int], top: Sequence[int], col: int) -> tuple[int, list[int]]:
+    """Clear column col of the integer row v (v[col] != 0) against top by
+    integer cross-multiplication: (a, a*v - b*top) with a/b = top[col]/v[col]
+    in lowest terms."""
+    p, f = top[col], v[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return a, [a * x - b * y for x, y in zip(v, top)]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(int.__mul__, u, v))
+
+
+def integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 @dataclass(frozen=True)
@@ -93,6 +143,31 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(N, d) with self == N / d: integer numerators over the lcm d of all
+        entry denominators. Computed once per matrix; it is not a field, so it
+        takes no part in == or hash."""
+        flat, den = _integer_row([x for r in self.rows for x in r])
+        n = self.ncols
+        return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(self.nrows)), den
+
+    @staticmethod
+    def from_integer_form(num: Sequence[Sequence[int]], den: int) -> "RatMatrix":
+        """The matrix num / den (den > 0), with its integer form already cached."""
+        g = gcd(den, *[x for r in num for x in r])
+        if g > 1:
+            num = [[x // g for x in r] for r in num]
+            den //= g
+        num = tuple(tuple(r) for r in num)
+        if den == 1:
+            rows = tuple(_int_fractions(r) for r in num)
+        else:
+            rows = tuple(tuple(Fraction(x, den) if x else ZERO for x in r) for r in num)
+        out = RatMatrix(rows)
+        out.__dict__["integer_form"] = (num, den)
+        return out
+
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
@@ -102,18 +177,30 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.rows, strict=True))) if self.rows else self
 
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        """self + sign * other, on the integer forms."""
+        a, da = self.integer_form
+        b, db = other.integer_form
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return RatMatrix.from_integer_form(
+            [[fa * x + fb * y for x, y in zip(r, s, strict=True)] for r, s in zip(a, b, strict=True)], den
+        )
+
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows, strict=True)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows, strict=True)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RatMatrix":
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "RatMatrix":
         c = to_fraction(c)
-        return RatMatrix(tuple(vec_scale(c, r) for r in self.rows))
+        a, da = self.integer_form
+        p = c.numerator
+        return RatMatrix.from_integer_form([[p * x for x in r] for r in a], da * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -126,10 +213,9 @@ class RatMatrix:
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose().rows
-        return RatMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
+        a, da = self.integer_form
+        b, db = other.integer_form
+        return RatMatrix.from_integer_form(integer_matmul(a, b), da * db)
 
     def __pow__(self, k: int) -> "RatMatrix":
         if not self.is_square or k < 0:
@@ -146,7 +232,10 @@ class RatMatrix:
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        a, da = self.integer_form
+        w, dw = _integer_row(v)
+        den = da * dw
+        return tuple(Fraction(_dot(row, w), den) for row in a)
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -156,23 +245,27 @@ class RatMatrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
+        # Bareiss elimination on the integer form: after step c every entry
+        # is a minor of N, and the division by the previous pivot is exact.
+        num, den = self.integer_form
         n = self.nrows
-        m = [list(r) for r in self.rows]
-        det = Fraction(1)
+        m = [list(r) for r in num]
+        sign, prev = 1, 1
         for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+            piv = next((i for i in range(c, n) if m[i][c]), None)
             if piv is None:
                 return Fraction(0)
             if piv != c:
                 m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
+                sign = -sign
+            top = m[c]
+            p = top[c]
             for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+                f = m[i][c]
+                row = m[i]
+                row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
+            prev = p
+        return Fraction(sign * prev, den**n)
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
@@ -209,8 +302,13 @@ def matrix_from_vec(v: Sequence[Fraction], nrows: int, ncols: int) -> RatMatrix:
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form. Returns (rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan: each row is cleared of denominators, rows
+    are combined by integer cross-multiplication and divided by their gcd
+    content, and each pivot row is divided by its pivot only at the end.
+    """
+    m = [primitive_part(_integer_row(r)[0]) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -218,19 +316,22 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if m[i][c] and i != r:
+                m[i] = primitive_part(eliminate(m[i], top, c)[1])
         pivots.append(c)
         r += 1
-    return m, pivots
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        out.append([Fraction(x, p) if x else ZERO for x in row])
+    out.extend([ZERO] * ncols for _ in range(nrows - r))
+    return out, pivots
 
 
 @dataclass(frozen=True)
@@ -267,20 +368,37 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, v: Sequence) -> Vec:
-        """Residual of v after eliminating along the canonical basis."""
-        w = list(vector(v))
+    @cached_property
+    def _integer_basis(self) -> tuple[tuple[int, list[int]], ...]:
+        """(pivot column, basis row cleared of denominators) for each basis row."""
+        out = []
+        for row in self.basis:
+            ints = _integer_row(row)[0]
+            out.append((next(i for i, x in enumerate(ints) if x), ints))
+        return tuple(out)
+
+    def _residual(self, v: Sequence) -> tuple[list[int], int]:
+        """(numerators, d) of the residual of v along the canonical basis."""
+        w, den = _integer_row(vector(v))
         if len(w) != self.ambient_dim:
             raise ValueError("vector does not match ambient dimension")
-        for row in self.basis:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if w[piv] != 0:
-                f = w[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+        for piv, row in self._integer_basis:
+            if w[piv]:
+                a, w = eliminate(w, row, piv)
+                den *= a
+                g = gcd(den, *w)
+                if g > 1:
+                    w = [x // g for x in w]
+                    den //= g
+        return w, den
+
+    def reduce(self, v: Sequence) -> Vec:
+        """Residual of v after eliminating along the canonical basis."""
+        w, den = self._residual(v)
+        return tuple(Fraction(x, den) if x else ZERO for x in w)
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not any(self._residual(v)[0])
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(b) for b in self.basis)
@@ -341,7 +459,8 @@ def kernel_of(m: RatMatrix) -> Subspace:
 
 
 def image_of(m: RatMatrix) -> Subspace:
-    return rref_kernel_image(m)[3]
+    """Column space: the row space of the transpose."""
+    return Subspace.span(m.transpose().rows, m.nrows)
 
 
 def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:

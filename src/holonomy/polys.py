@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from .linalg import RatMatrix, Subspace, kernel_of, solve_linear, to_fraction, vectorize
+from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, kernel_of, primitive_part, to_fraction
 
 
 @dataclass(frozen=True)
@@ -173,18 +173,37 @@ def poly_egcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Pol
 
 def minimal_polynomial(m: RatMatrix) -> Polynomial:
     """Monic minimal polynomial, from the first linear dependence among the
-    vectorized powers I, m, m^2, ..."""
+    vectorized powers I, m, m^2, ...
+
+    With m = N / d, the powers N^k are integer vectors. Each new power is
+    reduced against the echelon rows kept so far, by integer
+    cross-multiplication, while its coefficients over the powers are
+    tracked alongside. The first power that reduces to zero yields q with
+    q(N) = 0, and the minimal polynomial is q(d x) / d^deg(q).
+    """
     if not m.is_square:
         raise ValueError("square matrix required")
+    num, d = m.integer_form
     n = m.nrows
-    powers = [RatMatrix.identity(n)]
-    while True:
-        powers.append(powers[-1] * m)
-        cols = RatMatrix.from_rows([vectorize(p) for p in powers[:-1]]).transpose()
-        res = solve_linear(cols, vectorize(powers[-1]))
-        if res is not None:
-            combo = res[0]
-            return Polynomial.from_coeffs([-c for c in combo] + [Fraction(1)])
+    size = n * n
+    # each echelon row is a power's entries followed by its coefficients over
+    # I, N, N^2, ..., so one elimination step updates both
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in itertools.count():
+        v = [x for row in power for x in row] + [int(i == k) for i in range(n + 1)]
+        for p, row in echelon:
+            if v[p]:
+                v = primitive_part(eliminate(v, row, p)[1])
+        pivot = next((i for i in range(size) if v[i]), None)
+        if pivot is None:
+            coeffs = v[size:]
+            lead = coeffs[k]
+            return Polynomial.from_coeffs(
+                [Fraction(c, lead * d ** (k - i)) for i, c in enumerate(coeffs[: k + 1])]
+            )
+        echelon.append((pivot, v))
+        power = integer_matmul(power, num)
 
 
 def char_min_poly(m: RatMatrix) -> tuple[Polynomial, Polynomial, int | None]:
@@ -223,18 +242,41 @@ class PolyFactor:
 
 def _integer_divisors(n: int) -> list[int]:
     n = abs(n)
-    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     divs = sorted(set(small + [n // d for d in small]))
     return divs
+
+
+def _exact_root(b: int, k: int) -> int | None:
+    """The positive integer r with r^k == b, or None."""
+    r = 1 << -(-b.bit_length() // k)  # r >= b^(1/k)
+    while True:  # integer Newton iteration, decreasing to floor(b^(1/k))
+        s = ((k - 1) * r + b // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == b else None
+        r = s
+
+
+def _root_scale(b: int, k: int) -> int:
+    """A small r with b | r^k: writing b = s^j with j as large as possible,
+    r = s^ceil(j / k), which is the smallest such r when s is squarefree."""
+    for j in range(b.bit_length(), 1, -1):
+        s = _exact_root(b, j)
+        if s is not None:
+            return s ** -(-j // k)
+    return b
 
 
 def _to_monic_integer(p: Polynomial) -> tuple[list[int], int]:
     """Rewrite monic rational p(x) as monic integer g(y) with y = D x.
 
-    g(y) = D^deg * p(y / D) where D is the lcm of coefficient denominators.
+    g(y) = D^deg * p(y / D). The coefficient c_i of x^i needs its
+    denominator b_i to divide D^(deg - i); D is the lcm of the
+    `_root_scale(b_i, deg - i)`, so (x + 12/11)^4 becomes (y + 12)^4 rather
+    than a polynomial in 11^4 x with a 56-bit constant term.
     """
-    d = lcm(*[c.denominator for c in p.coeffs]) if p.coeffs else 1
     n = p.degree
+    d = lcm(*[_root_scale(c.denominator, n - i) for i, c in enumerate(p.coeffs[:-1])])
     out = []
     for i, c in enumerate(p.coeffs):
         v = c * Fraction(d) ** (n - i)
@@ -270,6 +312,19 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
     return sorted(set(roots))
 
 
+def _divides_monic(q: list[int], p: list[int]) -> bool:
+    """Whether the monic integer polynomial q divides the integer polynomial
+    p (coefficients lowest first), by long division in the integers."""
+    rem = list(p)
+    d = len(q) - 1
+    for top in range(len(rem) - 1, d - 1, -1):
+        f = rem[top]
+        if f:
+            for i in range(d):
+                rem[top - d + i] -= f * q[i]
+    return not any(rem[:d])
+
+
 def _quadratic_factor_search(ints: list[int], lattice_cap: int) -> list[int] | None:
     """Search a monic integer quadratic y^2 + a y + b dividing the monic
     integer polynomial with the given coefficients (lowest first).
@@ -287,11 +342,23 @@ def _quadratic_factor_search(ints: list[int], lattice_cap: int) -> list[int] | N
     b_cands = [b for d in _integer_divisors(const) for b in (d, -d) if abs(b) <= root_bound**2]
     if len(b_cands) * (2 * a_bound + 1) > lattice_cap:
         b_cands = b_cands[: max(1, lattice_cap // (2 * a_bound + 1))]
-    p = Polynomial.from_coeffs(ints)
+    # A factor's value at y = 1 and y = -1 divides the polynomial's value
+    # there, so when g(1) != 0 only the a with 1 + a + b | g(1) can occur.
+    # Testing just those, in increasing order, finds the same first factor
+    # as walking the whole range; the walk's cost grew with the coefficients.
+    g_plus = sum(ints)
+    g_minus = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
+    shifts = [s for d in _integer_divisors(g_plus) for s in (d, -d)] if g_plus else None
     for b in b_cands:
-        for a in range(-a_bound, a_bound + 1):
-            q = Polynomial.from_coeffs([b, a, 1])
-            if q.divides(p):
+        if shifts is None:
+            a_cands = range(-a_bound, a_bound + 1)
+        else:
+            a_cands = sorted(a for a in (s - 1 - b for s in shifts) if -a_bound <= a <= a_bound)
+        for a in a_cands:
+            q_minus = 1 - a + b
+            if g_minus and (q_minus == 0 or g_minus % q_minus):
+                continue
+            if _divides_monic([b, a, 1], ints):
                 return [b, a, 1]
     return None
 
@@ -305,11 +372,9 @@ def _quartic_factor_search(ints: list[int], bound: int) -> list[int] | None:
         return None
     d_cands = [d for dd in _integer_divisors(const) for d in (dd, -dd) if abs(dd) <= bound**4]
     rng = range(-2 * bound, 2 * bound + 1)
-    p = Polynomial.from_coeffs(ints)
     for d0 in d_cands:
         for a, b, c in itertools.product(rng, rng, rng):
-            q = Polynomial.from_coeffs([d0, c, b, a, 1])
-            if q.divides(p):
+            if _divides_monic([d0, c, b, a, 1], ints):
                 return [d0, c, b, a, 1]
     return None
 

@@ -315,6 +315,45 @@ class TestDerivedSeries:
         assert report.verdict == "unknown"
         assert all(not level.all_identity for level in report.levels)
 
+    def test_generic_pair_stops_at_entry_bits(self):
+        # a generic invertible integer pair: commutator entries grow in bit
+        # size from level to level, so the probe runs into the entry-size
+        # budget long before the default depth of 8
+        a = frac_rows([[-2, -1, -3, 2], [0, 0, -2, -3], [-3, -3, 0, 1], [-1, 3, 3, -3]])
+        b = frac_rows([[-2, 1, 1, -1], [-1, 3, -2, 3], [-3, -1, -2, -3], [3, 2, 3, -1]])
+        rep = validate_rep([("a", a), ("b", b)], "linear", 4)
+        report = truncated_derived_series(rep)
+        assert report.verdict == "unknown"
+        assert report.stopped == "entry_bits"
+        assert len(report.levels) < report.commutator_depth
+        assert all(level.pool_size <= 32 and level.nontrivial_commutators <= 32 for level in report.levels)
+
+    def test_unitriangular_group_has_derived_length_three(self):
+        # I + E_{i,i+1}, i = 1..4, generate the 5x5 upper unitriangular
+        # group: level 1 holds non-commuting elements such as I + E_13 and
+        # I + E_35, level 2 only central ones. Every commutator and conjugate
+        # in the probe uses an inverse, so a wrong one shows in these counts.
+        gens = []
+        for i in range(4):
+            rows = [[int(r == c or (r, c) == (i, i + 1)) for c in range(5)] for r in range(5)]
+            gens.append((f"e{i}", frac_rows(rows)))
+        report = truncated_derived_series(validate_rep(gens, "linear", 5))
+        assert report.verdict == "yes"
+        levels = [(lv.pool_size, lv.nontrivial_commutators) for lv in report.levels]
+        assert levels == [(28, 32), (32, 2), (2, 0)]
+
+    def test_pool_never_exceeds_max_level(self):
+        gens = [
+            frac_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+            frac_rows([[1, 2, -1, 1], [0, 1, 1, -1], [0, 0, 1, 1], [0, 0, 0, 1]]),
+        ]
+        rep = validate_rep([("a", gens[0]), ("b", gens[1])], "linear", 4)
+        for max_level in (3, 5, 32):
+            report = truncated_derived_series(rep, max_level=max_level)
+            assert report.verdict == "yes" and report.stopped is None
+            assert all(level.pool_size <= max_level for level in report.levels)
+            assert all(level.nontrivial_commutators <= max_level for level in report.levels)
+
 
 class TestOrbitDimension:
     def test_scalars_act_trivially(self):

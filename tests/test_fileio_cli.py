@@ -121,6 +121,31 @@ class TestRunBatch:
         assert report["commutant"]["dimension"] == 16
         assert report["outcome"] is None
 
+    def test_analyze_reports_the_entry_bits_stop(self, tmp_path):
+        doc = {
+            "schema_version": "1",
+            "dimension": 4,
+            "kind": "linear",
+            "generators": [
+                {"label": "a", "matrix": [[-2, -1, -3, 2], [0, 0, -2, -3], [-3, -3, 0, 1], [-1, 3, 3, -3]]},
+                {"label": "b", "matrix": [[-2, 1, 1, -1], [-1, 3, -2, 3], [-3, -1, -2, -3], [3, 2, 3, -1]]},
+            ],
+        }
+        src = tmp_path / "generic.json"
+        src.write_text(dumps_canonical(doc), encoding="utf-8")
+        buf = io.StringIO()
+        assert run_batch([src], "analyze", options(), buf) == 0
+        derived = json.loads(buf.getvalue())["derived_series"]
+        assert derived["solvable_up_to_truncation"] == "unknown"
+        assert derived["stopped"] == "entry_bits"
+        text = io.StringIO()
+        assert run_batch([src], "analyze", options(format="text"), text) == 0
+        assert f"stopped at depth {len(derived['levels']) + 1}: entry_bits budget" in text.getvalue()
+        # a probe that finishes carries no "stopped" key
+        buf = io.StringIO()
+        assert run_batch([CORPUS / "dim3_torus_translations.json"], "analyze", options(), buf) == 0
+        assert "stopped" not in json.loads(buf.getvalue())["derived_series"]
+
     def test_classify_torus(self):
         buf = io.StringIO()
         status = run_batch(

@@ -1,0 +1,40 @@
+"""Corpus CLI reports must stay byte-identical.
+
+tests/golden/ holds the JSON classify and analyze reports and the text
+classify reports of every corpus document, captured before the exact
+kernels moved to integer rows. An output change shows up here as a byte
+difference; an intended one replaces the snapshot in the same change.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from holonomy import cli
+
+from helpers import CORPUS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _invocations():
+    for path in sorted(CORPUS.glob("*.json")):
+        dim = str(json.loads(path.read_text(encoding="utf-8"))["dimension"])
+        yield f"{path.stem}.classify.json", ["classify", "--dim", dim, "--format", "json", str(path)]
+        yield f"{path.stem}.analyze.json", ["analyze", "--format", "json", str(path)]
+        yield f"{path.stem}.classify.txt", ["classify", "--dim", dim, "--format", "text", str(path)]
+
+
+@pytest.mark.parametrize("name,argv", [pytest.param(n, a, id=n) for n, a in _invocations()])
+def test_report_bytes(name, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_snapshot_is_checked():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(name for name, _ in _invocations())

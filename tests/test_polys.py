@@ -9,6 +9,10 @@ from holonomy.polys import (
     char_min_poly,
     factor_polynomial,
     minimal_polynomial,
+    _divides_monic,
+    _integer_divisors,
+    _quadratic_factor_search,
+    _to_monic_integer,
     primary_decomposition,
 )
 
@@ -84,6 +88,59 @@ class TestFactorization:
         [f] = factor_polynomial(poly(1, 0, 0, 0, 1))  # x^4 + 1
         assert f.multiplicity == 1
         assert f.proven_irreducible
+
+    def test_monic_integer_rescaling_uses_exact_roots(self):
+        # (x + 12/11)^4: the coefficient denominators are 11, 11^2, 11^3,
+        # 11^4, so y = 11 x already gives (y + 12)^4; the lcm scale 11^4 would
+        # make the constant term 20736 * 11^12, too large to divide by trial
+        p = poly(Fraction(12, 11), 1) ** 4
+        assert _to_monic_integer(p) == ([20736, 6912, 864, 48, 1], 11)
+        assert _to_monic_integer(poly(Fraction(1, 8), 0, 1)) == ([2, 0, 1], 4)
+        assert _to_monic_integer(poly(Fraction(1, 2), 0, 1)) == ([2, 0, 1], 2)
+        assert _to_monic_integer(poly(Fraction(5, 36), Fraction(1, 6), 1)) == ([5, 1, 1], 6)
+        [f] = factor_polynomial(p)
+        assert (f.poly, f.multiplicity, f.proven_irreducible) == (poly(Fraction(12, 11), 1), 4, True)
+
+    def test_quadratic_search_matches_the_full_lattice_walk(self):
+        # the search tests only the a allowed by g(1) and g(-1); it must
+        # return the first (b, a) of the plain walk over every a in range,
+        # also when g(1) = 0 and when the lattice cap cuts the b list
+        def walk(ints, cap):
+            root_bound = 1 + max(abs(c) for c in ints[:-1])
+            a_bound = 2 * root_bound
+            bs = [b for d in _integer_divisors(ints[0]) for b in (d, -d) if abs(b) <= root_bound**2]
+            if len(bs) * (2 * a_bound + 1) > cap:
+                bs = bs[: max(1, cap // (2 * a_bound + 1))]
+            for b in bs:
+                for a in range(-a_bound, a_bound + 1):
+                    if _divides_monic([b, a, 1], ints):
+                        return [b, a, 1]
+            return None
+
+        def mul(p, q):
+            out = [0] * (len(p) + len(q) - 1)
+            for i, x in enumerate(p):
+                for j, y in enumerate(q):
+                    out[i + j] += x * y
+            return out
+
+        rng = random.Random(5)
+        found = 0
+        for k in range(60):
+            if k % 3 == 0:
+                middle = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+                ints = [rng.choice((-3, -2, -1, 1, 2, 3))] + middle + [1]
+            else:
+                ints = [1]
+                for _ in range(rng.randint(1, 3)):
+                    ints = mul(ints, [rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3), 1])
+                if k % 3 == 2:
+                    ints = mul(ints, [rng.choice((-1, 1)), 1])  # a root at y = 1 or y = -1
+            for cap in (500_000, 40):
+                expected = walk(ints, cap)
+                assert _quadratic_factor_search(ints, cap) == expected
+                found += expected is not None
+        assert found > 20
 
     def test_rational_coefficients(self):
         # (x - 1/2)(x^2 + 1/3): denominators are cleared internally
