@@ -27,9 +27,7 @@ from .commutant import (
     centralizer_algebra,
     dickson_radical,
     find_rotational_element,
-    invariant_affine_fields,
     invariant_flag_search,
-    project_automorphism_algebra,
     verify_certificate,
     verify_flag_invariant,
 )
@@ -43,6 +41,7 @@ from .linalg import (
     restrict_to_subspace,
     solve_linear,
     vectorize,
+    zero_vec,
 )
 from .polys import char_min_poly, factor_polynomial
 from .representation import (
@@ -52,7 +51,6 @@ from .representation import (
     Representation,
     ValidationError,
     benzecri_suspend,
-    embed_linear_as_affine,
 )
 
 BRANCH_NOT_SOLVABLE = "NotSolvableAut"
@@ -66,10 +64,6 @@ CONCLUSION_TORUS_BUNDLE_COVER = "TorusBundleFiniteCover"
 CONCLUSION_T2_BUNDLE = "T2BundleOverS1"
 CONCLUSION_TORUS_OR_SPHERE = "TorusOrSphere"
 CONCLUSION_SOLVABLE_PI1 = "SolvableFundamentalGroup"
-# Reserved label: the one-dimensional zero-set case is stated as nilpotence
-# but its derivation reduces to the solvable analyses, so the classifier
-# reports SolvableFundamentalGroup with an audit note instead.
-CONCLUSION_NILPOTENT_PI1 = "NilpotentFundamentalGroup"
 CONCLUSION_UNDETERMINED = "Undetermined"
 
 # Emitted verbatim as a disjunction: no finite procedure separates the three.
@@ -86,13 +80,16 @@ class CaseAnalysisError(ValueError):
 class Outcome:
     """Classification verdict: the branch of machinery that decided, the
     conclusion label, the certificates backing it, and the declared
-    assumptions it consumed."""
+    assumptions it consumed. The centralizer of the suspension and its
+    radical split are carried along for reports; they take no part in ==."""
 
     branch: str
     conclusion: str
     certificates: tuple[Certificate, ...]
     assumptions_used: tuple[str, ...]
     notes: tuple[str, ...]
+    commutant: AlgebraBasis = field(compare=False)
+    decomposition: Decomposition = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -186,12 +183,7 @@ def flag_from_nilpotent_pair(
         raise CaseAnalysisError("case analysis exhausted: kernels intersect trivially")
     if inter.dim != 1:
         raise CaseAnalysisError("case analysis: equal kernels force a commuting pair")
-    flag = Flag((inter, ka, ka.add(kb)))
-    if rep is not None:
-        ok, witness = verify_flag_invariant(rep, flag)
-        if not ok:
-            raise ValueError(f"flag not invariant under generator {witness[0]!r}")
-    return flag
+    return _checked(Flag((inter, ka, ka.add(kb))), rep)
 
 
 def flag_from_nilpotent_element(a: RatMatrix, rep: Representation | None = None) -> Flag:
@@ -215,6 +207,11 @@ def flag_from_nilpotent_element(a: RatMatrix, rep: Representation | None = None)
         flag = Flag((ka.intersect(ia), ka, ka.add(ia)))
     else:
         raise CaseAnalysisError("case analysis: nilpotent with nonzero square has kernel dim 1 or 2")
+    return _checked(flag, rep)
+
+
+def _checked(flag: Flag, rep: Representation | None) -> Flag:
+    """The flag, after checking its invariance under rep when one is given."""
     if rep is not None:
         ok, witness = verify_flag_invariant(rep, flag)
         if not ok:
@@ -239,6 +236,16 @@ def _independent_of(mats: list[RatMatrix], m: RatMatrix) -> bool:
 
 def _restriction_is_zero(m: RatMatrix, s: Subspace) -> bool:
     return all(is_zero_vec(m.apply(b)) for b in s.basis)
+
+
+def _square_zero_elements(radical: AlgebraBasis) -> list[RatMatrix]:
+    """One nonzero square-zero element per radical basis element n: n when
+    n^2 = 0, else n^2 (a nilpotent matrix of size at most 4 has n^4 = 0)."""
+    out = []
+    for n in radical.basis:
+        sq = n * n
+        out.append(n if sq.is_zero() else sq)
+    return out
 
 
 def _zero_dim3_case(
@@ -401,11 +408,7 @@ def _zero_dim1_case(
         " zero-set analyses, which certify solvability; the verdict records"
         " SolvableFundamentalGroup"
     )
-    reducers: list[RatMatrix] = []
-    for n in decomp.radical.basis:
-        a = n if (n * n).is_zero() else n * n
-        if not a.is_zero():
-            reducers.append(a)
+    reducers = _square_zero_elements(decomp.radical)
     if decomp.radical.dim == 0:
         for e in decomp.idempotent_witnesses:
             reducers.extend([e, e - ident])
@@ -424,15 +427,20 @@ def _zero_dim1_case(
 
 
 def _commutative_branch(
-    fields: list[AffineField],
+    cent: AlgebraBasis,
     susp: Representation,
     decomp: Decomposition,
 ) -> _BranchResult | None:
-    lin_parts = [f.linear_part for f in fields]
+    # The invariant affine fields of the suspension are (x, 0) for x in the
+    # centralizer: invariance under the central generator k * I, k != 1,
+    # forces k c = c for the constant part c.
+    lin_parts = list(cent.basis)
+    zero = zero_vec(cent.ambient_dim)
     assumed: _BranchResult | None = None
-    for f in fields:
-        if f.linear_part.is_scalar():
+    for x in lin_parts:
+        if x.is_scalar():
             continue
+        f = AffineField(x, zero)
         analysis = zero_set_of_affine_field(f)
         variants = [(Fraction(0), analysis.base)] + list(analysis.shifts)
         for shift, zs in variants:
@@ -498,6 +506,8 @@ def _declared(asmp: AssumptionSet, names: frozenset[str]) -> bool:
 
 def _finalize(
     rep: Representation,
+    cent: AlgebraBasis,
+    decomp: Decomposition,
     branch: str,
     conclusion: str,
     certificates: list[Certificate],
@@ -515,22 +525,26 @@ def _finalize(
     if conclusion != CONCLUSION_UNDETERMINED and not verified and not used:
         notes.append("conclusion withdrawn: no surviving certificate or declared assumption")
         conclusion = CONCLUSION_UNDETERMINED
-    return Outcome(branch, conclusion, tuple(verified), tuple(sorted(used)), tuple(notes))
+    return Outcome(
+        branch, conclusion, tuple(verified), tuple(sorted(used)), tuple(notes), cent, decomp
+    )
 
 
-def _suspension_data(rep: Representation, suspension_factor):
+def _suspension_data(
+    rep: Representation, suspension_factor
+) -> tuple[Representation, AlgebraBasis, Decomposition]:
+    """The suspension, its centralizer and the centralizer's radical split.
+    The centralizer contains the radial field I, so the automorphism model
+    on the base (the centralizer modulo R*I) has dimension cent.dim - 1."""
     susp = benzecri_suspend(rep, factor=suspension_factor)
     cent = centralizer_algebra(susp)
-    fields = invariant_affine_fields(embed_linear_as_affine(susp))
-    quotient = project_automorphism_algebra(fields)
-    return susp, cent, fields, quotient
+    return susp, cent, dickson_radical(cent)
 
 
 def classify_dim2(
     rep: Representation,
     assumptions: AssumptionSet | None = None,
     suspension_factor=2,
-    search_bound: int = 2,
 ) -> Outcome:
     """Two-dimensional classification.
 
@@ -544,31 +558,25 @@ def classify_dim2(
     if rep.dimension != 2:
         raise ValidationError("dimension must be 2")
     asmp = assumptions if assumptions is not None else rep.assumptions
-    susp, cent, fields, quotient = _suspension_data(rep, suspension_factor)
+    susp, cent, decomp = _suspension_data(rep, suspension_factor)
     notes: list[str] = []
-    if len(quotient) < 1:
+    if cent.dim - 1 < 1:
         return _finalize(
             rep,
+            cent,
+            decomp,
             BRANCH_AUT_TOO_SMALL,
             CONCLUSION_UNDETERMINED,
             [],
             set(),
             ["automorphism model is the radial line only: nondiscreteness hypothesis unmet"],
         )
-    decomp = dickson_radical(cent)
     certificates: list[Certificate] = []
     branch = BRANCH_COMMUTATIVE
     point: Vec | None = None
     if decomp.radical.dim > 0:
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE
-        a = None
-        for r in decomp.radical.basis:
-            a = r if (r * r).is_zero() else r * r
-            if not a.is_zero():
-                break
-        assert a is not None and (a * a).is_zero()
-        line = image_of(a)
-        point = line.basis[0]
+        point = image_of(_square_zero_elements(decomp.radical)[0]).basis[0]
         notes.append(
             "nonzero radical: the image line of a square-zero element is fixed by"
             " the holonomy"
@@ -587,7 +595,7 @@ def classify_dim2(
                 "semisimple model of dimension >= 2 but the bounded idempotent"
                 " search found no witness: no conclusion is asserted"
             )
-            return _finalize(rep, branch, CONCLUSION_UNDETERMINED, [], set(), notes)
+            return _finalize(rep, cent, decomp, branch, CONCLUSION_UNDETERMINED, [], set(), notes)
         notes.append(
             "trivial radical: a nontrivial idempotent has a one-dimensional"
             " eigenspace fixed by the holonomy"
@@ -597,13 +605,13 @@ def classify_dim2(
     if _declared(asmp, needed):
         notes.append("branch label records the machinery that produced the certificate")
         return _finalize(
-            rep, branch, CONCLUSION_TORUS_OR_SPHERE, certificates, set(needed), notes
+            rep, cent, decomp, branch, CONCLUSION_TORUS_OR_SPHERE, certificates, set(needed), notes
         )
     notes.append(
         "invariant projective point certified; the topological conclusion needs"
         " the compact, connected, oriented declarations"
     )
-    return _finalize(rep, branch, CONCLUSION_UNDETERMINED, certificates, set(), notes)
+    return _finalize(rep, cent, decomp, branch, CONCLUSION_UNDETERMINED, certificates, set(), notes)
 
 
 def classify_dim3(
@@ -627,13 +635,15 @@ def classify_dim3(
     if rep.dimension != 3:
         raise ValidationError("dimension must be 3")
     asmp = assumptions if assumptions is not None else rep.assumptions
-    susp, cent, fields, quotient = _suspension_data(rep, suspension_factor)
+    susp, cent, decomp = _suspension_data(rep, suspension_factor)
     notes: list[str] = []
     certificates: list[Certificate] = []
     used: set[str] = set()
-    if len(quotient) < 2:
+    if cent.dim - 1 < 2:
         return _finalize(
             rep,
+            cent,
+            decomp,
             BRANCH_AUT_TOO_SMALL,
             CONCLUSION_UNDETERMINED,
             [],
@@ -654,7 +664,8 @@ def classify_dim3(
                 " cover fibers over the circle with torus fiber"
             )
             return _finalize(
-                rep, BRANCH_NOT_SOLVABLE, CONCLUSION_T2_BUNDLE, certificates, used, notes
+                rep, cent, decomp, BRANCH_NOT_SOLVABLE, CONCLUSION_T2_BUNDLE, certificates, used,
+                notes,
             )
         if rot.fixed_space.dim == 0:
             notes.append(
@@ -667,7 +678,6 @@ def classify_dim3(
                 " its image meets the fixed space, the holonomy is solvable"
             )
 
-    decomp = dickson_radical(cent)
     radical_noncommutative = decomp.radical.dim > 0 and not decomp.radical.is_commutative()
     flag: Flag | None = None
     branch: str | None = None
@@ -679,7 +689,7 @@ def classify_dim3(
         notes.extend(extra)
     elif cent.is_commutative():
         branch = BRANCH_COMMUTATIVE
-        res = _commutative_branch(fields, susp, decomp)
+        res = _commutative_branch(cent, susp, decomp)
         if res is not None:
             certificates.extend(res.certificates)
             notes.extend(res.notes)
@@ -689,7 +699,7 @@ def classify_dim3(
                 assumed = res
 
     if flag is None:
-        general = invariant_flag_search(susp)
+        general = invariant_flag_search(susp, cent)
         if general is not None:
             if general.complete:
                 flag = general
@@ -732,13 +742,15 @@ def classify_dim3(
                 " the connected sum of two projective 3-spaces is excluded since"
                 " it carries no projective structure (Benoist; Cooper-Goldman)"
             )
-            return _finalize(rep, branch, DIM3_DISJUNCTION, certificates, used, notes)
+            return _finalize(rep, cent, decomp, branch, DIM3_DISJUNCTION, certificates, used, notes)
         if flag is not None and flag.complete:
             notes.append(
                 "the invariant complete flag certifies solvability of the"
                 " holonomy image of the suspension"
             )
-        return _finalize(rep, branch, CONCLUSION_SOLVABLE_PI1, certificates, used, notes)
+        return _finalize(
+            rep, cent, decomp, branch, CONCLUSION_SOLVABLE_PI1, certificates, used, notes
+        )
 
     if branch == BRANCH_COMMUTATIVE and assumed is None and flag is None:
         notes.append(
@@ -752,4 +764,4 @@ def classify_dim3(
             "the zero-set analysis applies but needs undeclared hypotheses: "
             + ", ".join(missing)
         )
-    return _finalize(rep, branch, CONCLUSION_UNDETERMINED, certificates, used, notes)
+    return _finalize(rep, cent, decomp, branch, CONCLUSION_UNDETERMINED, certificates, used, notes)

@@ -19,7 +19,6 @@ from . import fileio
 from .classify import classify_dim2, classify_dim3
 from .commutant import (
     InvariantFlagCertificate,
-    algebra_closure_check,
     centralizer_algebra,
     dickson_radical,
     find_rotational_element,
@@ -74,14 +73,12 @@ def _echo_options(options: dict, keys: list[str]) -> dict:
 
 def _analyze_one(rep: Representation, options: dict) -> dict:
     algebra = centralizer_algebra(rep)
-    closed, _ = algebra_closure_check(algebra)
-    assert closed, "centralizers are product-closed"
-    decomp = dickson_radical(algebra)
+    decomp = dickson_radical(algebra)  # raises ClosureError on a span that is not closed
     certificates = []
     rot = find_rotational_element(algebra, rep=rep, bound=options["search_bound"])
     if rot is not None:
         certificates.append(rot)
-    flag = invariant_flag_search(rep)
+    flag = invariant_flag_search(rep, algebra)
     if flag is not None:
         certificates.append(InvariantFlagCertificate(flag))
     derived = truncated_derived_series(
@@ -104,21 +101,16 @@ def _classify_one(rep: Representation, options: dict) -> dict:
     dim = options["dim"]
     if rep.dimension != dim:
         raise ValidationError(f"--dim {dim} but the document has dimension {rep.dimension}")
-    classifier = classify_dim2 if dim == 2 else classify_dim3
-    outcome = classifier(
-        rep,
-        suspension_factor=options["suspension_factor"],
-        search_bound=options["search_bound"],
-    )
-    susp = benzecri_suspend(rep, factor=options["suspension_factor"])
-    cent = centralizer_algebra(susp)
-    decomp = dickson_radical(cent)
-    summary = _summarize_algebra(cent, decomp)
+    factor = options["suspension_factor"]
+    if dim == 2:
+        outcome = classify_dim2(rep, suspension_factor=factor)
+    else:
+        outcome = classify_dim3(rep, suspension_factor=factor, search_bound=options["search_bound"])
     return fileio.build_report(
         rep,
         "classify",
         _echo_options(options, ["format", "dim", "suspension_factor", "search_bound"]),
-        summary,
+        _summarize_algebra(outcome.commutant, outcome.decomposition),
         outcome.certificates,
         outcome=outcome,
     )
@@ -189,13 +181,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
+    def add_common(p):
         p.add_argument("--search-bound", type=int, default=2,
                        help="coefficient bound for the rotational-element search (default 2; "
                        f"overridden by ${SEARCH_BOUND_ENV})")
-        if with_format:
-            p.add_argument("--format", choices=["json", "text"], default="json",
-                           help="report format (default json)")
+        p.add_argument("--format", choices=["json", "text"], default="json",
+                       help="report format (default json)")
 
     p_analyze = sub.add_parser("analyze", help="commutant and decomposition report")
     p_analyze.add_argument("files", nargs="+", metavar="file")

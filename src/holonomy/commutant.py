@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -91,10 +92,15 @@ class AlgebraBasis:
     def contains(self, m: RatMatrix) -> bool:
         return self.span_subspace().contains(vectorize(m))
 
+    @cached_property
+    def products(self) -> tuple[tuple[RatMatrix, ...], ...]:
+        """products[i][j] = basis[i] * basis[j]. Computed once per algebra;
+        it is not a field, so it takes no part in == or hash."""
+        return tuple(tuple(x * y for y in self.basis) for x in self.basis)
+
     def is_commutative(self) -> bool:
-        return all(
-            (a * b - b * a).is_zero() for a, b in combinations(self.basis, 2)
-        )
+        p = self.products
+        return all(p[i][j] == p[j][i] for i, j in combinations(range(self.dim), 2))
 
 
 def _commutation_rows(mats: Sequence[RatMatrix], size: int) -> list[list[int]]:
@@ -208,9 +214,8 @@ def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, ClosureWitness | None]
     """True iff every pairwise product of basis elements stays in the span;
     otherwise the offending pair and the component outside the span."""
     span = a.span_subspace()
-    for i, x in enumerate(a.basis):
-        for j, y in enumerate(a.basis):
-            p = x * y
+    for i, row in enumerate(a.products):
+        for j, p in enumerate(row):
             residual = span.reduce(vectorize(p))
             if not is_zero_vec(residual):
                 return False, ClosureWitness(
@@ -291,9 +296,8 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
     k = a.dim
     if k == 0:
         return Decomposition(AlgebraBasis.from_span([], a.ambient_dim), 0, True, ())
-    gram = RatMatrix.from_rows(
-        [[(x * y).trace() for y in a.basis] for x in a.basis]
-    )
+    p = a.products
+    gram = RatMatrix.from_rows([[xy.trace() for xy in row] for row in p])
     ker = kernel_of(gram)
     rad_mats = []
     for coeffs in ker.basis:
@@ -309,7 +313,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
             raise ClosureError("trace-form kernel contains a non-nilpotent element")
     rad_span = radical.span_subspace()
     quotient_commutative = all(
-        rad_span.contains(vectorize(x * y - y * x)) for x, y in combinations(a.basis, 2)
+        rad_span.contains(vectorize(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
     )
     witnesses = _idempotent_witnesses(a) if find_idempotents else ()
     return Decomposition(radical, k - radical.dim, quotient_commutative, witnesses)
@@ -392,17 +396,11 @@ class InvariantSubspaceCertificate:
     subspace: Subspace
 
 
-@dataclass(frozen=True)
-class NoCertificate:
-    reason: str = ""
-
-
 Certificate = Union[
     InvariantFlagCertificate,
     RotationalElementCertificate,
     FixedProjectivePointCertificate,
     InvariantSubspaceCertificate,
-    NoCertificate,
 ]
 
 
@@ -445,8 +443,6 @@ def verify_certificate(rep: Representation, cert: Certificate) -> bool:
                 return False
             if cert.fixed_space.dim and cert.fixed_space.apply(g) != cert.fixed_space:
                 return False
-        return True
-    if isinstance(cert, NoCertificate):
         return True
     raise TypeError(f"unknown certificate type: {type(cert).__name__}")
 
@@ -542,17 +538,22 @@ def _longest_chain(cands: list[Subspace]) -> list[Subspace]:
     return list(reversed(chain))
 
 
-def invariant_flag_search(rep: Representation, cap: int = 48) -> Flag | None:
+def invariant_flag_search(
+    rep: Representation, cent: AlgebraBasis | None = None, cap: int = 48
+) -> Flag | None:
     """Search for a chain of subspaces invariant under every generator.
 
     Strategy: harvest kernels, images, and primary components of commutant
     elements (and of the generators themselves), close once under pairwise
     intersections and sums, and take the longest containment chain. The
     returned flag is verified; absence of a find is not a nonexistence claim.
+    cent is the centralizer of rep when the caller already holds it; it is
+    computed here otherwise.
     """
     gens = list(rep.matrices)
     size = rep.matrix_size
-    cent = matrix_centralizer(gens, size)
+    if cent is None:
+        cent = matrix_centralizer(gens, size)
     sources = list(cent.basis) + gens
     cands = _invariant_candidates(gens, sources, size, cap)
 
@@ -590,10 +591,6 @@ class DerivedSeriesReport:
     commutator_depth: int
     word_length: int
     stopped: str | None = None  # "entry_bits" when the entry-size budget ended the probe
-
-    @property
-    def solvable_up_to_truncation(self) -> str:
-        return self.verdict
 
 
 def truncated_derived_series(

@@ -18,7 +18,6 @@ from .commutant import (
     FixedProjectivePointCertificate,
     InvariantFlagCertificate,
     InvariantSubspaceCertificate,
-    NoCertificate,
     RotationalElementCertificate,
     verify_certificate,
 )
@@ -167,8 +166,6 @@ def certificate_to_json(cert: Certificate) -> dict:
         return {"type": "fixed-projective-point", "point": [fraction_to_json(x) for x in cert.point]}
     if isinstance(cert, InvariantSubspaceCertificate):
         return {"type": "invariant-subspace", "subspace": subspace_to_json(cert.subspace)}
-    if isinstance(cert, NoCertificate):
-        return {"type": "none-found", "reason": cert.reason}
     raise TypeError(f"unknown certificate type {type(cert).__name__}")
 
 

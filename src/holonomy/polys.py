@@ -325,14 +325,15 @@ def _divides_monic(q: list[int], p: list[int]) -> bool:
     return not any(rem[:d])
 
 
-def _quadratic_factor_search(ints: list[int], lattice_cap: int) -> list[int] | None:
+def _quadratic_factor_search(ints: list[int]) -> list[int] | None:
     """Search a monic integer quadratic y^2 + a y + b dividing the monic
     integer polynomial with the given coefficients (lowest first).
 
     b must divide the constant term; |a| is bounded by twice the Cauchy root
-    bound. Returns [b, a, 1] or None. The search is exhaustive whenever the
-    lattice fits under the cap, which is the case for all degrees <= 5 inputs
-    this package produces.
+    bound. Returns [b, a, 1] or None. The search is exhaustive: every b and
+    a that a factor can have is tried, so None proves that no monic integer
+    quadratic factor exists. The divisor tests at y = 1 and y = -1 below
+    keep its cost near #divisors(g(0)) * #divisors(g(1)) trial divisions.
     """
     const = ints[0]
     if const == 0:
@@ -340,8 +341,6 @@ def _quadratic_factor_search(ints: list[int], lattice_cap: int) -> list[int] | N
     root_bound = 1 + max(abs(c) for c in ints[:-1])
     a_bound = 2 * root_bound
     b_cands = [b for d in _integer_divisors(const) for b in (d, -d) if abs(b) <= root_bound**2]
-    if len(b_cands) * (2 * a_bound + 1) > lattice_cap:
-        b_cands = b_cands[: max(1, lattice_cap // (2 * a_bound + 1))]
     # A factor's value at y = 1 and y = -1 divides the polynomial's value
     # there, so when g(1) != 0 only the a with 1 + a + b | g(1) can occur.
     # Testing just those, in increasing order, finds the same first factor
@@ -385,7 +384,7 @@ def _scale_back(ints: list[int], d: int) -> Polynomial:
     return Polynomial.from_coeffs([Fraction(c, d**deg) * d**i for i, c in enumerate(ints)]).monic()
 
 
-def factor_polynomial(p: Polynomial, search_bound: int = 2, lattice_cap: int = 500_000) -> list[PolyFactor]:
+def factor_polynomial(p: Polynomial, search_bound: int = 2) -> list[PolyFactor]:
     """Factor a nonzero rational polynomial into monic factors over Q.
 
     Linear factors are found completely via the rational root theorem;
@@ -430,7 +429,7 @@ def factor_polynomial(p: Polynomial, search_bound: int = 2, lattice_cap: int = 5
             record(h.monic(), 1, True)
             continue
         ints, d = _to_monic_integer(h.monic())
-        quad = _quadratic_factor_search(ints, lattice_cap)
+        quad = _quadratic_factor_search(ints)
         if quad is not None:
             q = _scale_back(quad, d)
             mult = 0

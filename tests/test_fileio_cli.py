@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from holonomy import classify, cli, commutant, representation
 from holonomy.cli import main, run_batch
 from holonomy.fileio import (
     dumps_canonical,
@@ -247,6 +248,33 @@ class TestRunBatch:
     def test_env_var_invalid_is_error(self, monkeypatch):
         monkeypatch.setenv("HOLONOMY_SEARCH_BOUND", "many")
         assert run_batch([CORPUS / "dim2_trivial.json"], "analyze", options(), io.StringIO()) == 1
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name through every holonomy module that binds it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (classify, cli, commutant, representation):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+def test_classify_builds_each_object_once(path, monkeypatch, capsys):
+    centralizers = _count_calls(monkeypatch, commutant, "matrix_centralizer")
+    suspensions = _count_calls(monkeypatch, representation, "benzecri_suspend")
+    radicals = _count_calls(monkeypatch, commutant, "dickson_radical")
+    fields = _count_calls(monkeypatch, commutant, "invariant_affine_fields")
+    dim = str(json.loads(path.read_text(encoding="utf-8"))["dimension"])
+    assert main(["classify", "--dim", dim, str(path)]) == 0
+    assert (len(centralizers), len(suspensions), len(radicals), len(fields)) == (1, 1, 1, 0)
+    assert json.loads(capsys.readouterr().out)["command"] == "classify"
 
 
 class TestWriteReport:

@@ -1,8 +1,9 @@
 """Corpus CLI reports must stay byte-identical.
 
-tests/golden/ holds the JSON classify and analyze reports and the text
-classify reports of every corpus document, captured before the exact
-kernels moved to integer rows. An output change shows up here as a byte
+tests/golden/ holds the JSON and text classify and analyze reports of
+every corpus document. The JSON reports and the text classify reports
+were captured before the exact kernels moved to integer rows, the text
+analyze reports before the classify pipeline was merged. An output change shows up here as a byte
 difference; an intended one replaces the snapshot in the same change.
 """
 
@@ -25,6 +26,7 @@ def _invocations():
         dim = str(json.loads(path.read_text(encoding="utf-8"))["dimension"])
         yield f"{path.stem}.classify.json", ["classify", "--dim", dim, "--format", "json", str(path)]
         yield f"{path.stem}.analyze.json", ["analyze", "--format", "json", str(path)]
+        yield f"{path.stem}.analyze.txt", ["analyze", "--format", "text", str(path)]
         yield f"{path.stem}.classify.txt", ["classify", "--dim", dim, "--format", "text", str(path)]
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy.linalg import RatMatrix
 from holonomy.polys import (
@@ -12,6 +14,7 @@ from holonomy.polys import (
     _divides_monic,
     _integer_divisors,
     _quadratic_factor_search,
+    _quartic_factor_search,
     _to_monic_integer,
     primary_decomposition,
 )
@@ -104,13 +107,11 @@ class TestFactorization:
     def test_quadratic_search_matches_the_full_lattice_walk(self):
         # the search tests only the a allowed by g(1) and g(-1); it must
         # return the first (b, a) of the plain walk over every a in range,
-        # also when g(1) = 0 and when the lattice cap cuts the b list
-        def walk(ints, cap):
+        # also when g(1) = 0
+        def walk(ints):
             root_bound = 1 + max(abs(c) for c in ints[:-1])
             a_bound = 2 * root_bound
             bs = [b for d in _integer_divisors(ints[0]) for b in (d, -d) if abs(b) <= root_bound**2]
-            if len(bs) * (2 * a_bound + 1) > cap:
-                bs = bs[: max(1, cap // (2 * a_bound + 1))]
             for b in bs:
                 for a in range(-a_bound, a_bound + 1):
                     if _divides_monic([b, a, 1], ints):
@@ -136,11 +137,32 @@ class TestFactorization:
                     ints = mul(ints, [rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3), 1])
                 if k % 3 == 2:
                     ints = mul(ints, [rng.choice((-1, 1)), 1])  # a root at y = 1 or y = -1
-            for cap in (500_000, 40):
-                expected = walk(ints, cap)
-                assert _quadratic_factor_search(ints, cap) == expected
-                found += expected is not None
+            expected = walk(ints)
+            assert _quadratic_factor_search(ints) == expected
+            found += expected is not None
         assert found > 20
+
+    def test_large_constant_quartic_splits(self):
+        # (x^2+x+300)(x^2+x+420) has constant term 126000; a search cut at a
+        # fixed lattice size once kept only b = 1 here and returned the
+        # product as one quartic marked proven irreducible
+        p = poly(300, 1, 1) * poly(420, 1, 1)
+        factors = [(f.poly, f.multiplicity, f.proven_irreducible) for f in factor_polynomial(p)]
+        assert factors == [(poly(300, 1, 1), 1, True), (poly(420, 1, 1), 1, True)]
+
+    def test_degree_eight_splits_into_quartics(self):
+        # x^4+2 and x^4+3 are Eisenstein, so no quadratic factor exists and
+        # only the bounded quartic search can split the product
+        ints = [6, 0, 0, 0, 5, 0, 0, 0, 1]
+        assert _quadratic_factor_search(ints) is None
+        assert _quartic_factor_search(ints, 2) == [2, 0, 0, 0, 1]
+        p = poly(2, 0, 0, 0, 1) * poly(3, 0, 0, 0, 1)
+        factors = factor_polynomial(p)
+        assert [(f.poly, f.multiplicity, f.proven_irreducible) for f in factors] == [
+            (poly(2, 0, 0, 0, 1), 1, False),
+            (poly(3, 0, 0, 0, 1), 1, True),
+        ]
+        assert factors[0].poly * factors[1].poly == p
 
     def test_rational_coefficients(self):
         # (x - 1/2)(x^2 + 1/3): denominators are cleared internally
@@ -216,3 +238,31 @@ class TestPolynomialArithmetic:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             poly(1, 1).divmod(Polynomial.zero())
+
+
+@st.composite
+def factored_polynomials(draw):
+    """Products of one to three polynomials of degree 1 to 4 with small
+    integer or rational coefficients, so that reducible inputs are common."""
+    coeff = st.one_of(st.integers(-3, 3).map(Fraction), st.fractions(-2, 2, max_denominator=3))
+    out = Polynomial.one()
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 4))
+        lower = draw(st.lists(coeff, min_size=deg, max_size=deg))
+        out = out * Polynomial.from_coeffs(lower + [draw(st.sampled_from([1, 1, 2, -3]))])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_polynomials())
+def test_factors_reconstruct_and_proofs_hold(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    product = Polynomial.one()
+    for f in factor_polynomial(p):
+        assert f.multiplicity >= 1 and f.poly == f.poly.monic()
+        product = product * f.poly**f.multiplicity
+        if f.proven_irreducible:
+            oracle = sympy.Poly(list(reversed(f.poly.coeffs)), x, domain=sympy.QQ)
+            assert oracle.is_irreducible, str(f.poly)
+    assert product == p.monic()
