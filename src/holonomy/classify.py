@@ -43,7 +43,7 @@ from .linalg import (
     vectorize,
     zero_vec,
 )
-from .polys import char_min_poly, factor_polynomial
+from .polys import characteristic_polynomial, factor_polynomial
 from .representation import (
     KIND_PROJECTIVE,
     AffineField,
@@ -140,9 +140,8 @@ def zero_set_of_affine_field(
     pure translation field).
     """
     base = _solve_zero_set(f)
-    charpoly, _, _ = char_min_poly(f.linear_part)
     eigen = []
-    for fac in factor_polynomial(charpoly):
+    for fac in factor_polynomial(characteristic_polynomial(f.linear_part)):
         if fac.poly.degree == 1:
             eigen.append(-fac.poly.coeffs[0])
     shift_values = sorted(
@@ -194,8 +193,7 @@ def flag_from_nilpotent_element(a: RatMatrix, rep: Representation | None = None)
     (1, 2, 3)-chains preserved by everything commuting with a.
     """
     _require_m4(a, "a")
-    _, _, nil = char_min_poly(a)
-    if nil is None:
+    if any(characteristic_polynomial(a).coeffs[:-1]):  # nilpotent iff char = x^4
         raise ValueError("matrix is not nilpotent")
     if (a * a).is_zero():
         raise ValueError("square vanishes: use the pair construction instead")
@@ -444,10 +442,9 @@ def _commutative_branch(
         analysis = zero_set_of_affine_field(f)
         variants = [(Fraction(0), analysis.base)] + list(analysis.shifts)
         for shift, zs in variants:
-            if zs.is_empty or zs.dim not in (1, 2, 3):
+            # f and its shifts are (y, 0), so zs is never empty and passes the origin
+            if zs.dim not in (1, 2, 3):
                 continue
-            if zs.point is None or not is_zero_vec(zs.point):
-                continue  # the zero set must be a linear subspace to act as a module
             u = zs.direction_space
             xt = f.shifted(shift).linear_part
             if zs.dim == 3:

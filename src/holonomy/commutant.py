@@ -32,7 +32,7 @@ from .linalg import (
 )
 from .polys import (
     Polynomial,
-    char_min_poly,
+    characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
     poly_egcd,
@@ -97,6 +97,13 @@ class AlgebraBasis:
         """products[i][j] = basis[i] * basis[j]. Computed once per algebra;
         it is not a field, so it takes no part in == or hash."""
         return tuple(tuple(x * y for y in self.basis) for x in self.basis)
+
+    @cached_property
+    def trace_form(self) -> RatMatrix:
+        """Gram matrix of the trace form: trace_form[i][j] = tr(basis[i] *
+        basis[j]), read off the cached products. Computed once per algebra;
+        it is not a field, so it takes no part in == or hash."""
+        return RatMatrix.from_rows([[xy.trace() for xy in row] for row in self.products])
 
     def is_commutative(self) -> bool:
         p = self.products
@@ -297,8 +304,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
     if k == 0:
         return Decomposition(AlgebraBasis.from_span([], a.ambient_dim), 0, True, ())
     p = a.products
-    gram = RatMatrix.from_rows([[xy.trace() for xy in row] for row in p])
-    ker = kernel_of(gram)
+    ker = kernel_of(a.trace_form)
     rad_mats = []
     for coeffs in ker.basis:
         m = RatMatrix.zeros(a.ambient_dim, a.ambient_dim)
@@ -308,8 +314,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
         rad_mats.append(m)
     radical = AlgebraBasis.from_span(rad_mats, a.ambient_dim)
     for r in radical.basis:
-        _, _, nil_index = char_min_poly(r)
-        if nil_index is None:
+        if any(characteristic_polynomial(r).coeffs[:-1]):  # nilpotent iff char = x^n
             raise ClosureError("trace-form kernel contains a non-nilpotent element")
     rad_span = radical.span_subspace()
     quotient_commutative = all(
@@ -462,19 +467,30 @@ def find_rotational_element(
     polynomial is x^2+c or x(x^2+c) with c > 0. The image/kernel splitting
     is re-verified invariant when a representation is supplied. Absence of
     a find never asserts that no rotational element exists.
+
+    The eigenvalues of a rotational element are 0 and pairs +-i sqrt(c), so
+    it has tr(j) = 0 and tr(j^2) < 0. Both are read off the basis traces and
+    the trace form, and only candidates passing them get a minimal
+    polynomial; the walk order, and so the first find, is unchanged.
     """
-    def check(j: RatMatrix) -> RotationalElementCertificate | None:
-        if j.is_zero():
+    gram, _ = a.trace_form.integer_form  # tr(j^2) has the sign of the numerator
+    traces = [b.trace() for b in a.basis]
+
+    def check(i: int, j: int, cx: int, cy: int) -> RotationalElementCertificate | None:
+        if cx * cx * gram[i][i] + 2 * cx * cy * gram[i][j] + cy * cy * gram[j][j] >= 0:
             return None
-        if not _is_rotational_minpoly(minimal_polynomial(j)):
+        if cx * traces[i] + cy * traces[j] != 0:
             return None
-        cert = RotationalElementCertificate(j, image_of(j), kernel_of(j))
+        cand = a.basis[i] if i == j else a.basis[i].scale(cx) + a.basis[j].scale(cy)
+        if not _is_rotational_minpoly(minimal_polynomial(cand)):
+            return None
+        cert = RotationalElementCertificate(cand, image_of(cand), kernel_of(cand))
         if rep is not None and not verify_certificate(rep, cert):
             return None
         return cert
 
-    for b in a.basis:
-        found = check(b)
+    for i in range(a.dim):
+        found = check(i, i, 1, 0)
         if found is not None:
             return found
     coeff_pairs = [
@@ -485,8 +501,7 @@ def find_rotational_element(
     ]
     for i, j in combinations(range(a.dim), 2):
         for cx, cy in coeff_pairs:
-            cand = a.basis[i].scale(cx) + a.basis[j].scale(cy)
-            found = check(cand)
+            found = check(i, j, cx, cy)
             if found is not None:
                 return found
     return None

@@ -240,7 +240,8 @@ class RatMatrix:
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        num, den = self.integer_form
+        return Fraction(sum(num[i][i] for i in range(self.nrows)), den)
 
     def det(self) -> Fraction:
         if not self.is_square:
@@ -440,18 +441,24 @@ def rref_kernel_image(m: RatMatrix) -> tuple[RatMatrix, int, Subspace, Subspace]
     of the original matrix.
     """
     reduced, pivots = rref(m.rows)
-    rank = len(pivots)
-    free = [c for c in range(m.ncols) if c not in pivots]
+    kernel = _nullspace(reduced, pivots, m.ncols)
+    image = Subspace.span([m.col(p) for p in pivots], m.nrows)
+    return RatMatrix.from_rows(reduced), len(pivots), kernel, image
+
+
+def _nullspace(reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> Subspace:
+    """Kernel of a matrix whose RREF occupies the first ncols columns of
+    reduced, with the given pivot columns: one vector per free column."""
     kernel_vecs = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -reduced[i][f]
         kernel_vecs.append(v)
-    kernel = Subspace.span(kernel_vecs, m.ncols)
-    image = Subspace.span([m.col(p) for p in pivots], m.nrows)
-    return RatMatrix.from_rows(reduced), rank, kernel, image
+    return Subspace.span(kernel_vecs, ncols)
 
 
 def kernel_of(m: RatMatrix) -> Subspace:
@@ -468,6 +475,8 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
 
     Returns (particular solution, nullspace) with free variables set to 0,
     or None when the system is inconsistent. Raises on shape mismatch.
+    One RREF of [a | b] gives both: when no pivot lies in the last column,
+    its left block is the RREF of a.
     """
     bv = vector(b)
     if len(bv) != a.nrows:
@@ -476,10 +485,10 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
     reduced, pivots = rref(aug)
     if a.ncols in pivots:
         return None
-    sol = [Fraction(0)] * a.ncols
+    sol = [ZERO] * a.ncols
     for i, p in enumerate(pivots):
         sol[p] = reduced[i][a.ncols]
-    return tuple(sol), kernel_of(a)
+    return tuple(sol), _nullspace(reduced, pivots, a.ncols)
 
 
 def restrict_to_subspace(m: RatMatrix, s: Subspace) -> RatMatrix:

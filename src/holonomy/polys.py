@@ -4,15 +4,18 @@ factorization over Q, and primary decomposition into invariant subspaces.
 Factorization is complete for the degrees the analyses actually meet
 (<= 5: rational roots plus an exhaustive integer quadratic-factor search);
 higher-degree remainders that survive the bounded search are returned with
-a "possibly reducible" mark instead of a false irreducibility claim.
+a "possibly reducible" mark instead of a false irreducibility claim. The
+same mark goes on what is left when an integer whose divisors a search
+enumerates cannot be factored within a fixed work bound.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, lcm
 
 from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, kernel_of, primitive_part, to_fraction
 
@@ -127,11 +130,21 @@ class Polynomial:
         return out
 
     def eval_matrix(self, m: RatMatrix) -> RatMatrix:
+        """p(m) by Horner's rule on integers: with m = N / d and coefficients
+        a_i / L, p(m) = (sum of a_i d^(k-i) N^i) / (L d^k), k the degree."""
+        if not m.is_square:
+            raise ValueError("square matrix required")
         n = m.nrows
-        out = RatMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            out = out * m + RatMatrix.identity(n).scale(c)
-        return out
+        num, d = m.integer_form
+        den = lcm(*[c.denominator for c in self.coeffs])
+        acc = [[0] * n for _ in range(n)]
+        for i, c in enumerate(reversed(self.coeffs)):  # c = a_(k-i) / L
+            if i:
+                acc = integer_matmul(acc, num)
+            a = c.numerator * (den // c.denominator) * d**i
+            for r in range(n):
+                acc[r][r] += a
+        return RatMatrix.from_integer_form(acc, den * d ** max(self.degree, 0))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -206,26 +219,32 @@ def minimal_polynomial(m: RatMatrix) -> Polynomial:
         power = integer_matmul(power, num)
 
 
-def char_min_poly(m: RatMatrix) -> tuple[Polynomial, Polynomial, int | None]:
-    """Characteristic and minimal polynomial, plus the nilpotency index when
-    the minimal polynomial is a pure power of x.
+def characteristic_polynomial(m: RatMatrix) -> Polynomial:
+    """det(xI - m), monic, by the Faddeev-LeVerrier recursion on the integer
+    form m = N / d.
 
-    The characteristic polynomial is det(xI - m), monic, computed by the
-    Faddeev-LeVerrier recursion.
+    For N the recursion's c_k are integers and each division by k is exact;
+    det(xI - N / d) = sum_k c_k x^(n-k) / d^k.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
+    num, d = m.integer_form
     n = m.nrows
-    # Faddeev-LeVerrier: char(x) = x^n + c1 x^(n-1) + ... + cn
-    coeffs = [Fraction(1)]  # leading first while building
-    mk = RatMatrix.identity(n)
+    coeffs = [1]  # c_0, c_1, ..., leading first
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = m * mk
-        ck = -mk.trace() / k
+        mk = integer_matmul(num, mk)
+        ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs.append(ck)
-        if k < n:
-            mk = mk + RatMatrix.identity(n).scale(ck)
-    char = Polynomial.from_coeffs(list(reversed(coeffs)))
+        for i in range(n):
+            mk[i][i] += ck
+    return Polynomial.from_coeffs([Fraction(coeffs[k], d**k) for k in range(n, -1, -1)])
+
+
+def char_min_poly(m: RatMatrix) -> tuple[Polynomial, Polynomial, int | None]:
+    """Characteristic and minimal polynomial, plus the nilpotency index when
+    the minimal polynomial is a pure power of x."""
+    char = characteristic_polynomial(m)
     minp = minimal_polynomial(m)
     nil_index: int | None = None
     if all(c == 0 for c in minp.coeffs[:-1]):
@@ -240,11 +259,91 @@ class PolyFactor:
     proven_irreducible: bool
 
 
+# Miller-Rabin with these bases is exact below _MR_EXACT_BELOW (Sorenson
+# and Webster 2015); a larger probable prime is not proven prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+_TRIAL_LIMIT = 1024
+# Pollard rho steps allowed for one integer before its divisors count as unknown.
+_RHO_STEPS = 1 << 16
+
+
+class _FactorBudget(Exception):
+    """An integer was not factored within the work bound, so its divisors,
+    and every search that enumerates them, are incomplete."""
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for odd n > 41."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard's rho (Floyd's
+    cycle test), or _FactorBudget after _RHO_STEPS steps in all."""
+    steps = 0
+    for c in itertools.count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+            steps += 1
+            if steps > _RHO_STEPS:
+                raise _FactorBudget(n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n > 0 with multiplicity, in no fixed order:
+    trial division below _TRIAL_LIMIT, then Pollard's rho. Raises
+    _FactorBudget when a factor cannot be split or proven prime."""
+    out = []
+    for p in itertools.chain([2], range(3, _TRIAL_LIMIT, 2)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_LIMIT**2:  # no factor below _TRIAL_LIMIT, so prime
+            out.append(m)
+        elif _is_probable_prime(m):
+            if m >= _MR_EXACT_BELOW:
+                raise _FactorBudget(m)
+            out.append(m)
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return out
+
+
 def _integer_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    divs = sorted(set(small + [n // d for d in small]))
-    return divs
+    """The positive divisors of n in increasing order ([] for n = 0)."""
+    if n == 0:
+        return []
+    divs = [1]
+    for p, k in Counter(_prime_factors(abs(n))).items():
+        divs = [d * p**e for d in divs for e in range(k + 1)]
+    return sorted(divs)
 
 
 def _exact_root(b: int, k: int) -> int | None:
@@ -411,15 +510,20 @@ def factor_polynomial(p: Polynomial, search_bound: int = 2) -> list[PolyFactor]:
         record(Polynomial.x(), k, True)
 
     # rational roots, with multiplicity
-    while work.degree >= 1:
-        roots = _rational_roots(work)
-        if not roots:
-            break
-        for r in roots:
-            lin = Polynomial.x_minus(r)
-            while lin.divides(work):
-                work = work.divmod(lin)[0]
-                record(lin, 1, True)
+    try:
+        while work.degree >= 1:
+            roots = _rational_roots(work)
+            if not roots:
+                break
+            for r in roots:
+                lin = Polynomial.x_minus(r)
+                while lin.divides(work):
+                    work = work.divmod(lin)[0]
+                    record(lin, 1, True)
+    except _FactorBudget:
+        # roots may be missing, so no remaining factor is proven irreducible
+        record(work.monic(), 1, work.degree == 1)
+        work = Polynomial.one()
 
     # what remains has no rational roots
     queue = [work] if work.degree >= 1 else []
@@ -429,29 +533,22 @@ def factor_polynomial(p: Polynomial, search_bound: int = 2) -> list[PolyFactor]:
             record(h.monic(), 1, True)
             continue
         ints, d = _to_monic_integer(h.monic())
-        quad = _quadratic_factor_search(ints)
-        if quad is not None:
-            q = _scale_back(quad, d)
+        try:
+            quad = _quadratic_factor_search(ints)
+            quart = _quartic_factor_search(ints, search_bound) if quad is None and h.degree == 8 else None
+        except _FactorBudget:
+            record(h.monic(), 1, False)
+            continue
+        if quad is not None or quart is not None:
+            q = _scale_back(quad or quart, d)
             mult = 0
             while q.divides(h):
                 h = h.divmod(q)[0]
                 mult += 1
-            record(q, mult, True)
+            record(q, mult, quad is not None)
             if h.degree >= 1:
                 queue.append(h)
             continue
-        if h.degree == 8:
-            quart = _quartic_factor_search(ints, search_bound)
-            if quart is not None:
-                q = _scale_back(quart, d)
-                mult = 0
-                while q.divides(h):
-                    h = h.divmod(q)[0]
-                    mult += 1
-                record(q, mult, False)
-                if h.degree >= 1:
-                    queue.append(h)
-                continue
         # Degrees 4 and 5 are settled by the exhaustive quadratic search;
         # higher degrees might still split into two cubics etc.
         record(h.monic(), 1, h.degree in (4, 5))
@@ -477,9 +574,8 @@ def primary_decomposition(m: RatMatrix, search_bound: int = 2) -> list[PrimaryCo
     """
     if not m.is_square:
         raise ValueError("square matrix required")
-    char, _, _ = char_min_poly(m)
     out = []
-    for f in factor_polynomial(char, search_bound=search_bound):
+    for f in factor_polynomial(characteristic_polynomial(m), search_bound=search_bound):
         power = f.poly**f.multiplicity
         sub = kernel_of(power.eval_matrix(m))
         out.append(PrimaryComponent(f.poly, f.multiplicity, sub, f.proven_irreducible))

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's code paths: the dense
 nullspace solver is a self-contained forward/back elimination, the
 characteristic polynomial oracle expands det(xI - A) by the Leibniz
 permutation sum, and the quotient-semisimplicity check uses the regular
-representation's trace form instead of the matrix trace form.
+representation's trace form instead of the matrix trace form. The
+unscreened rotational walk is the rotational search as it was before the
+trace screen, to check that the screen changes no result.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 
-from holonomy.commutant import AlgebraBasis, Decomposition
-from holonomy.linalg import RatMatrix, Subspace, kernel_of, vectorize
-from holonomy.polys import Polynomial
+from holonomy.commutant import AlgebraBasis, Decomposition, RotationalElementCertificate, verify_certificate
+from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of, vectorize
+from holonomy.polys import Polynomial, minimal_polynomial
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -218,3 +220,45 @@ def quotient_regular_radical_dim(algebra: AlgebraBasis, decomp: Decomposition) -
         [[trace_of_product(a, b) for b in left_mults] for a in left_mults]
     )
     return kernel_of(gram).dim
+
+
+def rotational_candidates(a: AlgebraBasis, bound: int):
+    """The rotational search's walk: each basis element, then cx * b_i +
+    cy * b_j over basis pairs i < j and coefficient pairs in walk order."""
+    yield from a.basis
+    coeff_pairs = [
+        (x, y)
+        for x in range(0, bound + 1)
+        for y in range(-bound, bound + 1)
+        if (x, y) != (0, 0) and (x > 0 or y > 0)
+    ]
+    for i, j in itertools.combinations(range(a.dim), 2):
+        for cx, cy in coeff_pairs:
+            yield a.basis[i].scale(cx) + a.basis[j].scale(cy)
+
+
+def passes_trace_screen(m: RatMatrix) -> bool:
+    """tr(m) = 0 and tr(m^2) < 0, summed entry by entry in Fractions."""
+    n = m.nrows
+    rows = m.rows
+    trace = sum((rows[i][i] for i in range(n)), Fraction(0))
+    trace_sq = sum((rows[i][k] * rows[k][i] for i in range(n) for k in range(n)), Fraction(0))
+    return trace == 0 and trace_sq < 0
+
+
+def unscreened_rotational_element(a: AlgebraBasis, rep=None, bound: int = 2):
+    """Reference rotational search without the trace screen: every nonzero
+    candidate gets a minimal polynomial, and the first one that is x^2 + c
+    or x(x^2 + c) with c > 0 and verifies against rep is returned."""
+    for cand in rotational_candidates(a, bound):
+        if cand.is_zero():
+            continue
+        p = minimal_polynomial(cand).coeffs
+        if not (len(p) == 3 and p[1] == 0 and p[0] > 0) and not (
+            len(p) == 4 and p[0] == 0 and p[2] == 0 and p[1] > 0
+        ):
+            continue
+        cert = RotationalElementCertificate(cand, image_of(cand), kernel_of(cand))
+        if rep is None or verify_certificate(rep, cert):
+            return cert
+    return None

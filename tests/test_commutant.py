@@ -23,14 +23,24 @@ from holonomy.commutant import (
     verify_certificate,
     verify_flag_invariant,
 )
+from holonomy.fileio import load_rep_file
 from holonomy.linalg import RatMatrix, Subspace, kernel_of, vectorize
 from holonomy.representation import (
     benzecri_suspend,
+    conjugate_representation,
     embed_linear_as_affine,
     validate_rep,
 )
 
-from helpers import centralizer_oracle, frac_rows, random_invertible, random_unimodular
+from helpers import (
+    CORPUS,
+    centralizer_oracle,
+    frac_rows,
+    passes_trace_screen,
+    random_invertible,
+    random_unimodular,
+    unscreened_rotational_element,
+)
 
 E = {}
 for i in range(1, 5):
@@ -225,6 +235,82 @@ class TestRotationalElement:
         found = find_rotational_element(full)
         assert found is not None
         assert verify_certificate(validate_rep([], "linear", 4), found)
+
+
+def _rotation_conjugate(rng, blocks):
+    """P J P^-1 with J block diagonal: [[0, -a], [a, 0]] for each a in
+    blocks, a 1 x 1 zero block for each None."""
+    n = sum(1 if a is None else 2 for a in blocks)
+    j = [[Fraction(0)] * n for _ in range(n)]
+    k = 0
+    for a in blocks:
+        if a is not None:
+            j[k][k + 1], j[k + 1][k] = -a, a
+            k += 2
+        else:
+            k += 1
+    p = random_invertible(rng, n)
+    return p * RatMatrix.from_rows(j) * p.inverse()
+
+
+class TestTraceScreen:
+    def test_conjugated_rotation_blocks_pass(self):
+        rng = random.Random(31)
+        values = [Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3)]
+        for _ in range(60):
+            count = rng.randint(1, 3)
+            blocks = [rng.choice(values) for _ in range(count)] + [None] * rng.randint(0, 2)
+            rng.shuffle(blocks)
+            assert passes_trace_screen(_rotation_conjugate(rng, blocks))
+
+    def test_conjugated_rotational_elements_match_unscreened_walk(self):
+        rng = random.Random(32)
+        finds = 0
+        for blocks in ([Fraction(2)], [Fraction(1, 3), None], [Fraction(-1), Fraction(1)], [Fraction(3), None, None]):
+            for _ in range(5):
+                j = _rotation_conjugate(rng, blocks)
+                n = j.nrows
+                ident = RatMatrix.identity(n)
+                # not a canonical basis: the walk reaches -j as I - (j + I)
+                a = AlgebraBasis(n, (ident, j + ident, j * j), True)
+                found = find_rotational_element(a)
+                assert found == unscreened_rotational_element(a)
+                finds += found is not None and found.element == -j
+        assert finds == 20
+
+    def test_trace_form_is_the_gram_matrix(self):
+        a = centralizer_algebra(benzecri_suspend(load_rep_file(CORPUS / "dim3_torus_translations.json")))
+        gram = a.trace_form
+        assert a.trace_form is gram
+        for i, x in enumerate(a.basis):
+            for j, y in enumerate(a.basis):
+                assert gram.rows[i][j] == sum(((x * y).rows[k][k] for k in range(4)), Fraction(0))
+
+
+class TestScreenedWalk:
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_matches_unscreened_walk_on_corpus(self, path):
+        susp = benzecri_suspend(load_rep_file(path))
+        cent = centralizer_algebra(susp)
+        for bound in (1, 2):
+            expected = unscreened_rotational_element(cent, susp, bound)
+            assert find_rotational_element(cent, susp, bound) == expected
+
+    def test_matches_unscreened_walk_on_conjugates(self):
+        rng = random.Random(41)
+        rotation = frac_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        reps = [load_rep_file(p) for p in sorted(CORPUS.glob("dim3_*.json"))]
+        reps.append(validate_rep([("r", rotation)], "projective-class", 3))
+        hits = []
+        for rep in reps:
+            for _ in range(6):
+                p = random_unimodular(rng, 4, ops=rng.choice([2, 4, 8]))
+                susp = benzecri_suspend(conjugate_representation(rep, p))
+                cent = centralizer_algebra(susp)
+                expected = unscreened_rotational_element(cent, susp)
+                assert find_rotational_element(cent, susp) == expected
+                hits.append(expected is not None)
+        assert any(hits[-6:])  # a conjugated rotation is found, not only missed
 
 
 class TestFlags:

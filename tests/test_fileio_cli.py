@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from holonomy import classify, cli, commutant, representation
+from holonomy import classify, cli, commutant, polys, representation
 from holonomy.cli import main, run_batch
 from holonomy.fileio import (
     dumps_canonical,
@@ -15,7 +15,7 @@ from holonomy.fileio import (
 )
 from holonomy.representation import ValidationError
 
-from helpers import CORPUS
+from helpers import CORPUS, passes_trace_screen, rotational_candidates
 
 OPTIONS = {
     "format": "json",
@@ -275,6 +275,44 @@ def test_classify_builds_each_object_once(path, monkeypatch, capsys):
     assert main(["classify", "--dim", dim, str(path)]) == 0
     assert (len(centralizers), len(suspensions), len(radicals), len(fields)) == (1, 1, 1, 0)
     assert json.loads(capsys.readouterr().out)["command"] == "classify"
+
+
+def test_rotational_search_polynomials_only_for_screen_survivors(monkeypatch, capsys):
+    path = CORPUS / "dim3_trivial_injective.json"
+    monkeypatch.delenv(cli.SEARCH_BOUND_ENV, raising=False)
+    original = polys.minimal_polynomial
+    calls, searching = [], []
+
+    def counted(m):
+        calls.append(bool(searching))
+        return original(m)
+
+    for module in (classify, cli, commutant, polys, representation):
+        if getattr(module, "minimal_polynomial", None) is original:
+            monkeypatch.setattr(module, "minimal_polynomial", counted)
+    search = commutant.find_rotational_element
+    found = []
+
+    def tracked(a, rep=None, bound=2):
+        searching.append(True)
+        try:
+            cert = search(a, rep, bound)
+        finally:
+            searching.clear()
+        found.append((a, cert))
+        return cert
+
+    monkeypatch.setattr(classify, "find_rotational_element", tracked)
+    assert main(["classify", "--dim", "3", str(path)]) == 0
+    capsys.readouterr()
+    [(cent, cert)] = found
+    walk = list(rotational_candidates(cent, 2))
+    survivors = [m for m in walk if passes_trace_screen(m)]
+    assert len(calls) <= len(survivors)
+    # inside the search: one polynomial per survivor up to the find, and
+    # one more when verify_certificate re-checks it
+    up_to_find = walk[: walk.index(cert.element) + 1]
+    assert sum(calls) <= sum(map(passes_trace_screen, up_to_find)) + 1
 
 
 class TestWriteReport:

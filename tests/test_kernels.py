@@ -1,7 +1,8 @@
 """The integer-row kernels against independent Fraction oracles.
 
-rref, det, matmul, apply, add/scale, Subspace.reduce and
-minimal_polynomial run on integer numerators over common denominators;
+rref, det, matmul, apply, add/scale, Subspace.reduce, minimal_polynomial,
+characteristic_polynomial and Polynomial.eval_matrix run on integer
+numerators over common denominators;
 each is checked here against a plain Fraction computation or one of the
 oracles in helpers.py, on inputs with non-integer entries, zero rows,
 empty inputs and 1 x n shapes.
@@ -9,11 +10,11 @@ empty inputs and 1 x n shapes.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonomy.linalg import RatMatrix, Subspace, rref
-from holonomy.polys import minimal_polynomial
+from holonomy.polys import Polynomial, characteristic_polynomial, minimal_polynomial
 
 from helpers import brute_force_nullspace, charpoly_oracle
 
@@ -193,3 +194,33 @@ class TestMinimalPolynomial:
         assert p.degree == len(powers) - 1
         # and it divides the Leibniz characteristic polynomial
         assert p.divides(charpoly_oracle(m))
+
+
+class TestCharacteristicPolynomial:
+    @given(square())
+    @example(RatMatrix.zeros(1, 1))
+    @example(RatMatrix.zeros(4, 4))
+    @example(RatMatrix.from_rows([[Fraction(-7, 3)]]))
+    @settings(max_examples=100, deadline=None)
+    def test_against_leibniz_oracle(self, m):
+        assert characteristic_polynomial(m) == charpoly_oracle(m)
+
+
+def fraction_horner(p: Polynomial, m: RatMatrix) -> list[list[Fraction]]:
+    n = m.nrows
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p.coeffs):
+        acc = naive_product(acc, [list(r) for r in m.rows])
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+class TestEvalMatrix:
+    @given(st.lists(entries, max_size=5).map(Polynomial.from_coeffs), square())
+    @example(Polynomial.zero(), RatMatrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-2, 5)]]))
+    @example(Polynomial.from_coeffs([Fraction(-4, 9)]), RatMatrix.from_rows([[Fraction(1, 2), 3], [0, 1]]))
+    @example(Polynomial.from_coeffs([1, Fraction(2, 3), 5]), RatMatrix.zeros(3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_against_fraction_horner(self, p, m):
+        assert [list(r) for r in p.eval_matrix(m).rows] == fraction_horner(p, m)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -238,6 +240,57 @@ class TestPolynomialArithmetic:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             poly(1, 1).divmod(Polynomial.zero())
+
+
+class TestIntegerDivisors:
+    @given(st.integers(-(10**6), 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_against_trial_division(self, n):
+        m = abs(n)
+        assert _integer_divisors(n) == [d for d in range(1, m + 1) if m % d == 0]
+
+    @given(st.lists(st.sampled_from([2, 3, 1021, 1031, 1033, 65537, 268435459, 536870923]), max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_products_of_primes_above_the_trial_limit(self, primes):
+        # 1031 is the first prime above the trial-division limit, so these
+        # products go through Pollard's rho and the primality test
+        n = math.prod(primes)
+        expected = {math.prod(c) for r in range(len(primes) + 1) for c in itertools.combinations(primes, r)}
+        assert _integer_divisors(n) == sorted(expected)
+
+    def test_large_constant_finishes(self):
+        # clearing the denominators of this degree-9 product gives a constant
+        # term of about 1.7e17: listing its divisors by trial division up to
+        # its square root took 4e8 steps
+        p = Polynomial.from_coeffs(
+            [-1, 2, Fraction(-65, 9), Fraction(47, 3), Fraction(-227, 27), Fraction(572, 27),
+             Fraction(-22, 3), Fraction(-62, 9), Fraction(-16, 3), -12]
+        )
+        product = Polynomial.one()
+        for f in factor_polynomial(p):
+            product = product * f.poly**f.multiplicity
+        assert product == p.monic()
+
+    @pytest.mark.parametrize(
+        "const",
+        [
+            1152921504606847009 * 2305843009213693967,  # two 61-bit primes: beyond the rho budget
+            1237940039285380274899124357,  # a 91-bit prime: Miller-Rabin is not a proof there
+        ],
+    )
+    def test_unfactored_constant_proves_nothing(self, const):
+        p = poly(const, 0, 0, 0, 1)
+        assert [(f.poly, f.multiplicity, f.proven_irreducible) for f in factor_polynomial(p)] == [(p, 1, False)]
+        q = poly(const, 1)
+        assert [(f.poly, f.proven_irreducible) for f in factor_polynomial(q * poly(1, 0, 1))] == [
+            (q * poly(1, 0, 1), False)
+        ]
+
+    def test_unfactored_value_at_one_proves_nothing(self):
+        # the constant 2 factors, but the quadratic search also needs the
+        # divisors of p(1), a product of two 61-bit primes
+        p = poly(2, 1152921504606847009 * 2305843009213693967 - 3, 0, 0, 1)
+        assert [(f.poly, f.multiplicity, f.proven_irreducible) for f in factor_polynomial(p)] == [(p, 1, False)]
 
 
 @st.composite
