@@ -38,9 +38,9 @@ from .linalg import (
     image_of,
     is_zero_vec,
     kernel_of,
+    numerator_vector,
     restrict_to_subspace,
     solve_linear,
-    vectorize,
     zero_vec,
 )
 from .polys import characteristic_polynomial, factor_polynomial
@@ -228,8 +228,8 @@ class _BranchResult:
 
 def _independent_of(mats: list[RatMatrix], m: RatMatrix) -> bool:
     d = m.nrows
-    span = Subspace.span([vectorize(x) for x in mats], d * d)
-    return not span.contains(vectorize(m))
+    span = Subspace.span([numerator_vector(x) for x in mats], d * d)
+    return not span.contains(numerator_vector(m))
 
 
 def _restriction_is_zero(m: RatMatrix, s: Subspace) -> bool:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from typing import Sequence, Union
 
 from .linalg import (
@@ -26,6 +27,7 @@ from .linalg import (
     is_zero_vec,
     kernel_of,
     matrix_from_vec,
+    numerator_vector,
     rref,
     vector,
     vectorize,
@@ -76,9 +78,9 @@ class AlgebraBasis:
         for m in mats:
             if m.nrows != ambient_dim or m.ncols != ambient_dim:
                 raise ValueError("algebra elements must be square of the ambient size")
-        span = Subspace.span([vectorize(m) for m in mats], ambient_dim * ambient_dim)
+        span = Subspace.span([numerator_vector(m) for m in mats], ambient_dim * ambient_dim)
         basis = tuple(matrix_from_vec(v, ambient_dim, ambient_dim) for v in span.basis)
-        has_id = span.contains(vectorize(RatMatrix.identity(ambient_dim)))
+        has_id = span.contains(numerator_vector(RatMatrix.identity(ambient_dim)))
         return AlgebraBasis(ambient_dim, basis, has_id)
 
     @property
@@ -90,7 +92,7 @@ class AlgebraBasis:
         return Subspace(self.ambient_dim * self.ambient_dim, tuple(vectorize(m) for m in self.basis))
 
     def contains(self, m: RatMatrix) -> bool:
-        return self.span_subspace().contains(vectorize(m))
+        return self.span_subspace().contains(numerator_vector(m))
 
     @cached_property
     def products(self) -> tuple[tuple[RatMatrix, ...], ...]:
@@ -196,11 +198,11 @@ def project_automorphism_algebra(susp_fields: Sequence[AffineField]) -> list[Rat
     if not susp_fields:
         raise ValueError("identity not in span: no fields supplied")
     d = susp_fields[0].dim
-    span = Subspace.span([vectorize(f.linear_part) for f in susp_fields], d * d)
+    span = Subspace.span([numerator_vector(f.linear_part) for f in susp_fields], d * d)
     ident = RatMatrix.identity(d)
-    if not span.contains(vectorize(ident)):
+    if not span.contains(numerator_vector(ident)):
         raise ValueError("identity not in span: radiant direction missing from the fields")
-    acc = Subspace.span([vectorize(ident)], d * d)
+    acc = Subspace.span([numerator_vector(ident)], d * d)
     reps: list[RatMatrix] = []
     for v in span.basis:
         if not acc.contains(v):
@@ -223,8 +225,8 @@ def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, ClosureWitness | None]
     span = a.span_subspace()
     for i, row in enumerate(a.products):
         for j, p in enumerate(row):
-            residual = span.reduce(vectorize(p))
-            if not is_zero_vec(residual):
+            if not span.contains(numerator_vector(p)):
+                residual = span.reduce(vectorize(p))
                 return False, ClosureWitness(
                     i, j, p, matrix_from_vec(residual, a.ambient_dim, a.ambient_dim)
                 )
@@ -276,7 +278,7 @@ def _idempotent_witnesses(
             e = (s * cofactor).eval_matrix(m)
             if e.is_zero() or e == ident or e in seen:
                 continue
-            if not span.contains(vectorize(e)):
+            if not span.contains(numerator_vector(e)):
                 continue
             if e * e != e:
                 continue
@@ -318,7 +320,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
             raise ClosureError("trace-form kernel contains a non-nilpotent element")
     rad_span = radical.span_subspace()
     quotient_commutative = all(
-        rad_span.contains(vectorize(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
+        rad_span.contains(numerator_vector(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
     )
     witnesses = _idempotent_witnesses(a) if find_idempotents else ()
     return Decomposition(radical, k - radical.dim, quotient_commutative, witnesses)
@@ -644,8 +646,7 @@ def truncated_derived_series(
     # inverted by elimination, whose cost grows fastest with entry size.
     letters = [(g, g.inverse()) for g in gens]
     letters += [(gi, g) for g, gi in letters]
-    conjugators = [ident]
-    conjugator_invs = [ident]
+    conjugators = {ident: ident}  # word -> its inverse, in insertion order
     frontier = [(ident, ident)]
     for _ in range(word_length):
         new_frontier = []
@@ -653,9 +654,8 @@ def truncated_derived_series(
             for g, gi in letters:
                 nw = w * g
                 if nw not in conjugators:
-                    conjugators.append(nw)
-                    conjugator_invs.append(gi * wi)
-                    new_frontier.append((nw, conjugator_invs[-1]))
+                    conjugators[nw] = gi * wi
+                    new_frontier.append((nw, conjugators[nw]))
                     if len(conjugators) >= max_conjugators:
                         break
             if len(conjugators) >= max_conjugators:
@@ -665,54 +665,57 @@ def truncated_derived_series(
             break
 
     def too_large(m: RatMatrix) -> bool:
-        return any(
-            x.numerator.bit_length() > _MAX_ENTRY_BITS or x.denominator.bit_length() > _MAX_ENTRY_BITS
-            for row in m.rows
-            for x in row
-        )
+        """True when some entry, in lowest terms, has a numerator or
+        denominator longer than _MAX_ENTRY_BITS."""
+        d = m.den
+        if d.bit_length() <= _MAX_ENTRY_BITS and all(
+            x.bit_length() <= _MAX_ENTRY_BITS for row in m.num for x in row
+        ):
+            return False  # an entry in lowest terms is no longer than x / d
+        for row in m.num:
+            for x in row:
+                g = gcd(x, d)
+                if (x // g).bit_length() > _MAX_ENTRY_BITS or (d // g).bit_length() > _MAX_ENTRY_BITS:
+                    return True
+        return False
 
     levels: list[DerivedLevel] = []
     current = letters[: len(gens)]
     verdict = "unknown"
     stopped = None
     for depth in range(1, commutator_depth + 1):
-        pool: list[RatMatrix] = []
-        pool_inv: list[RatMatrix] = []
+        pool: dict[RatMatrix, RatMatrix] = {}  # matrix -> its inverse, in insertion order
         for s, si in current:
             if s not in pool and len(pool) < max_level:
-                pool.append(s)
-                pool_inv.append(si)
-        for c, ci in zip(conjugators[1:], conjugator_invs[1:]):
+                pool[s] = si
+        for c, ci in list(conjugators.items())[1:]:
             for s, si in current:
                 if len(pool) >= max_level:
                     break
                 m = c * s * ci
                 if m not in pool:
-                    pool.append(m)
-                    pool_inv.append(c * si * ci)
-        nxt: list[RatMatrix] = []
-        nxt_inv: list[RatMatrix] = []
-        for (a, ai), (b, bi) in combinations(zip(pool, pool_inv), 2):
+                    pool[m] = c * si * ci
+        nxt: dict[RatMatrix, RatMatrix] = {}
+        for (a, ai), (b, bi) in combinations(pool.items(), 2):
             if len(nxt) >= max_level:
                 break
             ab = a * b
             ba = b * a
-            if ab == ba:
+            if ab == ba:  # exactly when the commutator is the identity
                 continue
             comm = ab * ai * bi
-            if comm != ident and comm not in nxt:
+            if comm not in nxt:
                 if too_large(comm):
                     stopped = "entry_bits"
                     break
-                nxt.append(comm)
-                nxt_inv.append(ba * bi * ai)
+                nxt[comm] = ba * bi * ai
         if stopped:
             break
         levels.append(DerivedLevel(depth, len(pool), len(nxt), not nxt))
         if not nxt:
             verdict = "yes"
             break
-        current = list(zip(nxt, nxt_inv))
+        current = list(nxt.items())
     return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length, stopped)
 
 

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of `fractions.Fraction` entries, reduced row echelon form,
-kernels, images, linear solving, and canonical subspaces. Everything is
-computed without tolerances so that dimension counts downstream are exact.
-All values are immutable and safe to share between threads.
+Dense rational matrices, reduced row echelon form, kernels, images, linear
+solving, and canonical subspaces. Everything is computed without tolerances
+so that dimension counts downstream are exact. All values are immutable and
+safe to share between threads.
 
-The kernels run on integer rows: a matrix is multiplied through its integer
-numerators over one common denominator, and elimination is fraction-free
-(integer cross-multiplication with gcd content removal, Bareiss 1968 for the
-determinant), so `Fraction` objects are built only for the results.
+A matrix is stored as its normalized integer form N / d: integer numerator
+rows N and a denominator d > 0 with gcd(d, content(N)) = 1. The form is
+unique, so == and hash compare integers. Products, sums and traces work on
+N and d, and elimination is fraction-free (integer cross-multiplication with
+gcd content removal, Bareiss 1968 for the determinant). `RatMatrix.rows` is
+the public `Fraction` view, built on first use; vectors, subspace bases and
+RREF results are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ Rational = Fraction
 
 Vec = tuple[Fraction, ...]
 
-ZERO = Fraction(0)
-# One shared object per small integer: kernel results are mostly small
-# integers, and building a new Fraction costs far more than a dict lookup.
-_SMALL_INTS = {i: Fraction(i) for i in range(-256, 257)}
+ZERO = Fraction(0)  # shared by the mostly zero entries of every rref result
 
 
 def to_fraction(x) -> Fraction:
@@ -46,27 +46,13 @@ def vector(entries: Iterable) -> Vec:
     return tuple([x if type(x) is Fraction else to_fraction(x) for x in entries])
 
 
-def _int_fractions(row: Iterable[int]) -> Vec:
-    try:
-        return tuple(map(_SMALL_INTS.__getitem__, row))
-    except KeyError:
-        return tuple([Fraction(x) for x in row])
+def _exact(entries: Iterable) -> list:
+    """The entries as ints or Fractions, for the integer kernels."""
+    return [x if type(x) is int or type(x) is Fraction else to_fraction(x) for x in entries]
 
 
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
-
-
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -109,78 +95,76 @@ def integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> li
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense rational matrix, stored as a tuple of row tuples."""
+    """Dense rational matrix num / den in its normalized integer form.
 
-    rows: tuple[Vec, ...]
+    num is a tuple of integer rows and den > 0 with gcd(den, every entry of
+    num) = 1. The form is unique, so == and hash compare integers and agree
+    with entrywise Fraction equality. The constructor takes a form that is
+    already normalized; from_rows and from_integer_form normalize. `rows`
+    is the public Fraction view, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged rows")
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "RatMatrix":
-        return RatMatrix(tuple(vector(r) for r in rows))
+        vecs = [_exact(r) for r in rows]
+        ncols = len(vecs[0]) if vecs else 0
+        if any(len(v) != ncols for v in vecs):
+            raise ValueError("ragged rows")
+        # over the lcm of the denominators of reduced Fractions the form is normalized
+        flat, den = _integer_row([x for v in vecs for x in v])
+        return RatMatrix(tuple(tuple(flat[i * ncols : (i + 1) * ncols]) for i in range(len(vecs))), den)
+
+    @staticmethod
+    def from_integer_form(num: Sequence[Sequence[int]], den: int) -> "RatMatrix":
+        """The matrix num / den (den > 0), normalized."""
+        if den != 1:
+            g = gcd(den, *[x for r in num for x in r])
+            if g > 1:
+                num = [[x // g for x in r] for r in num]
+                den //= g
+        return RatMatrix(tuple(map(tuple, num)), den)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(tuple(unit_vec(n, i) for i in range(n)))
+        return RatMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "RatMatrix":
-        return RatMatrix(tuple(zero_vec(ncols) for _ in range(nrows)))
+        return RatMatrix(((0,) * ncols,) * nrows)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.num[0]) if self.num else 0
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    @cached_property
+    @property
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(N, d) with self == N / d: integer numerators over the lcm d of all
-        entry denominators. Computed once per matrix; it is not a field, so it
-        takes no part in == or hash."""
-        flat, den = _integer_row([x for r in self.rows for x in r])
-        n = self.ncols
-        return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(self.nrows)), den
+        """(num, den): the stored form, self == num / den."""
+        return self.num, self.den
 
-    @staticmethod
-    def from_integer_form(num: Sequence[Sequence[int]], den: int) -> "RatMatrix":
-        """The matrix num / den (den > 0), with its integer form already cached."""
-        g = gcd(den, *[x for r in num for x in r])
-        if g > 1:
-            num = [[x // g for x in r] for r in num]
-            den //= g
-        num = tuple(tuple(r) for r in num)
-        if den == 1:
-            rows = tuple(_int_fractions(r) for r in num)
-        else:
-            rows = tuple(tuple(Fraction(x, den) if x else ZERO for x in r) for r in num)
-        out = RatMatrix(rows)
-        out.__dict__["integer_form"] = (num, den)
-        return out
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        """The entries as Fractions, row by row; built on first use."""
+        d = self.den
+        return tuple(tuple([Fraction(x, d) for x in r]) for r in self.num)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.rows, strict=True))) if self.rows else self
+        return RatMatrix(tuple(zip(*self.num)), self.den)
 
     def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
         """self + sign * other, on the integer forms."""
-        a, da = self.integer_form
-        b, db = other.integer_form
+        a, da = self.num, self.den
+        b, db = other.num, other.den
         den = lcm(da, db)
         fa, fb = den // da, sign * (den // db)
         return RatMatrix.from_integer_form(
@@ -198,9 +182,8 @@ class RatMatrix:
 
     def scale(self, c) -> "RatMatrix":
         c = to_fraction(c)
-        a, da = self.integer_form
         p = c.numerator
-        return RatMatrix.from_integer_form([[p * x for x in r] for r in a], da * c.denominator)
+        return RatMatrix.from_integer_form([[p * x for x in r] for r in self.num], self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -213,9 +196,7 @@ class RatMatrix:
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        a, da = self.integer_form
-        b, db = other.integer_form
-        return RatMatrix.from_integer_form(integer_matmul(a, b), da * db)
+        return RatMatrix.from_integer_form(integer_matmul(self.num, other.num), self.den * other.den)
 
     def __pow__(self, k: int) -> "RatMatrix":
         if not self.is_square or k < 0:
@@ -232,25 +213,22 @@ class RatMatrix:
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch in matrix-vector product")
-        a, da = self.integer_form
         w, dw = _integer_row(v)
-        den = da * dw
-        return tuple(Fraction(_dot(row, w), den) for row in a)
+        den = self.den * dw
+        return tuple(Fraction(_dot(row, w), den) for row in self.num)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        num, den = self.integer_form
-        return Fraction(sum(num[i][i] for i in range(self.nrows)), den)
+        return Fraction(sum(r[i] for i, r in enumerate(self.num)), self.den)
 
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         # Bareiss elimination on the integer form: after step c every entry
         # is a minor of N, and the division by the previous pivot is exact.
-        num, den = self.integer_form
         n = self.nrows
-        m = [list(r) for r in num]
+        m = [list(r) for r in self.num]
         sign, prev = 1, 1
         for c in range(n):
             piv = next((i for i in range(c, n) if m[i][c]), None)
@@ -266,26 +244,30 @@ class RatMatrix:
                 row = m[i]
                 row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
             prev = p
-        return Fraction(sign * prev, den**n)
+        return Fraction(sign * prev, self.den**n)
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = [list(self.rows[i]) + list(unit_vec(n, i)) for i in range(n)]
+        # the RREF of [N | d I] is [I | d N^-1], and d N^-1 is the inverse of N / d
+        n, d = self.nrows, self.den
+        aug = [list(r) + [d if j == i else 0 for j in range(n)] for i, r in enumerate(self.num)]
         reduced, pivots = rref(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return RatMatrix.from_rows(row[n:] for row in reduced)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
+        return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
         return self.is_square and self == RatMatrix.identity(self.nrows)
 
     def is_scalar(self) -> bool:
-        return self.is_square and self == RatMatrix.identity(self.nrows).scale(self.rows[0][0] if self.rows else 0)
+        if not self.is_square:
+            return False
+        c = self.num[0][0] if self.num else 0
+        return all(x == (c if i == j else 0) for i, r in enumerate(self.num) for j, x in enumerate(r))
 
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(x) for x in r) + "]" for r in self.rows)
@@ -296,14 +278,21 @@ def vectorize(m: RatMatrix) -> Vec:
     return tuple(x for row in m.rows for x in row)
 
 
+def numerator_vector(m: RatMatrix) -> tuple[int, ...]:
+    """Row-major flattening of the numerators: m.den * vectorize(m), which
+    spans the same line, for spans and membership tests."""
+    return tuple(x for row in m.num for x in row)
+
+
 def matrix_from_vec(v: Sequence[Fraction], nrows: int, ncols: int) -> RatMatrix:
     if len(v) != nrows * ncols:
         raise ValueError("vector length does not match shape")
-    return RatMatrix(tuple(tuple(v[i * ncols : (i + 1) * ncols]) for i in range(nrows)))
+    return RatMatrix.from_rows(v[i * ncols : (i + 1) * ncols] for i in range(nrows))
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (rows, pivot column indices).
+def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of rows of ints or Fractions. Returns
+    (rows of Fractions, pivot column indices).
 
     Fraction-free Gauss-Jordan: each row is cleared of denominators, rows
     are combined by integer cross-multiplication and divided by their gcd
@@ -348,7 +337,7 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [vector(v) for v in vectors]
+        vecs = [_exact(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector does not match ambient dimension")
@@ -363,7 +352,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span([unit_vec(ambient_dim, i) for i in range(ambient_dim)], ambient_dim)
+        return Subspace.span(RatMatrix.identity(ambient_dim).num, ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -380,7 +369,7 @@ class Subspace:
 
     def _residual(self, v: Sequence) -> tuple[list[int], int]:
         """(numerators, d) of the residual of v along the canonical basis."""
-        w, den = _integer_row(vector(v))
+        w, den = _integer_row(_exact(v))
         if len(w) != self.ambient_dim:
             raise ValueError("vector does not match ambient dimension")
         for piv, row in self._integer_basis:
@@ -396,7 +385,7 @@ class Subspace:
     def reduce(self, v: Sequence) -> Vec:
         """Residual of v after eliminating along the canonical basis."""
         w, den = self._residual(v)
-        return tuple(Fraction(x, den) if x else ZERO for x in w)
+        return tuple(Fraction(x, den) for x in w)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self._residual(v)[0])
@@ -419,12 +408,8 @@ class Subspace:
         cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
         stacked = RatMatrix.from_rows(cols).transpose()
         _, _, ker, _ = rref_kernel_image(stacked)
-        vecs = []
-        for coeffs in ker.basis:
-            v = zero_vec(self.ambient_dim)
-            for c, b in zip(coeffs[: self.dim], self.basis):
-                v = vec_add(v, vec_scale(c, b))
-            vecs.append(v)
+        vecs = [[sum(c * b[k] for c, b in zip(coeffs, self.basis)) for k in range(self.ambient_dim)]
+                for coeffs in ker.basis]
         return Subspace.span(vecs, self.ambient_dim)
 
     def apply(self, m: RatMatrix) -> "Subspace":
@@ -440,10 +425,12 @@ def rref_kernel_image(m: RatMatrix) -> tuple[RatMatrix, int, Subspace, Subspace]
     rank + dim(kernel) = ncols; the image is spanned by the pivot columns
     of the original matrix.
     """
-    reduced, pivots = rref(m.rows)
+    reduced, pivots = rref(m.num)
+    rank = len(pivots)
     kernel = _nullspace(reduced, pivots, m.ncols)
-    image = Subspace.span([m.col(p) for p in pivots], m.nrows)
-    return RatMatrix.from_rows(reduced), len(pivots), kernel, image
+    image = Subspace.span([[r[p] for r in m.num] for p in pivots], m.nrows)
+    head = RatMatrix.from_rows(reduced[:rank])  # the rows below are zero
+    return RatMatrix(head.num + ((0,) * m.ncols,) * (m.nrows - rank), head.den), rank, kernel, image
 
 
 def _nullspace(reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> Subspace:
@@ -453,8 +440,8 @@ def _nullspace(reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], nco
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [ZERO] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -reduced[i][f]
         kernel_vecs.append(v)
@@ -467,7 +454,7 @@ def kernel_of(m: RatMatrix) -> Subspace:
 
 def image_of(m: RatMatrix) -> Subspace:
     """Column space: the row space of the transpose."""
-    return Subspace.span(m.transpose().rows, m.nrows)
+    return Subspace.span(m.transpose().num, m.nrows)
 
 
 def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
@@ -481,11 +468,12 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
     bv = vector(b)
     if len(bv) != a.nrows:
         raise ValueError("right-hand side does not match row count")
-    aug = [list(row) + [bv[i]] for i, row in enumerate(a.rows)]
+    # a = N / d, so a x = b is N x = d b
+    aug = [list(row) + [a.den * bv[i]] for i, row in enumerate(a.num)]
     reduced, pivots = rref(aug)
     if a.ncols in pivots:
         return None
-    sol = [ZERO] * a.ncols
+    sol = [Fraction(0)] * a.ncols
     for i, p in enumerate(pivots):
         sol[p] = reduced[i][a.ncols]
     return tuple(sol), _nullspace(reduced, pivots, a.ncols)

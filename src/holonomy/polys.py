@@ -162,12 +162,6 @@ class Polynomial:
         return " + ".join(reversed(parts))
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero else a
-
-
 def poly_egcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """g, s, t with s*a + t*b = g and g monic."""
     r0, r1 = a, b

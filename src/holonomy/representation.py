@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import RatMatrix, Vec, is_zero_vec, solve_linear, to_fraction, vector, zero_vec
+from .linalg import RatMatrix, Vec, is_zero_vec, numerator_vector, solve_linear, to_fraction, vector, zero_vec
 
 KIND_LINEAR = "linear"
 KIND_AFFINE = "affine"
@@ -105,26 +105,18 @@ def canonicalize_projective_class(m: RatMatrix) -> RatMatrix:
     """Scale-canonical representative of the class of an invertible matrix:
     integer entries, content 1, first nonzero entry (row-major) positive.
     Idempotent, and constant on the whole class {lambda * m, lambda != 0}."""
-    entries = [x for row in m.rows for x in row]
-    if all(x == 0 for x in entries):
+    # m = N / d, so the integer matrix N is in the class
+    entries = numerator_vector(m)
+    content = gcd(*entries)
+    if content == 0:
         raise ValidationError("zero matrix has no projective class")
-    denom = lcm(*[x.denominator for x in entries])
-    ints = [x * denom for x in entries]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x.numerator))
-    ints = [x / content for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    n = m.ncols
-    return RatMatrix.from_rows([ints[i * n : (i + 1) * n] for i in range(m.nrows)])
+    if next(x for x in entries if x) < 0:
+        content = -content
+    return RatMatrix(tuple(tuple(x // content for x in row) for row in m.num))
 
 
 def _check_affine_last_row(m: RatMatrix) -> None:
-    last = m.rows[-1]
-    expected = zero_vec(m.ncols - 1) + (Fraction(1),)
-    if last != expected:
+    if m.num[-1] != (0,) * (m.ncols - 1) + (m.den,):  # m = N / d
         raise ValidationError("not homogeneous-affine: last row must be (0, ..., 0, 1)")
 
 
@@ -209,10 +201,8 @@ def embed_affine_as_projective(rep: Representation) -> Representation:
 
 
 def _block_with_one(m: RatMatrix) -> RatMatrix:
-    n = m.nrows
-    rows = [list(r) + [Fraction(0)] for r in m.rows]
-    rows.append([Fraction(0)] * n + [Fraction(1)])
-    return RatMatrix.from_rows(rows)
+    """diag(m, 1), which is diag(N, d) / d for m = N / d."""
+    return RatMatrix(tuple(r + (0,) for r in m.num) + ((0,) * m.nrows + (m.den,),), m.den)
 
 
 def embed_linear_as_affine(rep: Representation) -> Representation:
@@ -308,7 +298,7 @@ def radiant_fixed_point(rep: Representation) -> tuple[Vec, Vec] | None:
         shifted = lin - RatMatrix.identity(n)
         rows.extend(shifted.rows)
         rhs.extend(-t for t in trans)
-    res = solve_linear(RatMatrix(tuple(rows)), tuple(rhs))
+    res = solve_linear(RatMatrix.from_rows(rows), tuple(rhs))
     if res is None:
         return None
     point = res[0]

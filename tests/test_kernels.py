@@ -5,16 +5,21 @@ characteristic_polynomial and Polynomial.eval_matrix run on integer
 numerators over common denominators;
 each is checked here against a plain Fraction computation or one of the
 oracles in helpers.py, on inputs with non-integer entries, zero rows,
-empty inputs and 1 x n shapes.
+empty inputs and 1 x n shapes. RatMatrix stores its normalized integer
+form, so its == and hash are checked against Fraction-row equality, and
+the derived-series probe's entry-size budget against reduced entries.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holonomy.commutant import truncated_derived_series
 from holonomy.linalg import RatMatrix, Subspace, rref
 from holonomy.polys import Polynomial, characteristic_polynomial, minimal_polynomial
+from holonomy.representation import validate_rep
 
 from helpers import brute_force_nullspace, charpoly_oracle
 
@@ -224,3 +229,101 @@ class TestEvalMatrix:
     @settings(max_examples=150, deadline=None)
     def test_against_fraction_horner(self, p, m):
         assert [list(r) for r in p.eval_matrix(m).rows] == fraction_horner(p, m)
+
+
+def rectangular():
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: matrices(*shape))
+
+
+def is_normalized(m: RatMatrix) -> bool:
+    return m.den > 0 and gcd(m.den, *[x for r in m.num for x in r]) == 1
+
+
+class TestNormalizedForm:
+    @given(rectangular(), st.integers(1, 6), st.integers(-3, 3))
+    @example([[Fraction(0)] * 3] * 2, 5, 0)
+    @example([[Fraction(-1, 2), Fraction(3, 4)], [Fraction(5), Fraction(-7, 6)]], 4, -1)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_matrices_built_differently_compare_and_hash_equal(self, rows, k, c):
+        base = RatMatrix.from_rows(rows)
+        # a common denominator that is not the least one, numerators scaled with it
+        den = k * lcm(*[x.denominator for r in rows for x in r])
+        num = [[int(x * den) for x in r] for r in rows]
+        builds = [
+            base,
+            RatMatrix.from_integer_form(num, den),
+            RatMatrix.from_rows([[str(x) for x in r] for r in rows]),
+            RatMatrix.from_rows(base.rows),
+            base.transpose().transpose(),
+        ]
+        if c:
+            builds.append(base.scale(Fraction(c, k)).scale(Fraction(k, c)))
+        for m in builds:
+            assert is_normalized(m)
+            assert m == base and hash(m) == hash(base)
+            assert m.rows == base.rows
+            assert m in {base}
+
+    @given(square_pairs(max_n=3))
+    @settings(max_examples=150, deadline=None)
+    def test_equality_agrees_with_fraction_rows(self, pair):
+        a, b = pair
+        assert (a == b) == (a.rows == b.rows)
+        assert (a + b - b) == a and hash(a + b - b) == hash(a)
+
+    def test_zero_matrix_has_denominator_one(self):
+        z = RatMatrix.from_integer_form([[0, 0], [0, 0]], 7)
+        assert z.integer_form == (((0, 0), (0, 0)), 1)
+        assert z == RatMatrix.zeros(2, 2) == RatMatrix.from_rows([[0, Fraction(0, 3)], [0, 0]])
+        assert hash(z) == hash(RatMatrix.zeros(2, 2))
+        assert z.is_zero() and z.is_scalar()
+
+    def test_negative_entries(self):
+        m = RatMatrix.from_integer_form([[-6, 4], [0, -2]], 4)
+        assert m.integer_form == (((-3, 2), (0, -1)), 2)
+        assert m.rows == ((Fraction(-3, 2), Fraction(1)), (Fraction(0), Fraction(-1, 2)))
+        assert m == RatMatrix.from_rows([["-3/2", 1], [0, Fraction(-1, 2)]])
+        assert -m == RatMatrix.from_integer_form([[3, -2], [0, 1]], 2)
+
+    @given(rectangular())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_round_trip(self, rows):
+        m = RatMatrix.from_rows(rows)
+        assert m.rows == tuple(tuple(r) for r in rows)
+        assert all(type(x) is Fraction for r in m.rows for x in r)
+        assert RatMatrix.from_rows(m.rows) == m
+        assert RatMatrix.from_integer_form(*m.integer_form).rows == m.rows
+
+
+def derived_probe(x, y):
+    """The probe to depth 1 with one conjugator on a = diag(-1, 1, 1) and
+    b = I + x E12 + y E13. The pool is a, b and a b a^-1, and the two
+    nontrivial commutators are I -+ (2x E12 + 2y E13), so their largest
+    entries in lowest terms are 2x and 2y."""
+    a = RatMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    b = RatMatrix.from_rows([[1, x, y], [0, 1, 0], [0, 0, 1]])
+    rep = validate_rep([("a", a), ("b", b)], "linear", 3)
+    return truncated_derived_series(rep, commutator_depth=1, word_length=1, max_conjugators=1)
+
+
+class TestEntryBitsBudget:
+    def test_common_denominator_form_over_budget_does_not_stop(self):
+        # entries 2^101 and 1/2^200: over the common denominator 2^200 the
+        # first has a 301-bit numerator, but no entry in lowest terms is
+        # longer than 201 bits
+        report = derived_probe(2**100, Fraction(1, 2**201))
+        assert report.stopped is None
+        assert [(lv.pool_size, lv.nontrivial_commutators) for lv in report.levels] == [(3, 2)]
+
+    def test_entries_of_256_bits_do_not_stop(self):
+        for x, y in ((2**255 - 1, 0), (-(2**255 - 1), 0), (1, Fraction(1, 2**256))):
+            report = derived_probe(x, y)
+            assert report.stopped is None
+            assert [(lv.pool_size, lv.nontrivial_commutators) for lv in report.levels] == [(3, 2)]
+
+    def test_an_entry_of_257_bits_stops(self):
+        for x, y in ((2**255, 0), (-(2**255), 0), (1, Fraction(1, 2**257))):
+            report = derived_probe(x, y)
+            assert report.stopped == "entry_bits"
+            assert report.verdict == "unknown"
+            assert report.levels == ()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -169,3 +170,31 @@ class TestMatrixBasics:
         assert m in {m}
         with pytest.raises(Exception):
             m.rows = ()
+
+    def test_stored_form_and_view_are_immutable(self):
+        m = RatMatrix.from_rows([[Fraction(1, 2), 3], [0, -1]])
+        before = hash(m)
+        assert isinstance(m.rows, tuple) and all(isinstance(r, tuple) for r in m.rows)
+        for name, value in (("num", ((0, 0), (0, 0))), ("den", 1), ("rows", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, value)
+        assert hash(m) == before and m == RatMatrix.from_integer_form([[1, 6], [0, -2]], 2)
+
+    def test_shapes_without_rows_or_columns(self):
+        # n x 0: rows of width zero
+        tall = RatMatrix.from_rows([[], [], []])
+        assert (tall.nrows, tall.ncols) == (3, 0)
+        assert tall == RatMatrix.from_integer_form([[], [], []], 4) == RatMatrix.zeros(3, 0)
+        assert tall.integer_form == (((), (), ()), 1)
+        assert tall.rows == ((), (), ())
+        assert hash(tall) == hash(RatMatrix.zeros(3, 0))
+        assert tall.is_zero() and not tall.is_square
+        _, rank, ker, im = rref_kernel_image(tall)
+        assert rank == 0 and ker == Subspace.zero(0) and im == Subspace.zero(3)
+        # 0 x n: a matrix without rows has no columns either
+        empty = RatMatrix.from_rows([])
+        assert (empty.nrows, empty.ncols) == (0, 0)
+        assert empty == RatMatrix(()) == RatMatrix.zeros(0, 4) == tall.transpose()
+        assert empty.rows == () and empty.is_identity() and empty.is_scalar()
+        assert tall * empty == tall
+        assert empty.det() == 1 and empty.inverse() == empty
