@@ -133,6 +133,11 @@ def run_batch(paths, command: str, options: dict, stdout=None) -> int:
             print(f"error: {SEARCH_BOUND_ENV} must be an integer, got {env_bound!r}", file=sys.stderr)
             return 1
     try:
+        if command == "analyze":
+            for key in ("commutator_depth", "max_word_length"):
+                if options[key] < 1:
+                    flag = "--" + key.replace("_", "-")
+                    raise ValidationError(f"{flag} must be at least 1, got {options[key]}")
         if command == "suspend":
             if len(paths) != 1:
                 raise ValidationError("suspend takes exactly one input file")

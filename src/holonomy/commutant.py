@@ -87,12 +87,18 @@ class AlgebraBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def span_subspace(self) -> Subspace:
+    @cached_property
+    def _span(self) -> Subspace:
         # basis vectors are already canonical RREF rows
         return Subspace(self.ambient_dim * self.ambient_dim, tuple(vectorize(m) for m in self.basis))
 
+    def span_subspace(self) -> Subspace:
+        """The span as a subspace of the vectorized matrices. Built once per
+        algebra; it is not a field, so it takes no part in == or hash."""
+        return self._span
+
     def contains(self, m: RatMatrix) -> bool:
-        return self.span_subspace().contains(numerator_vector(m))
+        return self._span.contains(numerator_vector(m))
 
     @cached_property
     def products(self) -> tuple[tuple[RatMatrix, ...], ...]:

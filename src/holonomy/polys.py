@@ -1,21 +1,21 @@
-"""Rational polynomials: characteristic and minimal polynomials, bounded
+"""Rational polynomials: characteristic and minimal polynomials, complete
 factorization over Q, and primary decomposition into invariant subspaces.
 
-Factorization is complete for the degrees the analyses actually meet
-(<= 5: rational roots plus an exhaustive integer quadratic-factor search);
-higher-degree remainders that survive the bounded search are returned with
-a "possibly reducible" mark instead of a false irreducibility claim. The
-same mark goes on what is left when an integer whose divisors a search
-enumerates cannot be factored within a fixed work bound.
+Factorization is Zassenhaus's algorithm on integer coefficients: the
+squarefree part of the primitive integer polynomial is factored modulo a
+small prime by Berlekamp's algorithm, the modular factors are Hensel-lifted
+past a bound on the coefficients of every true factor, and products of
+lifted factors are tested as divisors by exact integer division. Every
+factor returned is irreducible over Q.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import isqrt, lcm
 
 from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, kernel_of, primitive_part, to_fraction
 
@@ -250,305 +250,247 @@ def char_min_poly(m: RatMatrix) -> tuple[Polynomial, Polynomial, int | None]:
 class PolyFactor:
     poly: Polynomial
     multiplicity: int
-    proven_irreducible: bool
 
 
-# Miller-Rabin with these bases is exact below _MR_EXACT_BELOW (Sorenson
-# and Webster 2015); a larger probable prime is not proven prime.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-_TRIAL_LIMIT = 1024
-# Pollard rho steps allowed for one integer before its divisors count as unknown.
-_RHO_STEPS = 1 << 16
+# Factorization over Q runs on integer polynomials: lists of ints, lowest
+# degree first, without trailing zeros; [] is the zero polynomial.
 
 
-class _FactorBudget(Exception):
-    """An integer was not factored within the work bound, so its divisors,
-    and every search that enumerates them, are incomplete."""
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES, for odd n > 41."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _add(a: list[int], b: list[int], c: int = 1) -> list[int]:
+    """a + c b."""
+    return _trim([x + c * y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _rho_factor(n: int) -> int:
-    """A proper factor of the odd composite n by Pollard's rho (Floyd's
-    cycle test), or _FactorBudget after _RHO_STEPS steps in all."""
-    steps = 0
-    for c in itertools.count(1):
-        x = y = 2
-        g = 1
-        while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = gcd(x - y, n)
-            steps += 1
-            if steps > _RHO_STEPS:
-                raise _FactorBudget(n)
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The prime factors of n > 0 with multiplicity, in no fixed order:
-    trial division below _TRIAL_LIMIT, then Pollard's rho. Raises
-    _FactorBudget when a factor cannot be split or proven prime."""
-    out = []
-    for p in itertools.chain([2], range(3, _TRIAL_LIMIT, 2)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m < _TRIAL_LIMIT**2:  # no factor below _TRIAL_LIMIT, so prime
-            out.append(m)
-        elif _is_probable_prime(m):
-            if m >= _MR_EXACT_BELOW:
-                raise _FactorBudget(m)
-            out.append(m)
-        else:
-            f = _rho_factor(m)
-            stack += [f, m // f]
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
-def _integer_divisors(n: int) -> list[int]:
-    """The positive divisors of n in increasing order ([] for n = 0)."""
-    if n == 0:
-        return []
-    divs = [1]
-    for p, k in Counter(_prime_factors(abs(n))).items():
-        divs = [d * p**e for d in divs for e in range(k + 1)]
-    return sorted(divs)
+def _mod(a: list[int], m: int) -> list[int]:
+    return _trim([x % m for x in a])
 
 
-def _exact_root(b: int, k: int) -> int | None:
-    """The positive integer r with r^k == b, or None."""
-    r = 1 << -(-b.bit_length() // k)  # r >= b^(1/k)
-    while True:  # integer Newton iteration, decreasing to floor(b^(1/k))
-        s = ((k - 1) * r + b // r ** (k - 1)) // k
-        if s >= r:
-            return r if r**k == b else None
-        r = s
+def _derivative(a: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(a)][1:]
 
 
-def _root_scale(b: int, k: int) -> int:
-    """A small r with b | r^k: writing b = s^j with j as large as possible,
-    r = s^ceil(j / k), which is the smallest such r when s is squarefree."""
-    for j in range(b.bit_length(), 1, -1):
-        s = _exact_root(b, j)
-        if s is not None:
-            return s ** -(-j // k)
-    return b
-
-
-def _to_monic_integer(p: Polynomial) -> tuple[list[int], int]:
-    """Rewrite monic rational p(x) as monic integer g(y) with y = D x.
-
-    g(y) = D^deg * p(y / D). The coefficient c_i of x^i needs its
-    denominator b_i to divide D^(deg - i); D is the lcm of the
-    `_root_scale(b_i, deg - i)`, so (x + 12/11)^4 becomes (y + 12)^4 rather
-    than a polynomial in 11^4 x with a 56-bit constant term.
-    """
-    n = p.degree
-    d = lcm(*[_root_scale(c.denominator, n - i) for i, c in enumerate(p.coeffs[:-1])])
-    out = []
-    for i, c in enumerate(p.coeffs):
-        v = c * Fraction(d) ** (n - i)
-        assert v.denominator == 1
-        out.append(v.numerator)
-    return out, d
-
-
-def _rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of a monic polynomial, without multiplicity."""
-    if p.eval_scalar(0) == 0:
-        roots = [Fraction(0)]
-    else:
-        roots = []
-    ints, d = _to_monic_integer(p)
-    const = ints[0]
-    if const == 0:
-        # x factor was already reported; divide it out in integer form
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        if not ints or len(ints) == 1:
-            return roots
-        const = ints[0]
-    for cand in _integer_divisors(const):
-        for sign in (1, -1):
-            y = sign * cand
-            # evaluate integer poly at y
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * y + c
-            if acc == 0:
-                roots.append(Fraction(y, d))
-    return sorted(set(roots))
-
-
-def _divides_monic(q: list[int], p: list[int]) -> bool:
-    """Whether the monic integer polynomial q divides the integer polynomial
-    p (coefficients lowest first), by long division in the integers."""
-    rem = list(p)
-    d = len(q) - 1
-    for top in range(len(rem) - 1, d - 1, -1):
-        f = rem[top]
-        if f:
-            for i in range(d):
-                rem[top - d + i] -= f * q[i]
-    return not any(rem[:d])
-
-
-def _quadratic_factor_search(ints: list[int]) -> list[int] | None:
-    """Search a monic integer quadratic y^2 + a y + b dividing the monic
-    integer polynomial with the given coefficients (lowest first).
-
-    b must divide the constant term; |a| is bounded by twice the Cauchy root
-    bound. Returns [b, a, 1] or None. The search is exhaustive: every b and
-    a that a factor can have is tried, so None proves that no monic integer
-    quadratic factor exists. The divisor tests at y = 1 and y = -1 below
-    keep its cost near #divisors(g(0)) * #divisors(g(1)) trial divisions.
-    """
-    const = ints[0]
-    if const == 0:
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[x] for nonzero a and b, or None when b does not divide a.
+    A divisor's constant term divides a's, which rejects most candidates
+    before the long division."""
+    if b[0] and a[0] % b[0]:
         return None
-    root_bound = 1 + max(abs(c) for c in ints[:-1])
-    a_bound = 2 * root_bound
-    b_cands = [b for d in _integer_divisors(const) for b in (d, -d) if abs(b) <= root_bound**2]
-    # A factor's value at y = 1 and y = -1 divides the polynomial's value
-    # there, so when g(1) != 0 only the a with 1 + a + b | g(1) can occur.
-    # Testing just those, in increasing order, finds the same first factor
-    # as walking the whole range; the walk's cost grew with the coefficients.
-    g_plus = sum(ints)
-    g_minus = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    shifts = [s for d in _integer_divisors(g_plus) for s in (d, -d)] if g_plus else None
-    for b in b_cands:
-        if shifts is None:
-            a_cands = range(-a_bound, a_bound + 1)
+    r, d = list(a), len(b) - 1
+    q = [0] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        c, rem = divmod(r[i], b[-1])
+        if rem:
+            return None
+        q[i - d] = c
+        if c:
+            for j in range(d):
+                r[i - d + j] -= c * b[j]
+    return None if any(r[:d]) else q
+
+
+def _gcd_z(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of the primitive a and b (b nonzero) in Z[x], by the
+    primitive polynomial remainder sequence."""
+    while b:
+        r, d = list(a), len(b) - 1
+        while len(r) > d:  # r <- lc(b) r - r_top x^(deg r - d) b
+            top = r[-1]
+            r = [x * b[-1] for x in r[:-1]]
+            for j in range(d):
+                r[len(r) - d + j] -= top * b[j]
+            _trim(r)
+        a, b = b, primitive_part(r)
+    return a
+
+
+def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b (nonzero mod p) in F_p[x]."""
+    r, d = [x % p for x in a], len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = q[i - d] = r[i] * inv % p
+        if c:
+            for j in range(d):
+                r[i - d + j] = (r[i - d + j] - c * b[j]) % p
+    return _trim(q), _trim(r[:d])
+
+
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd in F_p[x] of a (nonzero mod p) and b."""
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _inverse_p(h: list[int], g: list[int], p: int) -> list[int]:
+    """t with t h = 1 modulo g in F_p[x], for h and g coprime mod p."""
+    r0, r1, t0, t1 = g, _divmod_p(h, g, p)[1], [], [1]
+    while r1:  # r_i = t_i h modulo g
+        q, r = _divmod_p(r0, r1, p)
+        r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
+    inv = pow(r0[0], -1, p)
+    return [x * inv % p for x in t0]
+
+
+def _berlekamp(f: list[int], p: int) -> list[int]:
+    """The monic irreducible factors in F_p[x] of f, monic and squarefree mod p.
+
+    The v with v^p = v modulo f form the kernel of Q - I, where row i of Q is
+    x^(ip) mod f; their number is the number of factors. Each such v splits
+    every factor g as the product of gcd(g, v - s) over s in F_p.
+    """
+    n = len(f) - 1
+    xp = _divmod_p([0] * p + [1], f, p)[1]
+    powers, r = [], [1]
+    for _ in range(n):
+        powers.append(r + [0] * (n - len(r)))
+        r = _divmod_p(_mul(r, xp), f, p)[1]
+    # Gauss-Jordan on the equations sum_i v_i (x^(ip) - x^i) = 0 mod f
+    rows = [[(powers[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
+    pivots: list[int] = []
+    for c in range(n):
+        k = next((k for k in range(len(pivots), n) if rows[k][c]), None)
+        if k is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[k] = rows[k], rows[top]
+        inv = pow(rows[top][c], -1, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for k in range(n):
+            if k != top and rows[k][c]:
+                rows[k] = [(x - rows[k][c] * y) % p for x, y in zip(rows[k], rows[top])]
+        pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    factors = [f]
+    for c in free[1:]:  # the first free column gives the constants
+        if len(factors) == len(free):
+            break
+        v = [0] * n
+        v[c] = 1
+        for k, pc in enumerate(pivots):
+            v[pc] = -rows[k][c] % p
+        split = []
+        for g in factors:
+            for s in range(p):
+                h = _gcd_p(g, _mod(_add(v, [s], -1), p), p)
+                if len(h) > 1:
+                    split.append(h)
+                    g = _divmod_p(g, h, p)[0]
+                    if len(g) == 1:
+                        break
+        factors = split
+    return factors
+
+
+def _hensel_lift(f: list[int], g: list[int], h: list[int], p: int, k: int) -> tuple[list[int], list[int]]:
+    """G, H with f = G H mod p^k and G monic, lifted linearly from f = g h mod
+    p with g monic and g, h coprime mod p."""
+    t = _inverse_p(h, g, p)
+    q = p
+    for _ in range(k - 1):
+        # solve a h + b g = e mod p with deg a < deg g, then G += q a, H += q b
+        e = _mod([x // q for x in _add(f, _mul(g, h), -1)], p)
+        a = _divmod_p(_mul(t, e), g, p)[1]
+        b = _divmod_p(_add(e, _mul(a, h), -1), g, p)[0]
+        g, h = _add(g, a, q), _add(h, b, q)
+        q *= p
+    return g, h
+
+
+def _factor_squarefree(f: list[int]) -> list[list[int]]:
+    """The irreducible factors in Z[x] of the primitive squarefree f, by
+    Zassenhaus's algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 15).
+
+    f is factored mod the smallest prime p that keeps it squarefree and of
+    its degree, and the factors are lifted to p^k > 2 |lc| 2^n |f|_2, which
+    bounds the coefficients of lc/lc(g) g for every factor g of f (Mignotte).
+    Products of subsets of the lifted factors, in increasing size, are then
+    tried as divisors of f; the first that divides is irreducible, because
+    no smaller subset yields a factor.
+    """
+    if len(f) <= 2:
+        return [f]
+    lc = f[-1]
+    p = next(
+        q for q in itertools.count(2)
+        if all(q % d for d in range(2, isqrt(q) + 1))
+        and lc % q and len(_gcd_p(_mod(f, q), _mod(_derivative(f), q), q)) == 1
+    )
+    modular = _berlekamp([x * pow(lc, -1, p) % p for x in f], p)
+    if len(modular) == 1:
+        return [f]
+    bound = 2 * abs(lc) * 2 ** (len(f) - 1) * (isqrt(sum(x * x for x in f)) + 1)
+    k = 1
+    while p**k <= bound:
+        k += 1
+    m = p**k
+    lifted, rest = [], f
+    for g in modular[:-1]:
+        g, rest = _hensel_lift(rest, g, _divmod_p(rest, g, p)[0], p, k)
+        lifted.append(g)
+        rest = _mod(rest, m)
+    lifted.append([x * pow(rest[-1], -1, m) % m for x in rest])
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            cand = [f[-1]]
+            for i in subset:
+                cand = _mod(_mul(cand, lifted[i]), m)
+            cand = primitive_part([x - m if 2 * x > m else x for x in cand])
+            quotient = _exact_quotient(f, cand)
+            if quotient is not None:
+                out.append(cand)
+                f = quotient
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
+                break
         else:
-            a_cands = sorted(a for a in (s - 1 - b for s in shifts) if -a_bound <= a <= a_bound)
-        for a in a_cands:
-            q_minus = 1 - a + b
-            if g_minus and (q_minus == 0 or g_minus % q_minus):
-                continue
-            if _divides_monic([b, a, 1], ints):
-                return [b, a, 1]
-    return None
+            size += 1
+    return out + [f]
 
 
-def _quartic_factor_search(ints: list[int], bound: int) -> list[int] | None:
-    """Bounded search for a monic integer quartic factor of a degree-8 monic
-    integer polynomial. Incomplete by design; callers mark the remainder as
-    possibly reducible when nothing is found."""
-    const = ints[0]
-    if const == 0:
-        return None
-    d_cands = [d for dd in _integer_divisors(const) for d in (dd, -dd) if abs(dd) <= bound**4]
-    rng = range(-2 * bound, 2 * bound + 1)
-    for d0 in d_cands:
-        for a, b, c in itertools.product(rng, rng, rng):
-            if _divides_monic([d0, c, b, a, 1], ints):
-                return [d0, c, b, a, 1]
-    return None
+def factor_polynomial(p: Polynomial) -> list[PolyFactor]:
+    """Factor a nonzero rational polynomial completely over Q: its monic
+    irreducible factors with their multiplicities, sorted by (degree,
+    coefficients).
 
-
-def _scale_back(ints: list[int], d: int) -> Polynomial:
-    """Inverse of the y = D x substitution, renormalized to monic."""
-    deg = len(ints) - 1
-    return Polynomial.from_coeffs([Fraction(c, d**deg) * d**i for i, c in enumerate(ints)]).monic()
-
-
-def factor_polynomial(p: Polynomial, search_bound: int = 2) -> list[PolyFactor]:
-    """Factor a nonzero rational polynomial into monic factors over Q.
-
-    Linear factors are found completely via the rational root theorem;
-    quadratic factors via an exhaustive bounded integer search (complete
-    through degree 5). Remainders that may still split carry
-    proven_irreducible=False.
+    The primitive integer multiple f of p is reduced to its squarefree part
+    f / gcd(f, f'), which is factored by _factor_squarefree; each factor's
+    multiplicity is the number of times it divides f exactly.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    work = p.monic()
-    factors: dict[Polynomial, int] = {}
-    proven: dict[Polynomial, bool] = {}
-
-    def record(f: Polynomial, mult: int, is_proven: bool):
-        factors[f] = factors.get(f, 0) + mult
-        proven[f] = proven.get(f, True) and is_proven
-
-    # x factors
-    k = 0
-    while not work.is_zero and work.degree >= 1 and work.coeffs[0] == 0:
-        work = work.divmod(Polynomial.x())[0]
-        k += 1
-    if k:
-        record(Polynomial.x(), k, True)
-
-    # rational roots, with multiplicity
-    try:
-        while work.degree >= 1:
-            roots = _rational_roots(work)
-            if not roots:
-                break
-            for r in roots:
-                lin = Polynomial.x_minus(r)
-                while lin.divides(work):
-                    work = work.divmod(lin)[0]
-                    record(lin, 1, True)
-    except _FactorBudget:
-        # roots may be missing, so no remaining factor is proven irreducible
-        record(work.monic(), 1, work.degree == 1)
-        work = Polynomial.one()
-
-    # what remains has no rational roots
-    queue = [work] if work.degree >= 1 else []
-    while queue:
-        h = queue.pop()
-        if h.degree in (2, 3):
-            record(h.monic(), 1, True)
-            continue
-        ints, d = _to_monic_integer(h.monic())
-        try:
-            quad = _quadratic_factor_search(ints)
-            quart = _quartic_factor_search(ints, search_bound) if quad is None and h.degree == 8 else None
-        except _FactorBudget:
-            record(h.monic(), 1, False)
-            continue
-        if quad is not None or quart is not None:
-            q = _scale_back(quad or quart, d)
-            mult = 0
-            while q.divides(h):
-                h = h.divmod(q)[0]
-                mult += 1
-            record(q, mult, quad is not None)
-            if h.degree >= 1:
-                queue.append(h)
-            continue
-        # Degrees 4 and 5 are settled by the exhaustive quadratic search;
-        # higher degrees might still split into two cubics etc.
-        record(h.monic(), 1, h.degree in (4, 5))
-
-    ordered = sorted(factors, key=lambda f: (f.degree, f.coeffs))
-    return [PolyFactor(f, factors[f], proven[f]) for f in ordered]
+    den = lcm(*[c.denominator for c in p.coeffs])
+    f = primitive_part([c.numerator * (den // c.denominator) for c in p.coeffs])
+    if len(f) == 1:
+        return []
+    squarefree = _exact_quotient(f, _gcd_z(f, primitive_part(_derivative(f))))
+    out = []
+    for g in _factor_squarefree(squarefree):
+        mult = 0
+        while (q := _exact_quotient(f, g)) is not None:
+            f, mult = q, mult + 1
+        out.append(PolyFactor(Polynomial.from_coeffs([Fraction(c, g[-1]) for c in g]), mult))
+    return sorted(out, key=lambda f: (f.poly.degree, f.poly.coeffs))
 
 
 @dataclass(frozen=True)
@@ -556,21 +498,20 @@ class PrimaryComponent:
     factor: Polynomial
     multiplicity: int
     subspace: Subspace
-    proven_irreducible: bool
 
 
-def primary_decomposition(m: RatMatrix, search_bound: int = 2) -> list[PrimaryComponent]:
-    """Split the ambient space into the generalized kernels of the
-    irreducible factors of the characteristic polynomial.
+def primary_decomposition(m: RatMatrix) -> list[PrimaryComponent]:
+    """Split the ambient space into the generalized kernels ker f(m)^k of the
+    irreducible factors f, of multiplicity k, of the characteristic
+    polynomial.
 
     The components are m-invariant, pairwise independent, and sum to the
-    full space even when a factor carries the possibly-reducible mark.
+    full space.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
     out = []
-    for f in factor_polynomial(characteristic_polynomial(m), search_bound=search_bound):
-        power = f.poly**f.multiplicity
-        sub = kernel_of(power.eval_matrix(m))
-        out.append(PrimaryComponent(f.poly, f.multiplicity, sub, f.proven_irreducible))
+    for f in factor_polynomial(characteristic_polynomial(m)):
+        sub = kernel_of((f.poly**f.multiplicity).eval_matrix(m))
+        out.append(PrimaryComponent(f.poly, f.multiplicity, sub))
     return out

@@ -353,3 +353,11 @@ class TestMainEntry:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["classify", "x.json", "--dim", "2", "--no-such-flag"])
+
+    @pytest.mark.parametrize("flag, value", [("--commutator-depth", "0"), ("--max-word-length", "-1")])
+    def test_probe_option_below_one_is_an_error(self, flag, value, capsys):
+        status = main(["analyze", str(CORPUS / "dim2_trivial.json"), flag, value])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be at least 1, got {value}\n"

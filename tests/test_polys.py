@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -7,25 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy.linalg import RatMatrix
+from holonomy.linalg import RatMatrix, Subspace
 from holonomy.polys import (
     Polynomial,
     char_min_poly,
+    characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
-    _divides_monic,
-    _integer_divisors,
-    _quadratic_factor_search,
-    _quartic_factor_search,
-    _to_monic_integer,
     primary_decomposition,
 )
 
-from helpers import charpoly_oracle, frac_rows, random_int_matrix
+from helpers import charpoly_oracle, frac_rows, random_int_matrix, random_unimodular
 
 
 def poly(*coeffs):
     return Polynomial.from_coeffs(list(coeffs))
+
+
+def sympy_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """The monic irreducible factors of p over Q and their multiplicities,
+    from sympy.factor_list, in factor_polynomial's order."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x, domain=sympy.QQ))
+    out = []
+    for f, k in factors:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
+        out.append((Polynomial.from_coeffs(coeffs), k))
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
 class TestCharMinPoly:
@@ -82,7 +89,7 @@ class TestFactorization:
 
     def test_irreducible_quadratic_proven(self):
         [f] = factor_polynomial(poly(1, 0, 1))
-        assert f.poly == poly(1, 0, 1) and f.proven_irreducible
+        assert (f.poly, f.multiplicity) == (poly(1, 0, 1), 1)
 
     def test_quartic_splits_into_quadratics(self):
         p = poly(1, 0, 1) * poly(-2, 0, 1)  # (x^2+1)(x^2-2)
@@ -91,80 +98,31 @@ class TestFactorization:
 
     def test_irreducible_quartic_proven(self):
         [f] = factor_polynomial(poly(1, 0, 0, 0, 1))  # x^4 + 1
-        assert f.multiplicity == 1
-        assert f.proven_irreducible
+        assert (f.poly, f.multiplicity) == (poly(1, 0, 0, 0, 1), 1)
 
     def test_monic_integer_rescaling_uses_exact_roots(self):
-        # (x + 12/11)^4: the coefficient denominators are 11, 11^2, 11^3,
-        # 11^4, so y = 11 x already gives (y + 12)^4; the lcm scale 11^4 would
-        # make the constant term 20736 * 11^12, too large to divide by trial
+        # (x + 12/11)^4: the primitive integer multiple (11x + 12)^4 has a
+        # squarefree part of degree 1, whose multiplicity is counted by
+        # exact division
         p = poly(Fraction(12, 11), 1) ** 4
-        assert _to_monic_integer(p) == ([20736, 6912, 864, 48, 1], 11)
-        assert _to_monic_integer(poly(Fraction(1, 8), 0, 1)) == ([2, 0, 1], 4)
-        assert _to_monic_integer(poly(Fraction(1, 2), 0, 1)) == ([2, 0, 1], 2)
-        assert _to_monic_integer(poly(Fraction(5, 36), Fraction(1, 6), 1)) == ([5, 1, 1], 6)
         [f] = factor_polynomial(p)
-        assert (f.poly, f.multiplicity, f.proven_irreducible) == (poly(Fraction(12, 11), 1), 4, True)
-
-    def test_quadratic_search_matches_the_full_lattice_walk(self):
-        # the search tests only the a allowed by g(1) and g(-1); it must
-        # return the first (b, a) of the plain walk over every a in range,
-        # also when g(1) = 0
-        def walk(ints):
-            root_bound = 1 + max(abs(c) for c in ints[:-1])
-            a_bound = 2 * root_bound
-            bs = [b for d in _integer_divisors(ints[0]) for b in (d, -d) if abs(b) <= root_bound**2]
-            for b in bs:
-                for a in range(-a_bound, a_bound + 1):
-                    if _divides_monic([b, a, 1], ints):
-                        return [b, a, 1]
-            return None
-
-        def mul(p, q):
-            out = [0] * (len(p) + len(q) - 1)
-            for i, x in enumerate(p):
-                for j, y in enumerate(q):
-                    out[i + j] += x * y
-            return out
-
-        rng = random.Random(5)
-        found = 0
-        for k in range(60):
-            if k % 3 == 0:
-                middle = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
-                ints = [rng.choice((-3, -2, -1, 1, 2, 3))] + middle + [1]
-            else:
-                ints = [1]
-                for _ in range(rng.randint(1, 3)):
-                    ints = mul(ints, [rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3), 1])
-                if k % 3 == 2:
-                    ints = mul(ints, [rng.choice((-1, 1)), 1])  # a root at y = 1 or y = -1
-            expected = walk(ints)
-            assert _quadratic_factor_search(ints) == expected
-            found += expected is not None
-        assert found > 20
+        assert (f.poly, f.multiplicity) == (poly(Fraction(12, 11), 1), 4)
 
     def test_large_constant_quartic_splits(self):
         # (x^2+x+300)(x^2+x+420) has constant term 126000; a search cut at a
         # fixed lattice size once kept only b = 1 here and returned the
         # product as one quartic marked proven irreducible
         p = poly(300, 1, 1) * poly(420, 1, 1)
-        factors = [(f.poly, f.multiplicity, f.proven_irreducible) for f in factor_polynomial(p)]
-        assert factors == [(poly(300, 1, 1), 1, True), (poly(420, 1, 1), 1, True)]
+        factors = [(f.poly, f.multiplicity) for f in factor_polynomial(p)]
+        assert factors == [(poly(300, 1, 1), 1), (poly(420, 1, 1), 1)]
 
     def test_degree_eight_splits_into_quartics(self):
-        # x^4+2 and x^4+3 are Eisenstein, so no quadratic factor exists and
-        # only the bounded quartic search can split the product
-        ints = [6, 0, 0, 0, 5, 0, 0, 0, 1]
-        assert _quadratic_factor_search(ints) is None
-        assert _quartic_factor_search(ints, 2) == [2, 0, 0, 0, 1]
+        # x^4+2 and x^4+3 are Eisenstein, so the product has no factor of
+        # degree 1, 2 or 3 and splits only into the two quartics
         p = poly(2, 0, 0, 0, 1) * poly(3, 0, 0, 0, 1)
-        factors = factor_polynomial(p)
-        assert [(f.poly, f.multiplicity, f.proven_irreducible) for f in factors] == [
-            (poly(2, 0, 0, 0, 1), 1, False),
-            (poly(3, 0, 0, 0, 1), 1, True),
-        ]
-        assert factors[0].poly * factors[1].poly == p
+        factors = [(f.poly, f.multiplicity) for f in factor_polynomial(p)]
+        assert factors == [(poly(2, 0, 0, 0, 1), 1), (poly(3, 0, 0, 0, 1), 1)]
+        assert factors == sympy_factors(p)
 
     def test_rational_coefficients(self):
         # (x - 1/2)(x^2 + 1/3): denominators are cleared internally
@@ -198,7 +156,7 @@ class TestPrimaryDecomposition:
         comps = {c.factor: c for c in primary_decomposition(m)}
         rot = comps[poly(1, 0, 1)]
         zero = comps[poly(0, 1)]
-        assert rot.subspace.dim == 2 and rot.proven_irreducible
+        assert rot.subspace.dim == 2 and rot.multiplicity == 1
         assert zero.subspace.dim == 2 and zero.multiplicity == 2
 
     def test_nilpotent_full_space(self):
@@ -224,6 +182,25 @@ class TestPrimaryDecomposition:
                 for j in range(i + 1, len(comps)):
                     assert comps[i].subspace.intersect(comps[j].subspace).dim == 0
 
+    def test_hostile_entries_match_sympy(self):
+        # two 3x3 blocks with entries p/q, |p| <= 10^6 and 1 <= q <= 10^6,
+        # conjugated by a unimodular matrix, so that the components are not
+        # coordinate subspaces
+        rng = random.Random(7)
+        rows = [[Fraction(0)] * 6 for _ in range(6)]
+        for base in (0, 3):
+            for i in range(3):
+                for j in range(3):
+                    rows[base + i][base + j] = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        u = random_unimodular(rng, 6)
+        m = u * RatMatrix.from_rows(rows) * u.inverse()
+        comps = primary_decomposition(m)
+        assert [(c.factor, c.multiplicity) for c in comps] == sympy_factors(characteristic_polynomial(m))
+        assert sum(c.subspace.dim for c in comps) == 6
+        assert Subspace.span([b for c in comps for b in c.subspace.basis], 6).dim == 6
+        for c in comps:
+            assert all(c.subspace.contains(m.apply(b)) for b in c.subspace.basis)
+
 
 class TestPolynomialArithmetic:
     def test_divmod_roundtrip(self):
@@ -243,54 +220,45 @@ class TestPolynomialArithmetic:
 
 
 class TestIntegerDivisors:
-    @given(st.integers(-(10**6), 10**6))
-    @settings(max_examples=200, deadline=None)
-    def test_against_trial_division(self, n):
-        m = abs(n)
-        assert _integer_divisors(n) == [d for d in range(1, m + 1) if m % d == 0]
-
-    @given(st.lists(st.sampled_from([2, 3, 1021, 1031, 1033, 65537, 268435459, 536870923]), max_size=5))
-    @settings(max_examples=50, deadline=None)
-    def test_products_of_primes_above_the_trial_limit(self, primes):
-        # 1031 is the first prime above the trial-division limit, so these
-        # products go through Pollard's rho and the primality test
-        n = math.prod(primes)
-        expected = {math.prod(c) for r in range(len(primes) + 1) for c in itertools.combinations(primes, r)}
-        assert _integer_divisors(n) == sorted(expected)
+    """Inputs with large integer coefficients, which factoring through the
+    divisors of integer coefficients could not finish or could not prove;
+    the complete factorization agrees with sympy on each."""
 
     def test_large_constant_finishes(self):
         # clearing the denominators of this degree-9 product gives a constant
-        # term of about 1.7e17: listing its divisors by trial division up to
-        # its square root took 4e8 steps
+        # term of about 1.7e17
         p = Polynomial.from_coeffs(
             [-1, 2, Fraction(-65, 9), Fraction(47, 3), Fraction(-227, 27), Fraction(572, 27),
              Fraction(-22, 3), Fraction(-62, 9), Fraction(-16, 3), -12]
         )
+        factors = factor_polynomial(p)
+        assert [f.poly.degree for f in factors] == [2, 3, 4]
         product = Polynomial.one()
-        for f in factor_polynomial(p):
+        for f in factors:
             product = product * f.poly**f.multiplicity
         assert product == p.monic()
+        assert [(f.poly, f.multiplicity) for f in factors] == sympy_factors(p)
 
     @pytest.mark.parametrize(
         "const",
         [
-            1152921504606847009 * 2305843009213693967,  # two 61-bit primes: beyond the rho budget
-            1237940039285380274899124357,  # a 91-bit prime: Miller-Rabin is not a proof there
+            1152921504606847009 * 2305843009213693967,  # a product of two 61-bit primes
+            1237940039285380274899124357,  # a 91-bit prime
         ],
     )
     def test_unfactored_constant_proves_nothing(self, const):
+        # no factor of the constant term is needed: x^4 + c stays one
+        # quartic, and (x + c)(x^2 + 1) splits into its two factors
         p = poly(const, 0, 0, 0, 1)
-        assert [(f.poly, f.multiplicity, f.proven_irreducible) for f in factor_polynomial(p)] == [(p, 1, False)]
+        assert [(f.poly, f.multiplicity) for f in factor_polynomial(p)] == [(p, 1)] == sympy_factors(p)
         q = poly(const, 1)
-        assert [(f.poly, f.proven_irreducible) for f in factor_polynomial(q * poly(1, 0, 1))] == [
-            (q * poly(1, 0, 1), False)
-        ]
+        factors = [(f.poly, f.multiplicity) for f in factor_polynomial(q * poly(1, 0, 1))]
+        assert factors == [(q, 1), (poly(1, 0, 1), 1)] == sympy_factors(q * poly(1, 0, 1))
 
     def test_unfactored_value_at_one_proves_nothing(self):
-        # the constant 2 factors, but the quadratic search also needs the
-        # divisors of p(1), a product of two 61-bit primes
+        # p(1) is a product of two 61-bit primes; p is irreducible
         p = poly(2, 1152921504606847009 * 2305843009213693967 - 3, 0, 0, 1)
-        assert [(f.poly, f.multiplicity, f.proven_irreducible) for f in factor_polynomial(p)] == [(p, 1, False)]
+        assert [(f.poly, f.multiplicity) for f in factor_polynomial(p)] == [(p, 1)] == sympy_factors(p)
 
 
 @st.composite
@@ -309,13 +277,10 @@ def factored_polynomials(draw):
 @settings(max_examples=80, deadline=None)
 @given(factored_polynomials())
 def test_factors_reconstruct_and_proofs_hold(p):
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
+    factors = factor_polynomial(p)
     product = Polynomial.one()
-    for f in factor_polynomial(p):
+    for f in factors:
         assert f.multiplicity >= 1 and f.poly == f.poly.monic()
         product = product * f.poly**f.multiplicity
-        if f.proven_irreducible:
-            oracle = sympy.Poly(list(reversed(f.poly.coeffs)), x, domain=sympy.QQ)
-            assert oracle.is_irreducible, str(f.poly)
     assert product == p.monic()
+    assert [(f.poly, f.multiplicity) for f in factors] == sympy_factors(p)
