@@ -133,6 +133,9 @@ def run_batch(paths, command: str, options: dict, stdout=None) -> int:
             print(f"error: {SEARCH_BOUND_ENV} must be an integer, got {env_bound!r}", file=sys.stderr)
             return 1
     try:
+        if options["search_bound"] < 0:
+            source = SEARCH_BOUND_ENV if env_bound is not None else "--search-bound"
+            raise ValidationError(f"{source} must be at least 0, got {options['search_bound']}")
         if command == "analyze":
             for key in ("commutator_depth", "max_word_length"):
                 if options[key] < 1:
@@ -149,7 +152,10 @@ def run_batch(paths, command: str, options: dict, stdout=None) -> int:
             if destination is None:
                 fileio.save_rep_file(susp, stdout)
             else:
-                fileio.save_rep_file(susp, destination)
+                try:
+                    fileio.save_rep_file(susp, destination)
+                except OSError as exc:
+                    raise ValidationError(f"{destination}: cannot write file: {exc}") from None
             return 0
         reports = []
         for path in paths:

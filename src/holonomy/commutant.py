@@ -12,7 +12,7 @@ as a re-verifiable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -66,12 +66,15 @@ class AlgebraBasis:
     The basis rows are the RREF of the vectorized spanning set, so two
     spans are equal exactly when the data is. Closure under the matrix
     product is a property of the span, checked by algebra_closure_check,
-    not enforced by construction.
+    not enforced by construction. span is that RREF as a subspace of the
+    vectorized matrices, kept by from_span (None when the fields are given
+    directly); it takes no part in == or hash.
     """
 
     ambient_dim: int
     basis: tuple[RatMatrix, ...]
     contains_identity: bool
+    span: Subspace | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_span(mats: Sequence[RatMatrix], ambient_dim: int) -> "AlgebraBasis":
@@ -81,24 +84,18 @@ class AlgebraBasis:
         span = Subspace.span([numerator_vector(m) for m in mats], ambient_dim * ambient_dim)
         basis = tuple(matrix_from_vec(v, ambient_dim, ambient_dim) for v in span.basis)
         has_id = span.contains(numerator_vector(RatMatrix.identity(ambient_dim)))
-        return AlgebraBasis(ambient_dim, basis, has_id)
+        return AlgebraBasis(ambient_dim, basis, has_id, span)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _span(self) -> Subspace:
-        # basis vectors are already canonical RREF rows
-        return Subspace(self.ambient_dim * self.ambient_dim, tuple(vectorize(m) for m in self.basis))
-
     def span_subspace(self) -> Subspace:
-        """The span as a subspace of the vectorized matrices. Built once per
-        algebra; it is not a field, so it takes no part in == or hash."""
-        return self._span
+        """The span as a subspace of the vectorized matrices."""
+        return self.span
 
     def contains(self, m: RatMatrix) -> bool:
-        return self._span.contains(numerator_vector(m))
+        return self.span.contains(numerator_vector(m))
 
     @cached_property
     def products(self) -> tuple[tuple[RatMatrix, ...], ...]:

@@ -9,9 +9,11 @@ A matrix is stored as its normalized integer form N / d: integer numerator
 rows N and a denominator d > 0 with gcd(d, content(N)) = 1. The form is
 unique, so == and hash compare integers. Products, sums and traces work on
 N and d, and elimination is fraction-free (integer cross-multiplication with
-gcd content removal, Bareiss 1968 for the determinant). `RatMatrix.rows` is
-the public `Fraction` view, built on first use; vectors, subspace bases and
-RREF results are `Fraction`s.
+gcd content removal, Bareiss 1968 for the determinant) and returns integer
+rows. A subspace is stored the same way: its RREF rows, each scaled to a
+primitive integer row with a positive pivot entry. `RatMatrix.rows` and
+`Subspace.basis` are the public `Fraction` views, built on first use;
+vectors are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 Vec = tuple[Fraction, ...]
-
-ZERO = Fraction(0)  # shared by the mostly zero entries of every rref result
 
 
 def to_fraction(x) -> Fraction:
@@ -255,7 +255,7 @@ class RatMatrix:
         reduced, pivots = rref(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix.from_rows(row[n:] for row in reduced)
+        return RatMatrix.from_rows([Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -290,13 +290,15 @@ def matrix_from_vec(v: Sequence[Fraction], nrows: int, ncols: int) -> RatMatrix:
     return RatMatrix.from_rows(v[i * ncols : (i + 1) * ncols] for i in range(nrows))
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of rows of ints or Fractions. Returns
-    (rows of Fractions, pivot column indices).
+def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of rows of ints or Fractions, in integers:
+    (rows, pivot column indices). Row i < len(pivots) is primitive with a
+    positive entry at pivots[i] and zeros at the other pivots; divided by
+    that entry it is the RREF row. The zero rows follow.
 
     Fraction-free Gauss-Jordan: each row is cleared of denominators, rows
     are combined by integer cross-multiplication and divided by their gcd
-    content, and each pivot row is divided by its pivot only at the end.
+    content.
     """
     m = [primitive_part(_integer_row(r)[0]) for r in rows]
     nrows = len(m)
@@ -309,42 +311,36 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]]
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
+        top = m[piv] if m[piv][c] > 0 else [-x for x in m[piv]]  # eliminate keeps it positive
+        m[piv], m[r] = m[r], top
         for i in range(nrows):
             if m[i][c] and i != r:
                 m[i] = primitive_part(eliminate(m[i], top, c)[1])
         pivots.append(c)
         r += 1
-    out = []
-    for row, c in zip(m, pivots):
-        p = row[c]
-        out.append([Fraction(x, p) if x else ZERO for x in row])
-    out.extend([ZERO] * ncols for _ in range(nrows - r))
-    return out, pivots
+    return m, pivots
 
 
 @dataclass(frozen=True)
 class Subspace:
     """Rational subspace in canonical form.
 
-    The basis is the set of nonzero rows of the RREF of any spanning set,
-    so two subspaces are equal as data exactly when they are equal as spans.
+    num holds the nonzero rows of the integer RREF (see rref) of any
+    spanning set, so two subspaces are equal as data, and hash alike,
+    exactly when they are equal as spans. `basis` is the public Fraction
+    view of the same rows, each divided by its pivot entry.
     """
 
     ambient_dim: int
-    basis: tuple[Vec, ...]
+    num: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         vecs = [_exact(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector does not match ambient dimension")
-        if not vecs:
-            return Subspace(ambient_dim, ())
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector does not match ambient dimension")
         reduced, pivots = rref(vecs)
-        return Subspace(ambient_dim, tuple(tuple(reduced[i]) for i in range(len(pivots))))
+        return Subspace(ambient_dim, tuple(map(tuple, reduced[: len(pivots)])))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -352,27 +348,27 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span(RatMatrix.identity(ambient_dim).num, ambient_dim)
+        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim).num)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.num)
 
     @cached_property
-    def _integer_basis(self) -> tuple[tuple[int, list[int]], ...]:
-        """(pivot column, basis row cleared of denominators) for each basis row."""
-        out = []
-        for row in self.basis:
-            ints = _integer_row(row)[0]
-            out.append((next(i for i, x in enumerate(ints) if x), ints))
-        return tuple(out)
+    def _pivots(self) -> tuple[int, ...]:
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.num)
+
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        """The RREF rows as Fractions, pivot entries 1; built on first use."""
+        return tuple(tuple([Fraction(x, row[p]) for x in row]) for row, p in zip(self.num, self._pivots))
 
     def _residual(self, v: Sequence) -> tuple[list[int], int]:
         """(numerators, d) of the residual of v along the canonical basis."""
         w, den = _integer_row(_exact(v))
         if len(w) != self.ambient_dim:
             raise ValueError("vector does not match ambient dimension")
-        for piv, row in self._integer_basis:
+        for piv, row in zip(self._pivots, self.num):
             if w[piv]:
                 a, w = eliminate(w, row, piv)
                 den *= a
@@ -391,32 +387,31 @@ class Subspace:
         return not any(self._residual(v)[0])
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis)
+        return all(other.contains(b) for b in self.num)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.basis + other.basis, self.ambient_dim)
+        return Subspace.span(self.num + other.num, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        # Kernel of [A | -B] with basis vectors as columns: a kernel element
-        # (x, y) encodes the intersection vector sum_i x_i a_i.
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        stacked = RatMatrix.from_rows(cols).transpose()
-        _, _, ker, _ = rref_kernel_image(stacked)
-        vecs = [[sum(c * b[k] for c, b in zip(coeffs, self.basis)) for k in range(self.ambient_dim)]
-                for coeffs in ker.basis]
-        return Subspace.span(vecs, self.ambient_dim)
+        # Kernel of [A | -B] with the rows of both as columns: a kernel
+        # element (x, y) encodes the intersection vector sum_i x_i a_i.
+        cols = self.num + tuple(tuple(-x for x in b) for b in other.num)
+        reduced, pivots = rref(list(zip(*cols)))
+        ker = _nullspace(reduced, pivots, len(cols))
+        own = list(zip(*self.num))  # columns of A; _dot stops at the end of x
+        return Subspace.span([[_dot(c, col) for col in own] for c in ker.num], self.ambient_dim)
 
     def apply(self, m: RatMatrix) -> "Subspace":
         """Image of this subspace under m."""
         if m.ncols != self.ambient_dim:
             raise ValueError("shape mismatch")
-        return Subspace.span([m.apply(b) for b in self.basis], m.nrows)
+        return Subspace.span([[_dot(r, b) for r in m.num] for b in self.num], m.nrows)
 
 
 def rref_kernel_image(m: RatMatrix) -> tuple[RatMatrix, int, Subspace, Subspace]:
@@ -429,13 +424,14 @@ def rref_kernel_image(m: RatMatrix) -> tuple[RatMatrix, int, Subspace, Subspace]
     rank = len(pivots)
     kernel = _nullspace(reduced, pivots, m.ncols)
     image = Subspace.span([[r[p] for r in m.num] for p in pivots], m.nrows)
-    head = RatMatrix.from_rows(reduced[:rank])  # the rows below are zero
-    return RatMatrix(head.num + ((0,) * m.ncols,) * (m.nrows - rank), head.den), rank, kernel, image
+    den = lcm(*[r[p] for r, p in zip(reduced, pivots)])  # the pivot rows over one denominator
+    head = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
+    return RatMatrix.from_integer_form(head + reduced[rank:], den), rank, kernel, image
 
 
-def _nullspace(reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> Subspace:
-    """Kernel of a matrix whose RREF occupies the first ncols columns of
-    reduced, with the given pivot columns: one vector per free column."""
+def _nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> Subspace:
+    """Kernel of a matrix whose integer RREF (as rref returns it) occupies
+    the first ncols columns of reduced: one vector per free column."""
     kernel_vecs = []
     for f in range(ncols):
         if f in pivots:
@@ -443,7 +439,7 @@ def _nullspace(reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], nco
         v = [0] * ncols
         v[f] = 1
         for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
+            v[p] = Fraction(-reduced[i][f], reduced[i][p])
         kernel_vecs.append(v)
     return Subspace.span(kernel_vecs, ncols)
 
@@ -475,7 +471,7 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
         return None
     sol = [Fraction(0)] * a.ncols
     for i, p in enumerate(pivots):
-        sol[p] = reduced[i][a.ncols]
+        sol[p] = Fraction(reduced[i][a.ncols], reduced[i][p])
     return tuple(sol), _nullspace(reduced, pivots, a.ncols)
 
 

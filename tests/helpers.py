@@ -55,9 +55,9 @@ def random_unimodular(rng, n, ops=8) -> RatMatrix:
     return RatMatrix.from_rows(m)
 
 
-def brute_force_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Self-contained dense nullspace by forward elimination and back
-    substitution; written independently of holonomy.linalg.rref."""
+def fraction_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], dict[int, int]]:
+    """Plain Fraction Gauss-Jordan, written independently of
+    holonomy.linalg.rref: (RREF rows, pivot column -> its row)."""
     work = [list(map(Fraction, r)) for r in rows]
     nrows = len(work)
     pivot_of_col: dict[int, int] = {}
@@ -79,6 +79,13 @@ def brute_force_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[F
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivot_of_col[c] = r
         r += 1
+    return work, pivot_of_col
+
+
+def brute_force_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Self-contained dense nullspace by forward elimination and back
+    substitution on fraction_rref."""
+    work, pivot_of_col = fraction_rref(rows, ncols)
     free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     basis = []
     for f in free_cols:

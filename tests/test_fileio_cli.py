@@ -249,6 +249,13 @@ class TestRunBatch:
         monkeypatch.setenv("HOLONOMY_SEARCH_BOUND", "many")
         assert run_batch([CORPUS / "dim2_trivial.json"], "analyze", options(), io.StringIO()) == 1
 
+    def test_negative_env_var_search_bound_is_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("HOLONOMY_SEARCH_BOUND", "-1")
+        buf = io.StringIO()
+        assert run_batch([CORPUS / "dim3_trivial_injective.json"], "analyze", options(), buf) == 1
+        assert buf.getvalue() == ""
+        assert capsys.readouterr().err == "error: HOLONOMY_SEARCH_BOUND must be at least 0, got -1\n"
+
 
 def _count_calls(monkeypatch, owner, name):
     """Count the calls of owner.name through every holonomy module that binds it."""
@@ -353,6 +360,22 @@ class TestMainEntry:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["classify", "x.json", "--dim", "2", "--no-such-flag"])
+
+    def test_suspend_to_unwritable_path_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        status = main(["suspend", str(CORPUS / "dim2_trivial.json"), "-o", str(out)])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out}: cannot write file: ")
+        assert not out.parent.exists()
+
+    def test_negative_search_bound_is_an_error(self, capsys):
+        status = main(["analyze", str(CORPUS / "dim3_trivial_injective.json"), "--search-bound", "-3"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --search-bound must be at least 0, got -3\n"
 
     @pytest.mark.parametrize("flag, value", [("--commutator-depth", "0"), ("--max-word-length", "-1")])
     def test_probe_option_below_one_is_an_error(self, flag, value, capsys):

@@ -1,9 +1,12 @@
 """Corpus CLI reports must stay byte-identical.
 
 tests/golden/ holds the JSON and text classify and analyze reports of
-every corpus document. The JSON reports and the text classify reports
+every corpus document and of the documents in tests/data/, conjugated
+corpus groups whose certificates contain non-integer fractions. The
+corpus JSON reports and the text classify reports
 were captured before the exact kernels moved to integer rows, the text
-analyze reports before the classify pipeline was merged. An output change shows up here as a byte
+analyze reports before the classify pipeline was merged, and the
+tests/data reports before subspaces moved to integer rows. An output change shows up here as a byte
 difference; an intended one replaces the snapshot in the same change.
 """
 
@@ -19,10 +22,11 @@ from holonomy import cli
 from helpers import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _invocations():
-    for path in sorted(CORPUS.glob("*.json")):
+    for path in sorted(CORPUS.glob("*.json")) + sorted(DATA.glob("*.json")):
         dim = str(json.loads(path.read_text(encoding="utf-8"))["dimension"])
         yield f"{path.stem}.classify.json", ["classify", "--dim", dim, "--format", "json", str(path)]
         yield f"{path.stem}.analyze.json", ["analyze", "--format", "json", str(path)]

@@ -2,8 +2,8 @@
 
 rref, det, matmul, apply, add/scale, Subspace.reduce, minimal_polynomial,
 characteristic_polynomial and Polynomial.eval_matrix run on integer
-numerators over common denominators;
-each is checked here against a plain Fraction computation or one of the
+numerators over common denominators, and Subspace stores integer RREF
+rows; each is checked here against a plain Fraction computation or one of the
 oracles in helpers.py, on inputs with non-integer entries, zero rows,
 empty inputs and 1 x n shapes. RatMatrix stores its normalized integer
 form, so its == and hash are checked against Fraction-row equality, and
@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonomy.commutant import truncated_derived_series
-from holonomy.linalg import RatMatrix, Subspace, rref
+from holonomy.linalg import RatMatrix, Subspace, rref, rref_kernel_image
 from holonomy.polys import Polynomial, characteristic_polynomial, minimal_polynomial
 from holonomy.representation import validate_rep
 
-from helpers import brute_force_nullspace, charpoly_oracle
+from helpers import brute_force_nullspace, charpoly_oracle, fraction_rref
 
 entries = st.one_of(
     st.integers(-5, 5).map(Fraction),
@@ -86,7 +86,11 @@ class TestRref:
             return
         ncols = len(rows[0])
         assert len(reduced) == len(rows)
-        assert all(isinstance(x, Fraction) for r in reduced for x in r)
+        assert all(type(x) is int for r in reduced for x in r)
+        # each pivot row is primitive with a positive pivot entry
+        for i, p in enumerate(pivots):
+            assert reduced[i][p] > 0 and gcd(*reduced[i]) == 1
+        reduced = [[Fraction(x, r[p]) for x in r] for r, p in zip(reduced, pivots)] + reduced[len(pivots):]
         # reduced row echelon shape
         assert pivots == sorted(set(pivots))
         for i, p in enumerate(pivots):
@@ -108,10 +112,20 @@ class TestRref:
     def test_one_by_n(self):
         reduced, pivots = rref([[Fraction(0), Fraction(-3, 4), Fraction(1, 2)]])
         assert pivots == [1]
-        assert reduced == [[0, 1, Fraction(-2, 3)]]
+        assert reduced == [[0, 3, -2]]
+        assert [Fraction(x, reduced[0][1]) for x in reduced[0]] == [0, 1, Fraction(-2, 3)]
 
     def test_zero_width(self):
         assert rref([[], []]) == ([[], []], [])
+
+    @given(row_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_image_matrix_is_the_fraction_rref(self, rows):
+        if not rows:
+            return
+        reduced, rank, _, _ = rref_kernel_image(RatMatrix.from_rows(rows))
+        work, pivot_of_col = fraction_rref(rows, len(rows[0]))
+        assert reduced.rows == tuple(map(tuple, work)) and rank == len(pivot_of_col)
 
 
 class TestMatrixArithmetic:
@@ -171,6 +185,67 @@ class TestSubspaceReduce:
         assert s.reduce(v) == tuple(w)
         assert s.contains(v) == all(x == 0 for x in w)
         assert all(s.contains(r) for r in rows)
+
+
+nonzero = entries.filter(lambda x: x != 0)
+
+
+def reference_span(rows, ncols) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero rows of the plain Fraction RREF."""
+    work, pivot_of_col = fraction_rref(rows, ncols)
+    return tuple(tuple(r) for r in work[: len(pivot_of_col)])
+
+
+def combinations_of(data, rows, count):
+    """count random linear combinations of rows."""
+    out = []
+    for _ in range(count):
+        coeffs = [data.draw(entries) for _ in rows]
+        out.append([sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0)) for k in range(len(rows[0]))])
+    return out
+
+
+class TestSubspaceForm:
+    @given(row_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_span_is_one_integer_form(self, rows, data):
+        if not rows:
+            return
+        n = len(rows[0])
+        s = Subspace.span(rows, n)
+        for row in s.num:
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) == 1 and next(x for x in row if x) > 0
+        assert s.basis == reference_span(rows, n)
+        # the same span, rescaled and permuted, or with combinations appended
+        rescaled = data.draw(st.permutations([[c * x for x in r] for c, r in zip(
+            [data.draw(nonzero) for _ in rows], rows)]))
+        extended = rows + combinations_of(data, rows, data.draw(st.integers(1, 3)))
+        for other in (Subspace.span(rescaled, n), Subspace.span(extended, n)):
+            assert other.num == s.num
+            assert other == s and hash(other) == hash(s)
+
+    @given(row_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_apply_add_intersect_match_fraction_references(self, rows, data):
+        if not rows:
+            return
+        n = len(rows[0])
+        s = Subspace.span(rows, n)
+        # a second span that shares combinations of the first
+        more = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+        shared = combinations_of(data, rows, data.draw(st.integers(0, 2)))
+        t = Subspace.span(more + shared, n)
+        m = data.draw(matrices(data.draw(st.integers(1, 4)), n))
+        image = [[sum((x * y for x, y in zip(r, b)), Fraction(0)) for r in m] for b in s.basis]
+        assert s.apply(RatMatrix.from_rows(m)).basis == reference_span(image, len(m))
+        total = s.add(t)
+        assert total.basis == reference_span(list(s.basis + t.basis), n)
+        meet = s.intersect(t)
+        assert meet == t.intersect(s)
+        assert all(s.contains(v) and t.contains(v) for v in meet.basis)
+        assert meet.dim == s.dim + t.dim - total.dim
+        assert meet.basis == reference_span(list(meet.basis), n)
 
 
 class TestMinimalPolynomial:
