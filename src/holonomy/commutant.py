@@ -13,21 +13,22 @@ as a re-verifiable certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .linalg import (
     RatMatrix,
     Subspace,
     Vec,
     image_of,
+    eliminate,
     is_zero_vec,
     kernel_of,
     matrix_from_vec,
     numerator_vector,
+    primitive_part,
     rref,
     vector,
     vectorize,
@@ -82,9 +83,24 @@ class AlgebraBasis:
             if m.nrows != ambient_dim or m.ncols != ambient_dim:
                 raise ValueError("algebra elements must be square of the ambient size")
         span = Subspace.span([numerator_vector(m) for m in mats], ambient_dim * ambient_dim)
-        basis = tuple(matrix_from_vec(v, ambient_dim, ambient_dim) for v in span.basis)
-        has_id = span.contains(numerator_vector(RatMatrix.identity(ambient_dim)))
-        return AlgebraBasis(ambient_dim, basis, has_id, span)
+        return AlgebraBasis.from_subspace(span, ambient_dim)
+
+    @staticmethod
+    def from_subspace(span: Subspace, ambient_dim: int) -> "AlgebraBasis":
+        """The span of the matrices whose row-major entries span `span`.
+
+        Each basis matrix is a primitive integer row of the canonical form
+        over its pivot entry, which is already its normalized integer form.
+        """
+        n = ambient_dim
+        if span.ambient_dim != n * n:
+            raise ValueError("subspace does not match the ambient size")
+        basis = tuple(
+            RatMatrix.from_integer_form([v[i * n : (i + 1) * n] for i in range(n)], next(x for x in v if x))
+            for v in span.num
+        )
+        has_id = span.contains(numerator_vector(RatMatrix.identity(n)))
+        return AlgebraBasis(n, basis, has_id, span)
 
     @property
     def dim(self) -> int:
@@ -139,17 +155,8 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
     commutation maps X -> Xg - gX."""
     rows = _commutation_rows(mats, size)
     if not rows:
-        units = [
-            matrix_from_vec(
-                tuple(Fraction(1 if t == s else 0) for t in range(size * size)), size, size
-            )
-            for s in range(size * size)
-        ]
-        return AlgebraBasis.from_span(units, size)
-    ker = kernel_of(RatMatrix.from_integer_form(rows, 1))
-    return AlgebraBasis.from_span(
-        [matrix_from_vec(v, size, size) for v in ker.basis], size
-    )
+        return AlgebraBasis.from_subspace(Subspace.full(size * size), size)
+    return AlgebraBasis.from_subspace(kernel_of(RatMatrix.from_integer_form(rows, 1)), size)
 
 
 def centralizer_algebra(rep: Representation) -> AlgebraBasis:
@@ -613,6 +620,35 @@ class DerivedSeriesReport:
     stopped: str | None = None  # "entry_bits" when the entry-size budget ended the probe
 
 
+def _pairwise_commute(mats: Iterable[RatMatrix]) -> bool:
+    """True iff the square matrices mats commute pairwise.
+
+    The commutator ab - ba is bilinear, so it vanishes on all pairs exactly
+    when it vanishes on the pairs of a basis of the span. The walk keeps a
+    member only when it leaves the span of the members kept so far (an
+    integer echelon form of their numerator vectors) and checks it against
+    each of them, returning False at the first pair that does not commute.
+    The kept members commute pairwise, and such matrices span at most
+    floor(n^2 / 4) + 1 dimensions at size n (Schur 1905; Jacobson 1944),
+    and with d members kept the walk makes at most d(d - 1) products.
+    """
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, integer row)
+    kept: list[RatMatrix] = []
+    for m in mats:
+        v = list(numerator_vector(m))
+        for col, row in echelon:
+            if v[col]:
+                v = primitive_part(eliminate(v, row, col)[1])
+        col = next((i for i, x in enumerate(v) if x), None)
+        if col is None:
+            continue  # in the span of the kept members
+        if any(m * b != b * m for b in kept):
+            return False
+        echelon.append((col, v))
+        kept.append(m)
+    return True
+
+
 def truncated_derived_series(
     rep: Representation,
     commutator_depth: int = 8,
@@ -632,10 +668,20 @@ def truncated_derived_series(
     max_level commutators are kept. Commutator entries of a generic group
     grow in bit size from level to level; once one has a numerator or
     denominator longer than _MAX_ENTRY_BITS the probe stops with "unknown"
-    and stopped="entry_bits".
+    and stopped="entry_bits". max_level must be at least 2, so that a pool
+    that stands for a level has pairs to test.
+
+    A level whose pool commutes pairwise is settled from a basis of the
+    pool's span (_pairwise_commute), at most d(d - 1) products for a basis
+    of d matrices instead of two for each of the pool's pairs; it is
+    recorded as the pair loop would record it, so reports are unchanged.
+    Otherwise the pair loop forms the commutators.
     """
     if commutator_depth < 1 or word_length < 1:
         raise ValueError("depth and word length must be >= 1")
+    if max_level < 2:
+        # a pool of one matrix has no pairs and would pass as commuting
+        raise ValueError("max_level must be >= 2")
     size = rep.matrix_size
     ident = RatMatrix.identity(size)
     gens = []
@@ -698,6 +744,11 @@ def truncated_derived_series(
                 m = c * s * ci
                 if m not in pool:
                     pool[m] = c * si * ci
+        if _pairwise_commute(pool):
+            # what the pair loop records when every commutator is the identity
+            levels.append(DerivedLevel(depth, len(pool), 0, True))
+            verdict = "yes"
+            break
         nxt: dict[RatMatrix, RatMatrix] = {}
         for (a, ai), (b, bi) in combinations(pool.items(), 2):
             if len(nxt) >= max_level:

@@ -6,7 +6,9 @@ characteristic polynomial oracle expands det(xI - A) by the Leibniz
 permutation sum, and the quotient-semisimplicity check uses the regular
 representation's trace form instead of the matrix trace form. The
 unscreened rotational walk is the rotational search as it was before the
-trace screen, to check that the screen changes no result.
+trace screen, and the pair-loop probe is the derived-series probe as it was
+before commuting levels were settled from a basis, to check that neither
+shortcut changes a result.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 
-from holonomy.commutant import AlgebraBasis, Decomposition, RotationalElementCertificate, verify_certificate
+from holonomy.commutant import (
+    AlgebraBasis,
+    Decomposition,
+    DerivedLevel,
+    DerivedSeriesReport,
+    RotationalElementCertificate,
+    verify_certificate,
+)
 from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of, vectorize
 from holonomy.polys import Polynomial, minimal_polynomial
 
@@ -269,3 +278,81 @@ def unscreened_rotational_element(a: AlgebraBasis, rep=None, bound: int = 2):
         if rep is None or verify_certificate(rep, cert):
             return cert
     return None
+
+
+def pair_loop_derived_series(
+    rep, commutator_depth=8, word_length=6, max_conjugators=24, max_level=32, max_entry_bits=256
+) -> DerivedSeriesReport:
+    """Reference derived-series probe: every level, commuting or not, is
+    settled by forming the commutator of each pair of its pool. Pool order,
+    caps and inverse bookkeeping are those of truncated_derived_series; the
+    entry-size check reads the reduced Fraction entries."""
+    size = rep.matrix_size
+    ident = RatMatrix.identity(size)
+    gens = []
+    for m in rep.matrices:
+        if m != ident and m not in gens:
+            gens.append(m)
+    letters = [(g, g.inverse()) for g in gens]
+    letters += [(gi, g) for g, gi in letters]
+    conjugators = {ident: ident}
+    frontier = [(ident, ident)]
+    for _ in range(word_length):
+        new_frontier = []
+        for w, wi in frontier:
+            for g, gi in letters:
+                nw = w * g
+                if nw not in conjugators:
+                    conjugators[nw] = gi * wi
+                    new_frontier.append((nw, conjugators[nw]))
+                    if len(conjugators) >= max_conjugators:
+                        break
+            if len(conjugators) >= max_conjugators:
+                break
+        frontier = new_frontier
+        if not frontier or len(conjugators) >= max_conjugators:
+            break
+
+    def too_large(m):
+        return any(
+            max(x.numerator.bit_length(), x.denominator.bit_length()) > max_entry_bits
+            for row in m.rows
+            for x in row
+        )
+
+    levels = []
+    current = letters[: len(gens)]
+    verdict, stopped = "unknown", None
+    for depth in range(1, commutator_depth + 1):
+        pool = {}
+        for s, si in current:
+            if s not in pool and len(pool) < max_level:
+                pool[s] = si
+        for c, ci in list(conjugators.items())[1:]:
+            for s, si in current:
+                if len(pool) >= max_level:
+                    break
+                m = c * s * ci
+                if m not in pool:
+                    pool[m] = c * si * ci
+        nxt = {}
+        for (a, ai), (b, bi) in itertools.combinations(pool.items(), 2):
+            if len(nxt) >= max_level:
+                break
+            ab, ba = a * b, b * a
+            if ab == ba:
+                continue
+            comm = ab * ai * bi
+            if comm not in nxt:
+                if too_large(comm):
+                    stopped = "entry_bits"
+                    break
+                nxt[comm] = ba * bi * ai
+        if stopped:
+            break
+        levels.append(DerivedLevel(depth, len(pool), len(nxt), not nxt))
+        if not nxt:
+            verdict = "yes"
+            break
+        current = list(nxt.items())
+    return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length, stopped)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy.commutant import (
     AlgebraBasis,
@@ -10,6 +12,7 @@ from holonomy.commutant import (
     Flag,
     InvariantFlagCertificate,
     InvariantSubspaceCertificate,
+    _pairwise_commute,
     algebra_closure_check,
     centralizer_algebra,
     dickson_radical,
@@ -36,7 +39,9 @@ from helpers import (
     CORPUS,
     centralizer_oracle,
     frac_rows,
+    pair_loop_derived_series,
     passes_trace_screen,
+    random_int_matrix,
     random_invertible,
     random_unimodular,
     unscreened_rotational_element,
@@ -439,6 +444,130 @@ class TestDerivedSeries:
             assert report.verdict == "yes" and report.stopped is None
             assert all(level.pool_size <= max_level for level in report.levels)
             assert all(level.nontrivial_commutators <= max_level for level in report.levels)
+
+    def test_pool_cap_below_two_is_rejected(self):
+        # the Sanov pair generates a free group; a pool capped at one
+        # matrix has no pairs and would pass for a commuting level
+        a = frac_rows([[1, 2], [0, 1]])
+        b = frac_rows([[1, 0], [2, 1]])
+        rep = validate_rep([("a", a), ("b", b)], "linear", 2)
+        for max_level in (-1, 0, 1):
+            with pytest.raises(ValueError, match="max_level"):
+                truncated_derived_series(rep, max_level=max_level)
+        assert truncated_derived_series(rep, max_level=2).verdict == "unknown"
+
+
+def _unipotent_pair(n):
+    """A regular unipotent Jordan block and a dense unipotent partner that
+    does not commute with it (the analyze-families benchmark shape)."""
+    a = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    b = [[1 if j == i else (-1) ** (i + j) if j > i else 0 for j in range(n)] for i in range(n)]
+    b[0][1] = 2
+    return frac_rows(a), frac_rows(b)
+
+
+def _rotation_pair(n):
+    """diag(R, T): R in the circle family {x I + y J}, T upper triangular
+    with +-1 on the diagonal (the analyze-families benchmark shape)."""
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    a[0][:2], a[1][:2] = [0, -1], [1, 0]
+    b[0][:2], b[1][:2] = [1, -1], [1, 1]
+    for i in range(2, n):
+        a[i][i], b[i][i] = (-1) ** i, 1
+        for j in range(i + 1, n):
+            a[i][j], b[i][j] = 1, (-1) ** j
+    return frac_rows(a), frac_rows(b)
+
+
+def _assert_matches_pair_loop(rep, options=((8, 6, 32), (3, 2, 5))):
+    for depth, words, max_level in options:
+        expected = pair_loop_derived_series(rep, depth, words, max_level=max_level)
+        assert truncated_derived_series(rep, depth, words, max_level=max_level) == expected
+
+
+class TestCommutingLevelShortcut:
+    """A level whose pool commutes is settled from a basis of the pool's
+    span; the reports must equal the pair loop's."""
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_matches_pair_loop_on_corpus(self, path):
+        rep = load_rep_file(path)
+        _assert_matches_pair_loop(rep)
+        _assert_matches_pair_loop(benzecri_suspend(rep))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_pair_loop_on_families(self, n):
+        for pair in (_unipotent_pair(n), _rotation_pair(n)):
+            rep = validate_rep([("a", pair[0]), ("b", pair[1])], "linear", n)
+            _assert_matches_pair_loop(rep)
+            assert truncated_derived_series(rep).verdict == "yes"
+
+    def test_matches_pair_loop_on_seeded_generic_pairs(self):
+        rng = random.Random(23)
+        for n in (2, 3, 4, 5):
+            rep = validate_rep([("a", random_invertible(rng, n)), ("b", random_invertible(rng, n))], "linear", n)
+            _assert_matches_pair_loop(rep, options=((8, 6, 32), (2, 2, 3)))
+
+    def test_commuting_pool_costs_at_most_d_times_d_minus_one_products(self, monkeypatch):
+        # 32 members of the commutative algebra {a I + [[0, B], [0, 0]]} of
+        # 6 x 6 matrices, B any 3 x 3 block: its dimension 10 is Schur's
+        # bound floor(36 / 4) + 1, and the pair loop would take 992 products
+        rng = random.Random(9)
+        pool = []
+        for _ in range(32):
+            a = rng.randint(-3, 3)
+            rows = [[a * (r == c) for c in range(6)] for r in range(6)]
+            for r in range(3):
+                rows[r][3:] = [rng.randint(-3, 3) for _ in range(3)]
+            pool.append(frac_rows(rows))
+        d = Subspace.span([vectorize(m) for m in pool], 36).dim
+        assert d == 10
+        products = []
+        matmul = RatMatrix.matmul
+        monkeypatch.setattr(RatMatrix, "matmul", lambda x, y: products.append(1) or matmul(x, y))
+        assert _pairwise_commute(pool)
+        assert len(products) <= d * (d - 1)
+
+
+@st.composite
+def mixed_pools(draw):
+    """Pools of polynomials in one random matrix, or of diagonal matrices
+    conjugated by one unimodular matrix, each with at most one perturbed
+    member inserted at a random position."""
+    n = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        m = random_int_matrix(rng, n)
+        powers = [RatMatrix.identity(n)]
+        while len(powers) < n:
+            powers.append(powers[-1] * m)
+        pool = []
+        for _ in range(size):
+            total = RatMatrix.zeros(n, n)
+            for power in powers:
+                total = total + power.scale(rng.randint(-2, 2))
+            pool.append(total)
+    else:
+        p = random_unimodular(rng, n, ops=rng.choice([0, 2, 6]))
+        pinv = p.inverse()
+        pool = [
+            p * frac_rows([[rng.randint(-2, 2) * (r == c) for c in range(n)] for r in range(n)]) * pinv
+            for _ in range(size)
+        ]
+    if draw(st.booleans()):
+        unit = [[0] * n for _ in range(n)]
+        unit[rng.randrange(n)][rng.randrange(n)] = rng.choice([-1, 1, Fraction(1, 2)])
+        pool.insert(rng.randrange(len(pool) + 1), rng.choice(pool) + frac_rows(unit))
+    return pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_pools())
+def test_pairwise_commute_matches_every_pair(pool):
+    expected = all(a * b == b * a for i, a in enumerate(pool) for b in pool[i + 1 :])
+    assert _pairwise_commute(pool) == expected
 
 
 class TestOrbitDimension:
