@@ -13,6 +13,7 @@ as a re-verifiable certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -22,14 +23,15 @@ from .linalg import (
     RatMatrix,
     Subspace,
     Vec,
-    image_of,
     eliminate,
     is_zero_vec,
     kernel_of,
     matrix_from_vec,
+    nullspace,
     numerator_vector,
     primitive_part,
     rref,
+    rref_kernel_image,
     vector,
     vectorize,
 )
@@ -152,11 +154,13 @@ def _commutation_rows(mats: Sequence[RatMatrix], size: int) -> list[list[int]]:
 
 def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
     """Basis of {X : Xg = gX for every g}, the joint kernel of the
-    commutation maps X -> Xg - gX."""
-    rows = _commutation_rows(mats, size)
-    if not rows:
-        return AlgebraBasis.from_subspace(Subspace.full(size * size), size)
-    return AlgebraBasis.from_subspace(kernel_of(RatMatrix.from_integer_form(rows, 1)), size)
+    commutation maps X -> Xg - gX.
+
+    The kernel is read off one integer RREF of the commutation rows, with
+    one span of the free-column vectors; no image of the (k n^2) x n^2
+    system is built. With no generators it is the whole matrix algebra.
+    """
+    return AlgebraBasis.from_subspace(nullspace(*rref(_commutation_rows(mats, size)), size * size), size)
 
 
 def centralizer_algebra(rep: Representation) -> AlgebraBasis:
@@ -185,13 +189,13 @@ def invariant_affine_fields(rep: Representation) -> list[AffineField]:
         row = [0] * (size * size)
         row[(size - 1) * size + j] = 1
         rows.append(row)
-    ker = kernel_of(RatMatrix.from_integer_form(rows, 1))
     n = rep.dimension
     fields = []
-    for v in ker.basis:
-        f = matrix_from_vec(v, size, size)
-        lin = RatMatrix.from_rows([r[:n] for r in f.rows[:n]])
-        const = tuple(f.rows[i][n] for i in range(n))
+    # each kernel row over its pivot entry is a field matrix [[L, c], [0, 0]]
+    for v in nullspace(*rref(rows), size * size).num:
+        piv = next(x for x in v if x)
+        lin = RatMatrix.from_integer_form([v[i * size : i * size + n] for i in range(n)], piv)
+        const = tuple(Fraction(v[i * size + n], piv) for i in range(n))
         fields.append(AffineField(lin, const))
     return fields
 
@@ -451,7 +455,8 @@ def verify_certificate(rep: Representation, cert: Certificate) -> bool:
         j = cert.element
         if not _is_rotational_minpoly(minimal_polynomial(j)):
             return False
-        if image_of(j) != cert.rotation_space or kernel_of(j) != cert.fixed_space:
+        _, _, ker, img = rref_kernel_image(j)
+        if img != cert.rotation_space or ker != cert.fixed_space:
             return False
         for g in mats:
             if g * j != j * g:
@@ -496,7 +501,8 @@ def find_rotational_element(
         cand = a.basis[i] if i == j else a.basis[i].scale(cx) + a.basis[j].scale(cy)
         if not _is_rotational_minpoly(minimal_polynomial(cand)):
             return None
-        cert = RotationalElementCertificate(cand, image_of(cand), kernel_of(cand))
+        _, _, ker, img = rref_kernel_image(cand)
+        cert = RotationalElementCertificate(cand, img, ker)
         if rep is not None and not verify_certificate(rep, cert):
             return None
         return cert
@@ -535,13 +541,12 @@ def _invariant_candidates(
     for m in sources:
         if m.is_scalar():
             continue
-        consider(kernel_of(m))
-        consider(image_of(m))
+        for s in rref_kernel_image(m)[2:]:  # kernel first: seen keeps the order and the cap counts it
+            consider(s)
         for comp in primary_decomposition(m):
             consider(comp.subspace)
-            evaluated = comp.factor.eval_matrix(m)
-            consider(kernel_of(evaluated))
-            consider(image_of(evaluated))
+            for s in rref_kernel_image(comp.factor.eval_matrix(m))[2:]:
+                consider(s)
     return list(seen)
 
 

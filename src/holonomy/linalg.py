@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -84,13 +85,13 @@ def eliminate(v: list[int], top: Sequence[int], col: int) -> tuple[int, list[int
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(int.__mul__, u, v))
+    return sum(map(mul, u, v))
 
 
 def integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Product of two integer matrices given as rows."""
     cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ class Subspace:
         # element (x, y) encodes the intersection vector sum_i x_i a_i.
         cols = self.num + tuple(tuple(-x for x in b) for b in other.num)
         reduced, pivots = rref(list(zip(*cols)))
-        ker = _nullspace(reduced, pivots, len(cols))
+        ker = nullspace(reduced, pivots, len(cols))
         own = list(zip(*self.num))  # columns of A; _dot stops at the end of x
         return Subspace.span([[_dot(c, col) for col in own] for c in ker.num], self.ambient_dim)
 
@@ -422,16 +423,20 @@ def rref_kernel_image(m: RatMatrix) -> tuple[RatMatrix, int, Subspace, Subspace]
     """
     reduced, pivots = rref(m.num)
     rank = len(pivots)
-    kernel = _nullspace(reduced, pivots, m.ncols)
+    kernel = nullspace(reduced, pivots, m.ncols)
     image = Subspace.span([[r[p] for r in m.num] for p in pivots], m.nrows)
     den = lcm(*[r[p] for r, p in zip(reduced, pivots)])  # the pivot rows over one denominator
     head = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
     return RatMatrix.from_integer_form(head + reduced[rank:], den), rank, kernel, image
 
 
-def _nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> Subspace:
+def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> Subspace:
     """Kernel of a matrix whose integer RREF (as rref returns it) occupies
-    the first ncols columns of reduced: one vector per free column."""
+    the first ncols columns of reduced: one vector per free column, spanned
+    once. `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with
+    no image and no RREF matrix; solve_linear, Subspace.intersect,
+    rref_kernel_image, the centralizer and the invariant affine fields read
+    their kernels this way."""
     kernel_vecs = []
     for f in range(ncols):
         if f in pivots:
@@ -445,6 +450,10 @@ def _nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: i
 
 
 def kernel_of(m: RatMatrix) -> Subspace:
+    """Kernel of m, through rref_kernel_image: this also spans the image
+    and builds the RREF matrix, then drops both. Kernel-only hot paths read
+    `nullspace(*rref(...))` instead, and callers that need the image too
+    take both from one rref_kernel_image call."""
     return rref_kernel_image(m)[2]
 
 
@@ -472,7 +481,7 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
     sol = [Fraction(0)] * a.ncols
     for i, p in enumerate(pivots):
         sol[p] = Fraction(reduced[i][a.ncols], reduced[i][p])
-    return tuple(sol), _nullspace(reduced, pivots, a.ncols)
+    return tuple(sol), nullspace(reduced, pivots, a.ncols)
 
 
 def restrict_to_subspace(m: RatMatrix, s: Subspace) -> RatMatrix:

@@ -6,9 +6,10 @@ characteristic polynomial oracle expands det(xI - A) by the Leibniz
 permutation sum, and the quotient-semisimplicity check uses the regular
 representation's trace form instead of the matrix trace form. The
 unscreened rotational walk is the rotational search as it was before the
-trace screen, and the pair-loop probe is the derived-series probe as it was
-before commuting levels were settled from a basis, to check that neither
-shortcut changes a result.
+trace screen, the pair-loop probe is the derived-series probe as it was
+before commuting levels were settled from a basis, and the Fraction affine
+fields are invariant_affine_fields as it was before it read its kernel off
+the integer RREF, to check that no shortcut changes a result.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from holonomy.commutant import (
     DerivedLevel,
     DerivedSeriesReport,
     RotationalElementCertificate,
+    _commutation_rows,
     verify_certificate,
 )
-from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of, vectorize
+from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of, matrix_from_vec, vectorize
+from holonomy.representation import AffineField
 from holonomy.polys import Polynomial, minimal_polynomial
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -356,3 +359,24 @@ def pair_loop_derived_series(
             break
         current = list(nxt.items())
     return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length, stopped)
+
+
+def fraction_affine_fields(rep) -> list[AffineField]:
+    """Reference invariant_affine_fields: the kernel of the commutation
+    system with the last field row forced to zero, through kernel_of, and
+    each field built from the kernel's Fraction basis vector."""
+    size = rep.dimension + 1
+    rows = _commutation_rows(rep.matrices, size)
+    for j in range(size):
+        row = [0] * (size * size)
+        row[(size - 1) * size + j] = 1
+        rows.append(row)
+    ker = kernel_of(RatMatrix.from_integer_form(rows, 1))
+    n = rep.dimension
+    fields = []
+    for v in ker.basis:
+        f = matrix_from_vec(v, size, size)
+        lin = RatMatrix.from_rows([r[:n] for r in f.rows[:n]])
+        const = tuple(f.rows[i][n] for i in range(n))
+        fields.append(AffineField(lin, const))
+    return fields

@@ -12,6 +12,7 @@ from holonomy.commutant import (
     Flag,
     InvariantFlagCertificate,
     InvariantSubspaceCertificate,
+    _commutation_rows,
     _pairwise_commute,
     algebra_closure_check,
     centralizer_algebra,
@@ -39,6 +40,7 @@ from helpers import (
     CORPUS,
     centralizer_oracle,
     frac_rows,
+    fraction_affine_fields,
     pair_loop_derived_series,
     passes_trace_screen,
     random_int_matrix,
@@ -109,8 +111,82 @@ class TestCentralizer:
         expected = AlgebraBasis.from_span([p * b * pinv for b in cent.basis], 3)
         assert conj.basis == expected.basis
 
+    def test_mixed_sets_match_oracle_and_kernel_of_path(self):
+        # the single-RREF centralizer against the dense Fraction oracle and
+        # against the basis the kernel_of path gives, on sets mixing the
+        # suspension's scalar 2I, p/q entries and conjugated Jordan blocks
+        rng = random.Random(59)
+        checked = 0
+        for n in range(2, 7):
+            for gens in _mixed_generator_sets(rng, n):
+                cent = matrix_centralizer(gens, n)
+                assert cent.span_subspace() == centralizer_oracle(gens, n)
+                if gens:
+                    rows = _commutation_rows(gens, n)
+                    via_kernel_of = AlgebraBasis.from_subspace(kernel_of(RatMatrix.from_integer_form(rows, 1)), n)
+                    assert cent.basis == via_kernel_of.basis
+                else:
+                    assert cent.dim == n * n
+                assert cent.contains_identity
+                checked += 1
+        assert checked == 25
+
+    def test_one_span_per_call(self, monkeypatch):
+        calls = []
+        span = Subspace.span
+
+        def counting_span(vectors, ambient_dim):
+            calls.append(ambient_dim)
+            return span(vectors, ambient_dim)
+
+        monkeypatch.setattr(Subspace, "span", staticmethod(counting_span))
+        rng = random.Random(61)
+        for gens, n in (([random_invertible(rng, 4), RatMatrix.identity(4).scale(2)], 4), ([], 3)):
+            calls.clear()
+            matrix_centralizer(gens, n)
+            assert calls == [n * n]
+
+
+def _jordan(n: int, eigenvalue, block: int) -> RatMatrix:
+    """One Jordan block of the given size, then eigenvalue * I: a large centralizer."""
+    rows = [[eigenvalue if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(block - 1):
+        rows[i][i + 1] = 1
+    return frac_rows(rows)
+
+
+def _mixed_generator_sets(rng: random.Random, n: int) -> list[list[RatMatrix]]:
+    scalar = RatMatrix.identity(n).scale(2)
+    p = random_unimodular(rng, n)
+    jordan = p * _jordan(n, Fraction(3, 2), rng.randint(2, n)) * p.inverse()
+    while True:
+        pq = frac_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)])
+        if pq.det() != 0:
+            break
+    return [[], [scalar], [scalar, jordan], [pq, scalar], [jordan, pq.scale(Fraction(-5, 3)), scalar]]
+
 
 class TestInvariantAffineFields:
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_suspension_fields_match_fraction_construction(self, path):
+        rep = embed_linear_as_affine(benzecri_suspend(load_rep_file(path)))
+        fields = invariant_affine_fields(rep)
+        assert fields == fraction_affine_fields(rep)
+        assert all(type(x) is Fraction for f in fields for x in f.constant_part)
+
+    def test_random_affine_fields_match_fraction_construction(self):
+        rng = random.Random(67)
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                lin = random_invertible(rng, n, -2, 2) if rng.random() < 0.6 else RatMatrix.identity(n)
+                shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                rows = [list(r) + [t] for r, t in zip(lin.rows, shift)] + [[0] * n + [1]]
+                gens.append(frac_rows(rows))
+            rep = validate_rep([(f"g{i}", g) for i, g in enumerate(gens)], "affine", n)
+            assert invariant_affine_fields(rep) == fraction_affine_fields(rep)
+
     def test_suspension_contains_radial_field(self):
         susp = benzecri_suspend(validate_rep([], "projective-class", 3))
         fields = invariant_affine_fields(embed_linear_as_affine(susp))

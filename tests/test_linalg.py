@@ -69,6 +69,21 @@ class TestRrefKernelImage:
         assert rank + ker.dim == m.ncols
         assert im.dim == rank
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.fractions(-8, 8, max_denominator=6), min_size=ncols, max_size=ncols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_call_gives_kernel_and_image(self, rows):
+        # the callers that need both read them from one rref_kernel_image
+        m = frac_rows(rows)
+        assert rref_kernel_image(m)[2:] == (kernel_of(m), image_of(m))
+
 
 class TestCanonicalForm:
     def test_equal_row_spans_give_equal_kernels(self):
