@@ -29,7 +29,6 @@ from .commutant import (
     find_rotational_element,
     invariant_flag_search,
     verify_certificate,
-    verify_flag_invariant,
 )
 from .linalg import (
     RatMatrix,
@@ -70,6 +69,10 @@ CONCLUSION_UNDETERMINED = "Undetermined"
 DIM3_DISJUNCTION = "|".join(
     [CONCLUSION_SPHERICAL, CONCLUSION_S2XS1, CONCLUSION_TORUS_BUNDLE_COVER]
 )
+
+# The declarations that every zero-set analysis resting on geometry needs,
+# and that upgrade certified solvability to DIM3_DISJUNCTION.
+_INJECTIVE_COMPACT = frozenset({"developing_map_injective", "compact"})
 
 
 class CaseAnalysisError(ValueError):
@@ -156,14 +159,14 @@ def _require_m4(m: RatMatrix, name: str) -> None:
         raise ValueError(f"{name} must be a 4x4 matrix")
 
 
-def flag_from_nilpotent_pair(
-    a: RatMatrix, b: RatMatrix, rep: Representation | None = None
-) -> Flag:
+def flag_from_nilpotent_pair(a: RatMatrix, b: RatMatrix) -> Flag:
     """Invariant flag from a square-zero noncommuting pair in dimension 4.
 
     Returns Ker(a) cap Ker(b) < Ker(a) < Ker(a) + Ker(b), of dimensions
-    (1, 2, 3). Everything commuting with a and b preserves the chain.
-    Kernel configurations outside the exhaustive case split (a kernel of
+    (1, 2, 3). Every invertible matrix commuting with a and b maps each
+    member onto itself, so for a pair from a centralizer the flag is
+    invariant by construction and is not checked here. Kernel
+    configurations outside the exhaustive case split (a kernel of
     dimension 3, or trivially intersecting kernels) are rejected.
     """
     _require_m4(a, "a")
@@ -182,15 +185,16 @@ def flag_from_nilpotent_pair(
         raise CaseAnalysisError("case analysis exhausted: kernels intersect trivially")
     if inter.dim != 1:
         raise CaseAnalysisError("case analysis: equal kernels force a commuting pair")
-    return _checked(Flag((inter, ka, ka.add(kb))), rep)
+    return Flag((inter, ka, ka.add(kb)))
 
 
-def flag_from_nilpotent_element(a: RatMatrix, rep: Representation | None = None) -> Flag:
+def flag_from_nilpotent_element(a: RatMatrix) -> Flag:
     """Invariant flag from a nilpotent 4x4 element with nonzero square.
 
     Kernel of dimension 1 gives Ker(a) < Ker(a^2) < Im(a); kernel of
     dimension 2 gives Ker(a) cap Im(a) < Ker(a) < Ker(a) + Im(a). Both are
-    (1, 2, 3)-chains preserved by everything commuting with a.
+    (1, 2, 3)-chains that every invertible matrix commuting with a maps
+    onto themselves, so they are not checked here.
     """
     _require_m4(a, "a")
     if any(characteristic_polynomial(a).coeffs[:-1]):  # nilpotent iff char = x^4
@@ -199,30 +203,20 @@ def flag_from_nilpotent_element(a: RatMatrix, rep: Representation | None = None)
         raise ValueError("square vanishes: use the pair construction instead")
     ka = kernel_of(a)
     if ka.dim == 1:
-        flag = Flag((ka, kernel_of(a * a), image_of(a)))
-    elif ka.dim == 2:
+        return Flag((ka, kernel_of(a * a), image_of(a)))
+    if ka.dim == 2:
         ia = image_of(a)
-        flag = Flag((ka.intersect(ia), ka, ka.add(ia)))
-    else:
-        raise CaseAnalysisError("case analysis: nilpotent with nonzero square has kernel dim 1 or 2")
-    return _checked(flag, rep)
-
-
-def _checked(flag: Flag, rep: Representation | None) -> Flag:
-    """The flag, after checking its invariance under rep when one is given."""
-    if rep is not None:
-        ok, witness = verify_flag_invariant(rep, flag)
-        if not ok:
-            raise ValueError(f"flag not invariant under generator {witness[0]!r}")
-    return flag
+        return Flag((ka.intersect(ia), ka, ka.add(ia)))
+    raise CaseAnalysisError("case analysis: nilpotent with nonzero square has kernel dim 1 or 2")
 
 
 @dataclass
 class _BranchResult:
-    kind: str  # "flag" or "assumed"
+    """What a zero-set analysis found: an invariant complete flag, or (flag
+    None) invariant subspaces whose conclusion needs _INJECTIVE_COMPACT."""
+
     flag: Flag | None
     certificates: list[Certificate] = field(default_factory=list)
-    needed: frozenset[str] = frozenset()
     notes: list[str] = field(default_factory=list)
 
 
@@ -246,9 +240,7 @@ def _square_zero_elements(radical: AlgebraBasis) -> list[RatMatrix]:
     return out
 
 
-def _zero_dim3_case(
-    xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix], susp: Representation
-) -> _BranchResult | None:
+def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult | None:
     ident = RatMatrix.identity(4)
     assumed: _BranchResult | None = None
     for y in lin_parts:
@@ -263,22 +255,17 @@ def _zero_dim3_case(
             v = image_of(xt)
             w = image_of(y)
             if v.dim == 1 and w.dim == 1 and v.is_subspace_of(u) and w.is_subspace_of(u) and v != w:
-                flag = Flag((v, v.add(w), u))
-                if verify_flag_invariant(susp, flag)[0]:
-                    return _BranchResult(
-                        "flag",
-                        flag,
-                        notes=[
-                            "zero set of dimension 3: the images of two independent"
-                            " commuting fields inside it form an invariant complete flag"
-                        ],
-                    )
+                return _BranchResult(
+                    Flag((v, v.add(w), u)),
+                    notes=[
+                        "zero set of dimension 3: the images of two independent"
+                        " commuting fields inside it form an invariant complete flag"
+                    ],
+                )
         elif assumed is None:
             assumed = _BranchResult(
-                "assumed",
                 None,
                 certificates=[InvariantSubspaceCertificate(u)],
-                needed=frozenset({"developing_map_injective", "compact"}),
                 notes=[
                     "zero set of dimension 3 with a second field restricting"
                     " nontrivially: the quotient surface inherits nondiscrete"
@@ -320,17 +307,13 @@ def _zero_dim2_case(
     im = image_of(xt)
     inter = u.intersect(im)
     if inter.dim == 1:
-        flag = Flag((inter, u, u.add(im)))
-        if verify_flag_invariant(susp, flag)[0]:
-            return _BranchResult(
-                "flag",
-                flag,
-                notes=[
-                    "zero set of dimension 2 meeting the image of the field in a"
-                    " line: the chain line < zero set < zero set + image is invariant"
-                ],
-            )
-        return None
+        return _BranchResult(
+            Flag((inter, u, u.add(im))),
+            notes=[
+                "zero set of dimension 2 meeting the image of the field in a"
+                " line: the chain line < zero set < zero set + image is invariant"
+            ],
+        )
     if u == im:
         notes = [
             "zero set equals the image of the field: commuting matrices are block"
@@ -339,13 +322,7 @@ def _zero_dim2_case(
         ]
         if _equal_diagonal_blocks(xt, u, susp):
             notes.append("equal-diagonal-block form verified in an adapted basis")
-        return _BranchResult(
-            "assumed",
-            None,
-            certificates=[InvariantSubspaceCertificate(u)],
-            needed=frozenset({"developing_map_injective", "compact"}),
-            notes=notes,
-        )
+        return _BranchResult(None, certificates=[InvariantSubspaceCertificate(u)], notes=notes)
     # complementary case: R^4 = U + Im(xt)
     rx = restrict_to_subspace(xt, im)
     for y in lin_parts:
@@ -354,13 +331,11 @@ def _zero_dim2_case(
         ry = restrict_to_subspace(y, im)
         if not rx.is_scalar() or not ry.is_scalar():
             return _BranchResult(
-                "assumed",
                 None,
                 certificates=[
                     InvariantSubspaceCertificate(u),
                     InvariantSubspaceCertificate(im),
                 ],
-                needed=frozenset({"developing_map_injective", "compact"}),
                 notes=[
                     "zero set complementary to the image: a field restricts"
                     " non-scalar to one block, so the holonomy restriction there is"
@@ -376,13 +351,11 @@ def _zero_dim2_case(
         if rzu.is_scalar():
             continue
         return _BranchResult(
-            "assumed",
             None,
             certificates=[
                 InvariantSubspaceCertificate(u),
                 InvariantSubspaceCertificate(im),
             ],
-            needed=frozenset({"developing_map_injective", "compact"}),
             notes=[
                 "zero set complementary to the image with scalar restrictions:"
                 " subtracting the scalar yields a field vanishing on the image and"
@@ -414,7 +387,7 @@ def _zero_dim1_case(
         k = kernel_of(a)
         sub = None
         if k.dim == 3:
-            sub = _zero_dim3_case(a, k, lin_parts, susp)
+            sub = _zero_dim3_case(a, k, lin_parts)
         elif k.dim == 2:
             sub = _zero_dim2_case(a, k, lin_parts, susp)
         if sub is not None:
@@ -448,14 +421,14 @@ def _commutative_branch(
             u = zs.direction_space
             xt = f.shifted(shift).linear_part
             if zs.dim == 3:
-                res = _zero_dim3_case(xt, u, lin_parts, susp)
+                res = _zero_dim3_case(xt, u, lin_parts)
             elif zs.dim == 2:
                 res = _zero_dim2_case(xt, u, lin_parts, susp)
             else:
                 res = _zero_dim1_case(xt, u, lin_parts, susp, decomp)
             if res is None:
                 continue
-            if res.kind == "flag":
+            if res.flag is not None:
                 if shift != 0:
                     res.notes.append(f"zero set realized after radial shift by {shift}")
                 return res
@@ -466,9 +439,7 @@ def _commutative_branch(
     return assumed
 
 
-def _flag_from_noncommutative_radical(
-    radical: AlgebraBasis, susp: Representation
-) -> tuple[Flag | None, list[str]]:
+def _flag_from_noncommutative_radical(radical: AlgebraBasis) -> tuple[Flag | None, list[str]]:
     basis = list(radical.basis)
     candidates = list(basis)
     for x, y in combinations(basis, 2):
@@ -476,7 +447,7 @@ def _flag_from_noncommutative_radical(
     for a in candidates:
         if not (a * a).is_zero():
             try:
-                flag = flag_from_nilpotent_element(a, rep=susp)
+                flag = flag_from_nilpotent_element(a)
             except (ValueError, CaseAnalysisError):
                 continue
             return flag, [
@@ -487,7 +458,7 @@ def _flag_from_noncommutative_radical(
         if x * y == y * x:
             continue
         try:
-            flag = flag_from_nilpotent_pair(x, y, rep=susp)
+            flag = flag_from_nilpotent_pair(x, y)
         except (ValueError, CaseAnalysisError):
             continue
         return flag, [
@@ -511,8 +482,11 @@ def _finalize(
     used: set[str],
     notes: list[str],
 ) -> Outcome:
-    """Final soundness gate: drop any certificate that fails re-verification
-    against the input, and refuse a conclusion left without support."""
+    """Final soundness gate, and the only place classify verifies a
+    certificate: drop any certificate that fails re-verification against
+    the input, and refuse a conclusion left without support. The searches
+    and flag constructions upstream do not check what they build; their
+    candidates are invariant by construction."""
     verified: list[Certificate] = []
     for c in certificates:
         if verify_certificate(rep, c):
@@ -648,7 +622,7 @@ def classify_dim3(
             ["automorphism model has dimension < 2: the dimension hypothesis is unmet"],
         )
 
-    rot = find_rotational_element(cent, rep=susp, bound=search_bound)
+    rot = find_rotational_element(cent, bound=search_bound)
     if rot is not None:
         certificates.append(rot)
         if rot.fixed_space.dim >= 1 and asmp.developing_image_avoids_fixed_space and asmp.compact:
@@ -682,7 +656,7 @@ def classify_dim3(
 
     if radical_noncommutative:
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE
-        flag, extra = _flag_from_noncommutative_radical(decomp.radical, susp)
+        flag, extra = _flag_from_noncommutative_radical(decomp.radical)
         notes.extend(extra)
     elif cent.is_commutative():
         branch = BRANCH_COMMUTATIVE
@@ -690,7 +664,7 @@ def classify_dim3(
         if res is not None:
             certificates.extend(res.certificates)
             notes.extend(res.notes)
-            if res.kind == "flag":
+            if res.flag is not None:
                 flag = res.flag
             else:
                 assumed = res
@@ -725,14 +699,14 @@ def classify_dim3(
             )
 
     solvable = flag is not None and flag.complete
-    if not solvable and assumed is not None and _declared(asmp, assumed.needed):
+    if not solvable and assumed is not None and _declared(asmp, _INJECTIVE_COMPACT):
         solvable = True
-        used |= set(assumed.needed)
+        used |= _INJECTIVE_COMPACT
         notes.append("solvability concluded from the declared geometric hypotheses")
 
     if solvable:
-        if asmp.developing_map_injective and asmp.compact:
-            used |= {"developing_map_injective", "compact"}
+        if _declared(asmp, _INJECTIVE_COMPACT):
+            used |= _INJECTIVE_COMPACT
             notes.append(
                 "solvable holonomy with an injective developing map on a compact"
                 " manifold: the homeomorphism type is one of the listed three;"
@@ -755,8 +729,8 @@ def classify_dim3(
             " realizable within the shift bounds; a freely acting pair of fields"
             " would make a torus bundle, which is not decidable from generators"
         )
-    if assumed is not None and not _declared(asmp, assumed.needed):
-        missing = sorted(set(assumed.needed) - {n for n in assumed.needed if getattr(asmp, n)})
+    if assumed is not None and not _declared(asmp, _INJECTIVE_COMPACT):
+        missing = sorted(n for n in _INJECTIVE_COMPACT if not getattr(asmp, n))
         notes.append(
             "the zero-set analysis applies but needs undeclared hypotheses: "
             + ", ".join(missing)

@@ -25,6 +25,7 @@ from .commutant import (
     find_rotational_element,
     invariant_flag_search,
     truncated_derived_series,
+    verify_certificate,
 )
 from .representation import KIND_PROJECTIVE, Representation, ValidationError, benzecri_suspend
 
@@ -73,15 +74,21 @@ def _echo_options(options: dict, keys: list[str]) -> dict:
 
 
 def _analyze_one(rep: Representation, options: dict) -> dict:
+    """The analyze report of one representation. Its certificates are
+    verified here, once, before the report is built: the gate of the
+    analyze exit, as _finalize is of classify's."""
     algebra = centralizer_algebra(rep)
     decomp = dickson_radical(algebra)  # raises ClosureError on a span that is not closed
     certificates = []
-    rot = find_rotational_element(algebra, rep=rep, bound=options["search_bound"])
+    rot = find_rotational_element(algebra, bound=options["search_bound"])
     if rot is not None:
         certificates.append(rot)
     flag = invariant_flag_search(rep, algebra)
     if flag is not None:
         certificates.append(InvariantFlagCertificate(flag))
+    for cert in certificates:
+        if not verify_certificate(rep, cert):
+            raise RuntimeError(f"refusing to write a report with an unverifiable {type(cert).__name__}")
     derived = truncated_derived_series(
         rep,
         commutator_depth=options["commutator_depth"],

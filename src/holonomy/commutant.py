@@ -25,7 +25,6 @@ from .linalg import (
     Vec,
     eliminate,
     is_zero_vec,
-    kernel_of,
     matrix_from_vec,
     nullspace,
     numerator_vector,
@@ -107,10 +106,6 @@ class AlgebraBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def span_subspace(self) -> Subspace:
-        """The span as a subspace of the vectorized matrices."""
-        return self.span
 
     def contains(self, m: RatMatrix) -> bool:
         return self.span.contains(numerator_vector(m))
@@ -236,7 +231,7 @@ class ClosureWitness:
 def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, ClosureWitness | None]:
     """True iff every pairwise product of basis elements stays in the span;
     otherwise the offending pair and the component outside the span."""
-    span = a.span_subspace()
+    span = a.span
     for i, row in enumerate(a.products):
         for j, p in enumerate(row):
             if not span.contains(numerator_vector(p)):
@@ -274,7 +269,7 @@ def _idempotent_witnesses(
         candidates.append(x + y)
     witnesses: list[RatMatrix] = []
     seen: set[RatMatrix] = set()
-    span = a.span_subspace()
+    span = a.span
     for m in candidates[:max_candidates]:
         if len(witnesses) >= max_witnesses:
             break
@@ -320,7 +315,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
     if k == 0:
         return Decomposition(AlgebraBasis.from_span([], a.ambient_dim), 0, True, ())
     p = a.products
-    ker = kernel_of(a.trace_form)
+    ker = nullspace(*rref(a.trace_form.num), k)
     rad_mats = []
     for coeffs in ker.basis:
         m = RatMatrix.zeros(a.ambient_dim, a.ambient_dim)
@@ -332,7 +327,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
     for r in radical.basis:
         if any(characteristic_polynomial(r).coeffs[:-1]):  # nilpotent iff char = x^n
             raise ClosureError("trace-form kernel contains a non-nilpotent element")
-    rad_span = radical.span_subspace()
+    rad_span = radical.span
     quotient_commutative = all(
         rad_span.contains(numerator_vector(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
     )
@@ -436,7 +431,10 @@ def _is_rotational_minpoly(minp: Polynomial) -> bool:
 
 
 def verify_certificate(rep: Representation, cert: Certificate) -> bool:
-    """Pure re-verification of a certificate against a representation."""
+    """Pure re-verification of a certificate against a representation.
+
+    This is the check of the two exits where certificates leave the
+    library: classify's _finalize and the CLI's analyze report."""
     mats = rep.matrices
     if isinstance(cert, InvariantFlagCertificate):
         return verify_flag_invariant(rep, cert.flag)[0]
@@ -481,9 +479,14 @@ def find_rotational_element(
 
     Scans the basis, then integer combinations of basis pairs with
     coefficients in {-bound, ..., bound}, for an element whose minimal
-    polynomial is x^2+c or x(x^2+c) with c > 0. The image/kernel splitting
-    is re-verified invariant when a representation is supplied. Absence of
-    a find never asserts that no rotational element exists.
+    polynomial is x^2+c or x(x^2+c) with c > 0. Absence of a find never
+    asserts that no rotational element exists.
+
+    When a is the centralizer of a representation, the certificate holds
+    for it by construction: the element commutes with every generator, so
+    its image and kernel are invariant. A caller that supplies rep gets
+    only candidates that pass verify_certificate against it, which matters
+    only for an algebra that does not centralize rep.
 
     The eigenvalues of a rotational element are 0 and pairs +-i sqrt(c), so
     it has tr(j) = 0 and tr(j^2) < 0. Both are read off the basis traces and
@@ -577,9 +580,12 @@ def invariant_flag_search(
 
     Strategy: harvest kernels, images, and primary components of commutant
     elements (and of the generators themselves), close once under pairwise
-    intersections and sums, and take the longest containment chain. The
-    returned flag is verified; absence of a find is not a nonexistence claim.
-    cent is the centralizer of rep when the caller already holds it; it is
+    intersections and sums, and take the longest containment chain. Every
+    harvested subspace is kept only when each generator maps it onto
+    itself, and an invertible generator maps sums and intersections of
+    such subspaces onto themselves too, so the returned flag is invariant
+    by construction. Absence of a find is not a nonexistence claim. cent
+    is the centralizer of rep when the caller already holds it; it is
     computed here otherwise.
     """
     gens = list(rep.matrices)
@@ -588,24 +594,16 @@ def invariant_flag_search(
         cent = matrix_centralizer(gens, size)
     sources = list(cent.basis) + gens
     cands = _invariant_candidates(gens, sources, size, cap)
-
-    def finish(chain: list[Subspace]) -> Flag | None:
-        if not chain:
-            return None
-        flag = Flag(tuple(chain))
-        ok, _ = verify_flag_invariant(rep, flag)
-        return flag if ok else None
-
     chain = _longest_chain(cands)
-    if chain and Flag(tuple(chain)).complete:
-        return finish(chain)
+    if chain and len(chain) == size - 1:  # a strictly increasing chain this long is complete
+        return Flag(tuple(chain))
     extra: dict[Subspace, None] = {s: None for s in cands}
     for a, b in combinations(list(cands), 2):
         for s in (a.intersect(b), a.add(b)):
             if 0 < s.dim < size and s not in extra and len(extra) < 2 * cap:
                 extra[s] = None
     chain = _longest_chain(list(extra))
-    return finish(chain)
+    return Flag(tuple(chain)) if chain else None
 
 
 @dataclass(frozen=True)

@@ -435,8 +435,9 @@ def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: in
     the first ncols columns of reduced: one vector per free column, spanned
     once. `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with
     no image and no RREF matrix; solve_linear, Subspace.intersect,
-    rref_kernel_image, the centralizer and the invariant affine fields read
-    their kernels this way."""
+    rref_kernel_image, the centralizer, the invariant affine fields, the
+    Dickson radical and the primary components read their kernels this
+    way."""
     kernel_vecs = []
     for f in range(ncols):
         if f in pivots:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import isqrt, lcm
 
-from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, kernel_of, primitive_part, to_fraction
+from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, nullspace, primitive_part, rref, to_fraction
 
 
 @dataclass(frozen=True)
@@ -512,6 +512,6 @@ def primary_decomposition(m: RatMatrix) -> list[PrimaryComponent]:
         raise ValueError("square matrix required")
     out = []
     for f in factor_polynomial(characteristic_polynomial(m)):
-        sub = kernel_of((f.poly**f.multiplicity).eval_matrix(m))
+        sub = nullspace(*rref((f.poly**f.multiplicity).eval_matrix(m).num), m.ncols)
         out.append(PrimaryComponent(f.poly, f.multiplicity, sub))
     return out

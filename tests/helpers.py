@@ -195,7 +195,7 @@ def quotient_regular_radical_dim(algebra: AlgebraBasis, decomp: Decomposition) -
 
     Coordinates are read off the pivot columns of the canonical basis, so no
     linear system is solved per product."""
-    rad_span = decomp.radical.span_subspace()
+    rad_span = decomp.radical.span
     reps = []
     acc = rad_span
     d2 = algebra.ambient_dim**2
@@ -208,7 +208,7 @@ def quotient_regular_radical_dim(algebra: AlgebraBasis, decomp: Decomposition) -
     assert q == decomp.quotient_dim
     if q == 0:
         return 0
-    span = algebra.span_subspace()
+    span = algebra.span
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in span.basis]
 
     def canonical_coords(x: RatMatrix):

@@ -71,7 +71,7 @@ def test_criterion_1_centralizer_oracle_equivalence():
     for _ in range(50):
         d = rng.randint(2, 5)
         gens = [random_invertible(rng, d) for _ in range(rng.randint(1, 3))]
-        mine = matrix_centralizer(gens, d).span_subspace()
+        mine = matrix_centralizer(gens, d).span
         oracle = centralizer_oracle(gens, d)
         assert mine == oracle
         checked += 1
@@ -114,8 +114,8 @@ def test_criterion_2_radical_soundness():
             nontrivial_radicals += 1
         for r in decomp.radical.basis:
             assert (r * r * r * r).is_zero(), "radical element with nonzero fourth power"
-        span = algebra.span_subspace()
-        rad_span = decomp.radical.span_subspace()
+        span = algebra.span
+        rad_span = decomp.radical.span
         for r in decomp.radical.basis:
             for b in algebra.basis:
                 assert rad_span.contains(vectorize(b * r))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from holonomy.classify import (
     CONCLUSION_UNDETERMINED,
     DIM3_DISJUNCTION,
     CaseAnalysisError,
+    _finalize,
     classify_dim2,
     classify_dim3,
     flag_from_nilpotent_element,
@@ -22,7 +24,12 @@ from holonomy.classify import (
 from holonomy.commutant import (
     FixedProjectivePointCertificate,
     InvariantFlagCertificate,
+    InvariantSubspaceCertificate,
     RotationalElementCertificate,
+    centralizer_algebra,
+    dickson_radical,
+    find_rotational_element,
+    invariant_flag_search,
     verify_certificate,
 )
 from holonomy.linalg import RatMatrix, Subspace
@@ -30,10 +37,12 @@ from holonomy.representation import (
     AffineField,
     AssumptionSet,
     ValidationError,
+    benzecri_suspend,
+    conjugate_representation,
     validate_rep,
 )
 
-from helpers import CORPUS, frac_rows
+from helpers import CORPUS, frac_rows, random_unimodular
 
 from holonomy.fileio import load_rep_file
 
@@ -254,6 +263,33 @@ class TestClassifyDim3:
             for cert in out.certificates:
                 assert verify_certificate(rep, cert)
 
+    # a rotation by the Pythagorean angle plus two distinct eigenvalues: the
+    # model is commutative and the zero-set analysis rests on declarations
+    ROTATION_BLOCK = frac_rows(
+        [[Fraction(3, 5), Fraction(-4, 5), 0, 0], [Fraction(4, 5), Fraction(3, 5), 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+    )
+
+    @pytest.mark.parametrize(
+        "declared, missing",
+        [
+            ((), "compact, developing_map_injective"),
+            (("compact",), "developing_map_injective"),
+            (("developing_map_injective",), "compact"),
+        ],
+    )
+    def test_zero_set_analysis_names_the_missing_declarations(self, declared, missing):
+        asmp = AssumptionSet(**{n: True for n in declared})
+        out = classify_dim3(validate_rep([("g", self.ROTATION_BLOCK)], "projective-class", 3, asmp))
+        assert (out.branch, out.conclusion, out.assumptions_used) == (BRANCH_COMMUTATIVE, CONCLUSION_UNDETERMINED, ())
+        assert out.notes[-1] == "the zero-set analysis applies but needs undeclared hypotheses: " + missing
+
+    def test_zero_set_analysis_with_the_declarations_gives_the_disjunction(self):
+        asmp = AssumptionSet(compact=True, developing_map_injective=True)
+        out = classify_dim3(validate_rep([("g", self.ROTATION_BLOCK)], "projective-class", 3, asmp))
+        assert (out.branch, out.conclusion) == (BRANCH_COMMUTATIVE, DIM3_DISJUNCTION)
+        assert out.assumptions_used == ("compact", "developing_map_injective")
+        assert "solvability concluded from the declared geometric hypotheses" in out.notes
+
     def test_suspension_factor_configurable(self):
         rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
         out = classify_dim3(rep, suspension_factor=Fraction(3))
@@ -286,3 +322,129 @@ class TestOutcomeInvariance:
             )
             out = classify_dim3(scaled)
             assert (out.branch, out.conclusion) == (base.branch, base.conclusion)
+
+
+class TestFinalGate:
+    """_finalize is the one place classify verifies certificates."""
+
+    def _tampered(self, rep):
+        # the last coordinate line is moved by every nontrivial translation
+        cert = InvariantSubspaceCertificate(span4([0, 0, 0, 1]))
+        assert not verify_certificate(rep, cert)
+        return cert
+
+    def test_tampered_certificate_is_dropped_and_the_conclusion_withdrawn(self):
+        rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
+        out = classify_dim3(rep)
+        gated = _finalize(
+            rep, out.commutant, out.decomposition, out.branch, CONCLUSION_SOLVABLE_PI1,
+            [self._tampered(rep)], set(), [],
+        )
+        assert gated.certificates == ()
+        assert gated.conclusion == CONCLUSION_UNDETERMINED
+        assert gated.notes == (
+            "dropped a certificate that failed re-verification: InvariantSubspaceCertificate",
+            "conclusion withdrawn: no surviving certificate or declared assumption",
+        )
+
+    def test_conclusion_kept_while_a_certificate_survives(self):
+        rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
+        out = classify_dim3(rep)
+        gated = _finalize(
+            rep, out.commutant, out.decomposition, out.branch, out.conclusion,
+            list(out.certificates) + [self._tampered(rep)], set(), [],
+        )
+        assert gated.certificates == out.certificates
+        assert gated.conclusion == CONCLUSION_SOLVABLE_PI1
+        assert gated.notes == (
+            "dropped a certificate that failed re-verification: InvariantSubspaceCertificate",
+        )
+
+    def test_conclusion_kept_on_declared_assumptions(self):
+        rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
+        out = classify_dim3(rep)
+        gated = _finalize(
+            rep, out.commutant, out.decomposition, out.branch, DIM3_DISJUNCTION,
+            [self._tampered(rep)], {"compact", "developing_map_injective"}, [],
+        )
+        assert gated.certificates == ()
+        assert gated.conclusion == DIM3_DISJUNCTION
+        assert gated.assumptions_used == ("compact", "developing_map_injective")
+
+
+# The worked square-zero pair: its centralizer is spanned by I, e12 + e34
+# and e14, so the group below has the algebra generated by a, b and I as
+# its commutant, whose radical is noncommutative and contains a and b.
+PAIR_A = unit(1, 3) + unit(2, 4)
+PAIR_B = unit(3, 2) + unit(1, 4)
+PAIR_GROUP = [
+    ("p", RatMatrix.identity(4) + unit(1, 2) + unit(3, 4)),
+    ("q", RatMatrix.identity(4) + unit(1, 4)),
+]
+# One unipotent Jordan block of size 2: a noncommutative radical whose
+# sums of basis elements have nonzero squares.
+JORDAN_211 = [("j", RatMatrix.identity(4) + unit(1, 2))]
+
+
+def _radical_flags(radical):
+    """The flags that flag_from_nilpotent_* build from radical elements: the
+    basis and its pairwise sums and differences, as classify tries them, and
+    every noncommuting square-zero pair among those."""
+    basis = list(radical.basis)
+    cands = list(basis)
+    for x, y in combinations(basis, 2):
+        cands.extend([x + y, x - y])
+    element_flags, pair_flags = [], []
+    for a in cands:
+        if not (a * a).is_zero():
+            try:
+                element_flags.append(flag_from_nilpotent_element(a))
+            except CaseAnalysisError:
+                pass
+    square_zero = [a for a in cands if (a * a).is_zero()]
+    for x, y in combinations(square_zero, 2):
+        if x * y != y * x:
+            try:
+                pair_flags.append(flag_from_nilpotent_pair(x, y))
+            except CaseAnalysisError:
+                pass
+    return element_flags, pair_flags
+
+
+def test_constructions_are_invariant_by_construction():
+    """What the searches return verifies against the suspension without a
+    check of their own: the invariant that lets _finalize be the only gate.
+    The inputs are those of acceptance criterion 5 (the dimension-3 corpus
+    under unimodular conjugation), plus two groups with a noncommutative
+    radical so that the nilpotent flag constructions run."""
+    rng = random.Random(113)
+    names = ("dim3_torus_translations.json", "dim3_trivial_injective.json", "dim3_scalar_commutant.json")
+    sources = [(load_rep_file(CORPUS / name), False) for name in names] + [
+        (validate_rep(PAIR_GROUP, "projective-class", 3), True),
+        (validate_rep(JORDAN_211, "projective-class", 3), False),
+    ]
+    counts = dict(element=0, pair=0, search=0, rotational=0)
+    for base, holds_pair in sources:
+        for trial in range(4):
+            p = RatMatrix.identity(4) if trial == 0 else random_unimodular(rng, 4)
+            rep = conjugate_representation(base, p)
+            susp = benzecri_suspend(rep)
+            cent = centralizer_algebra(susp)
+            radical = dickson_radical(cent).radical
+            element_flags, pair_flags = _radical_flags(radical)
+            if holds_pair:
+                a, b = p * PAIR_A * p.inverse(), p * PAIR_B * p.inverse()
+                assert radical.contains(a) and radical.contains(b)
+                pair_flags.append(flag_from_nilpotent_pair(a, b))
+            certs = [InvariantFlagCertificate(f) for f in element_flags + pair_flags]
+            general = invariant_flag_search(susp, cent)
+            rot = find_rotational_element(cent)
+            certs += [InvariantFlagCertificate(general)] if general is not None else []
+            certs += [rot] if rot is not None else []
+            for cert in certs:
+                assert verify_certificate(susp, cert)
+            counts["element"] += len(element_flags)
+            counts["pair"] += len(pair_flags)
+            counts["search"] += general is not None
+            counts["rotational"] += rot is not None
+    assert all(counts.values()), counts

@@ -1,11 +1,13 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from holonomy import classify, cli, commutant, polys, representation
+from holonomy import classify, cli, commutant, fileio, polys, representation
 from holonomy.cli import main, run_batch
+from holonomy.commutant import RotationalElementCertificate
 from holonomy.fileio import (
     dumps_canonical,
     load_rep_file,
@@ -13,9 +15,12 @@ from holonomy.fileio import (
     rep_to_document,
     save_rep_file,
 )
+from holonomy.linalg import RatMatrix, image_of, kernel_of
 from holonomy.representation import ValidationError
 
 from helpers import CORPUS, passes_trace_screen, rotational_candidates
+
+DATA = Path(__file__).resolve().parent / "data"
 
 OPTIONS = {
     "format": "json",
@@ -266,7 +271,7 @@ def _count_calls(monkeypatch, owner, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (classify, cli, commutant, representation):
+    for module in (classify, cli, commutant, fileio, representation):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -301,6 +306,7 @@ def test_rotational_search_polynomials_only_for_screen_survivors(monkeypatch, ca
     found = []
 
     def tracked(a, rep=None, bound=2):
+        assert rep is None  # classify_dim3 leaves verification to _finalize
         searching.append(True)
         try:
             cert = search(a, rep, bound)
@@ -316,10 +322,41 @@ def test_rotational_search_polynomials_only_for_screen_survivors(monkeypatch, ca
     walk = list(rotational_candidates(cent, 2))
     survivors = [m for m in walk if passes_trace_screen(m)]
     assert len(calls) <= len(survivors)
-    # inside the search: one polynomial per survivor up to the find, and
-    # one more when verify_certificate re-checks it
+    # inside the search: one polynomial per survivor up to the find; the
+    # search does not verify the certificate, _finalize does
     up_to_find = walk[: walk.index(cert.element) + 1]
-    assert sum(calls) <= sum(map(passes_trace_screen, up_to_find)) + 1
+    assert sum(calls) == sum(map(passes_trace_screen, up_to_find))
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+@pytest.mark.parametrize(
+    "path", sorted(CORPUS.glob("*.json")) + sorted(DATA.glob("*.json")), ids=lambda p: p.stem
+)
+def test_each_certificate_is_verified_once(path, command, monkeypatch, capsys):
+    # classify verifies in _finalize and analyze in _analyze_one; the
+    # searches and build_report verify nothing
+    monkeypatch.delenv(cli.SEARCH_BOUND_ENV, raising=False)
+    verified = _count_calls(monkeypatch, commutant, "verify_certificate")
+    argv = [command, str(path)]
+    if command == "classify":
+        argv += ["--dim", str(json.loads(path.read_text(encoding="utf-8"))["dimension"])]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(verified) == len(report["certificates"])
+
+
+def test_analyze_refuses_an_unverifiable_certificate(monkeypatch, capsys):
+    # a rotation of the first two coordinates does not commute with the
+    # translations of dim2_translation_torus
+    j = RatMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    bogus = RotationalElementCertificate(j, image_of(j), kernel_of(j))
+    monkeypatch.setattr(cli, "find_rotational_element", lambda a, rep=None, bound=2: bogus)
+    with pytest.raises(
+        RuntimeError,
+        match="refusing to write a report with an unverifiable RotationalElementCertificate",
+    ):
+        main(["analyze", str(CORPUS / "dim2_translation_torus.json")])
+    assert capsys.readouterr().out == ""
 
 
 class TestWriteReport:
