@@ -74,6 +74,9 @@ DIM3_DISJUNCTION = "|".join(
 # and that upgrade certified solvability to DIM3_DISJUNCTION.
 _INJECTIVE_COMPACT = frozenset({"developing_map_injective", "compact"})
 
+# The integer radial shifts that zero_set_of_affine_field always tries.
+_SHIFT_LATTICE = (-2, -1, 1, 2)
+
 
 class CaseAnalysisError(ValueError):
     """A flag construction was fed data outside its exhaustive case split."""
@@ -131,9 +134,7 @@ def _solve_zero_set(f: AffineField) -> ZeroSet:
     return ZeroSet(null.dim, point, null)
 
 
-def zero_set_of_affine_field(
-    f: AffineField, lattice: tuple[int, ...] = (-2, -1, 1, 2)
-) -> ZeroSetAnalysis:
+def zero_set_of_affine_field(f: AffineField) -> ZeroSetAnalysis:
     """Zero set of an affine field, plus its radial-shift variants.
 
     The shifts f + c * (I, 0) are tried for c over the negated rational
@@ -148,7 +149,7 @@ def zero_set_of_affine_field(
         if fac.poly.degree == 1:
             eigen.append(-fac.poly.coeffs[0])
     shift_values = sorted(
-        (set(-e for e in eigen) | {Fraction(c) for c in lattice}) - {Fraction(0)}
+        (set(-e for e in eigen) | {Fraction(c) for c in _SHIFT_LATTICE}) - {Fraction(0)}
     )
     shifts = tuple((c, _solve_zero_set(f.shifted(c))) for c in shift_values)
     return ZeroSetAnalysis(base, shifts)
@@ -197,7 +198,7 @@ def flag_from_nilpotent_element(a: RatMatrix) -> Flag:
     onto themselves, so they are not checked here.
     """
     _require_m4(a, "a")
-    if any(characteristic_polynomial(a).coeffs[:-1]):  # nilpotent iff char = x^4
+    if any(characteristic_polynomial(a).num[:-1]):  # nilpotent iff char = x^4
         raise ValueError("matrix is not nilpotent")
     if (a * a).is_zero():
         raise ValueError("square vanishes: use the pair construction instead")

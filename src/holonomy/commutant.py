@@ -56,6 +56,12 @@ from .representation import (
 # bits; a generic pair passes thousands within seconds.
 _MAX_ENTRY_BITS = 256
 
+# Work bounds: idempotent witnesses kept and candidate elements tried, and
+# invariant subspaces harvested by the flag search (twice as many once
+# closed under sums and intersections).
+_MAX_WITNESSES, _MAX_CANDIDATES = 6, 80
+_FLAG_CANDIDATE_CAP = 48
+
 
 class ClosureError(ValueError):
     """Raised when an operation requires a product-closed algebra span."""
@@ -252,9 +258,7 @@ class Decomposition:
     idempotent_witnesses: tuple[RatMatrix, ...]
 
 
-def _idempotent_witnesses(
-    a: AlgebraBasis, max_witnesses: int = 6, max_candidates: int = 80
-) -> tuple[RatMatrix, ...]:
+def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     """Bounded search for idempotents e with e*e = e, e not in {0, I}.
 
     For each candidate element and each rational eigenvalue, the projection
@@ -270,8 +274,8 @@ def _idempotent_witnesses(
     witnesses: list[RatMatrix] = []
     seen: set[RatMatrix] = set()
     span = a.span
-    for m in candidates[:max_candidates]:
-        if len(witnesses) >= max_witnesses:
+    for m in candidates[:_MAX_CANDIDATES]:
+        if len(witnesses) >= _MAX_WITNESSES:
             break
         minp = minimal_polynomial(m)
         factors = factor_polynomial(minp)
@@ -280,8 +284,7 @@ def _idempotent_witnesses(
         for f in factors:
             if f.poly.degree != 1:
                 continue
-            lam = -f.poly.coeffs[0]
-            primary = Polynomial.x_minus(lam) ** f.multiplicity
+            primary = f.poly**f.multiplicity
             cofactor = minp.divmod(primary)[0]
             _, s, _ = poly_egcd(cofactor, primary)
             e = (s * cofactor).eval_matrix(m)
@@ -293,7 +296,7 @@ def _idempotent_witnesses(
                 continue
             witnesses.append(e)
             seen.add(e)
-            if len(witnesses) >= max_witnesses:
+            if len(witnesses) >= _MAX_WITNESSES:
                 break
     return tuple(witnesses)
 
@@ -325,7 +328,7 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
         rad_mats.append(m)
     radical = AlgebraBasis.from_span(rad_mats, a.ambient_dim)
     for r in radical.basis:
-        if any(characteristic_polynomial(r).coeffs[:-1]):  # nilpotent iff char = x^n
+        if any(characteristic_polynomial(r).num[:-1]):  # nilpotent iff char = x^n
             raise ClosureError("trace-form kernel contains a non-nilpotent element")
     rad_span = radical.span
     quotient_commutative = all(
@@ -421,11 +424,12 @@ Certificate = Union[
 
 
 def _is_rotational_minpoly(minp: Polynomial) -> bool:
+    # minp is monic, so its integer coefficients have the signs of its coefficients
     if minp.degree == 2:
-        c0, c1, _ = minp.coeffs
+        c0, c1, _ = minp.num
         return c1 == 0 and c0 > 0
     if minp.degree == 3:
-        c0, c1, c2, _ = minp.coeffs
+        c0, c1, c2, _ = minp.num
         return c0 == 0 and c2 == 0 and c1 > 0
     return False
 
@@ -528,15 +532,13 @@ def find_rotational_element(
     return None
 
 
-def _invariant_candidates(
-    gens: Sequence[RatMatrix], sources: Sequence[RatMatrix], size: int, cap: int
-) -> list[Subspace]:
+def _invariant_candidates(gens: Sequence[RatMatrix], sources: Sequence[RatMatrix], size: int) -> list[Subspace]:
     """Harvest kernels, images, and primary components of the sources, kept
     only when invariant under every generator."""
     seen: dict[Subspace, None] = {}
 
     def consider(s: Subspace):
-        if not 0 < s.dim < size or s in seen or len(seen) >= cap:
+        if not 0 < s.dim < size or s in seen or len(seen) >= _FLAG_CANDIDATE_CAP:
             return
         if all(s.apply(g) == s for g in gens):
             seen[s] = None
@@ -573,9 +575,7 @@ def _longest_chain(cands: list[Subspace]) -> list[Subspace]:
     return list(reversed(chain))
 
 
-def invariant_flag_search(
-    rep: Representation, cent: AlgebraBasis | None = None, cap: int = 48
-) -> Flag | None:
+def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None) -> Flag | None:
     """Search for a chain of subspaces invariant under every generator.
 
     Strategy: harvest kernels, images, and primary components of commutant
@@ -593,14 +593,14 @@ def invariant_flag_search(
     if cent is None:
         cent = matrix_centralizer(gens, size)
     sources = list(cent.basis) + gens
-    cands = _invariant_candidates(gens, sources, size, cap)
+    cands = _invariant_candidates(gens, sources, size)
     chain = _longest_chain(cands)
     if chain and len(chain) == size - 1:  # a strictly increasing chain this long is complete
         return Flag(tuple(chain))
     extra: dict[Subspace, None] = {s: None for s in cands}
     for a, b in combinations(list(cands), 2):
         for s in (a.intersect(b), a.add(b)):
-            if 0 < s.dim < size and s not in extra and len(extra) < 2 * cap:
+            if 0 < s.dim < size and s not in extra and len(extra) < 2 * _FLAG_CANDIDATE_CAP:
                 extra[s] = None
     chain = _longest_chain(list(extra))
     return Flag(tuple(chain)) if chain else None
@@ -768,10 +768,8 @@ def truncated_derived_series(
                 nxt[comm] = ba * bi * ai
         if stopped:
             break
-        levels.append(DerivedLevel(depth, len(pool), len(nxt), not nxt))
-        if not nxt:
-            verdict = "yes"
-            break
+        # the pool has a pair that does not commute, so nxt is not empty
+        levels.append(DerivedLevel(depth, len(pool), len(nxt), False))
         current = list(nxt.items())
     return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length, stopped)
 

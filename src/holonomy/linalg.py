@@ -186,30 +186,13 @@ class RatMatrix:
         p = c.numerator
         return RatMatrix.from_integer_form([[p * x for x in r] for r in self.num], self.den * c.denominator)
 
-    def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            return self.matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
+        return self.matmul(other)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         return RatMatrix.from_integer_form(integer_matmul(self.num, other.num), self.den * other.den)
-
-    def __pow__(self, k: int) -> "RatMatrix":
-        if not self.is_square or k < 0:
-            raise ValueError("power needs a square matrix and k >= 0")
-        out = RatMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:

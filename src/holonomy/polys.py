@@ -1,6 +1,10 @@
 """Rational polynomials: characteristic and minimal polynomials, complete
 factorization over Q, and primary decomposition into invariant subspaces.
 
+A polynomial is stored as its normalized integer form, as a `RatMatrix` is;
+its arithmetic runs on the integer coefficient lists that the factorization
+uses too, and `Polynomial.coeffs` is the `Fraction` view.
+
 Factorization is Zassenhaus's algorithm on integer coefficients: the
 squarefree part of the primitive integer polynomial is factored modulo a
 small prime by Berlekamp's algorithm, the modular factors are Hensel-lifted
@@ -14,24 +18,39 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from typing import Sequence
 
 from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, nullspace, primitive_part, rref, to_fraction
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficients lowest degree first; no trailing zeros; () is the zero polynomial."""
+    """Rational polynomial num / den in its normalized integer form: num the
+    integer coefficients, lowest degree first, without trailing zeros (() is
+    the zero polynomial), and den > 0 coprime to their content. The form is
+    unique, so == and hash compare integers. from_coeffs and
+    from_integer_form normalize; `coeffs` is the Fraction view."""
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def from_coeffs(cs) -> "Polynomial":
         cs = [to_fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        return Polynomial.from_integer_form([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @staticmethod
+    def from_integer_form(num: Sequence[int], den: int) -> "Polynomial":
+        """The polynomial num / den (den != 0), normalized."""
+        num = _trim(list(num))
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        return Polynomial(tuple(num), den)
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -39,62 +58,58 @@ class Polynomial:
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial.from_coeffs([1])
+        return Polynomial((1,))
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial.from_coeffs([0, 1])
+        return Polynomial((0, 1))
 
     @staticmethod
     def x_minus(c) -> "Polynomial":
         return Polynomial.from_coeffs([-to_fraction(c), 1])
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first; built on first use."""
+        return tuple([Fraction(x, self.den) for x in self.num])
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        inv = 1 / self.leading
-        return Polynomial.from_coeffs([c * inv for c in self.coeffs])
+        return Polynomial.from_integer_form(self.num, self.num[-1])
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, on the integer forms."""
+        den = lcm(self.den, other.den)
+        a = [x * (den // self.den) for x in self.num]
+        return Polynomial.from_integer_form(_add(a, other.num, sign * (den // other.den)), den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Polynomial":
         c = to_fraction(c)
-        return Polynomial.from_coeffs([c * a for a in self.coeffs])
+        return Polynomial.from_integer_form([c.numerator * x for x in self.num], self.den * c.denominator)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
+        return Polynomial.from_integer_form(_mul(self.num, other.num), self.den * other.den)
 
     def __pow__(self, k: int) -> "Polynomial":
         out = Polynomial.one()
@@ -103,21 +118,13 @@ class Polynomial:
         return out
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder. With self = a / da and other = b / db,
+        c a = q b + r in Z[x] gives self = (q db / (c da)) other + r / (c da)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and rem:
-            f = rem[-1] / lead
-            pos = len(rem) - 1 - d
-            quot[pos] = f
-            for i, c in enumerate(other.coeffs):
-                rem[pos + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
+        q, r, c = _pseudo_divmod(self.num, other.num)
+        quot = Polynomial.from_integer_form([x * other.den for x in q], c * self.den)
+        return quot, Polynomial.from_integer_form(r, c * self.den)
 
     def divides(self, other: "Polynomial") -> bool:
         return other.divmod(self)[1].is_zero
@@ -130,21 +137,20 @@ class Polynomial:
         return out
 
     def eval_matrix(self, m: RatMatrix) -> RatMatrix:
-        """p(m) by Horner's rule on integers: with m = N / d and coefficients
-        a_i / L, p(m) = (sum of a_i d^(k-i) N^i) / (L d^k), k the degree."""
+        """p(m) by Horner's rule on integers: with m = N / d and p = num / L,
+        p(m) = (sum of num_i d^(k-i) N^i) / (L d^k), k the degree."""
         if not m.is_square:
             raise ValueError("square matrix required")
         n = m.nrows
         num, d = m.integer_form
-        den = lcm(*[c.denominator for c in self.coeffs])
         acc = [[0] * n for _ in range(n)]
-        for i, c in enumerate(reversed(self.coeffs)):  # c = a_(k-i) / L
+        for i, a in enumerate(reversed(self.num)):  # a = num_(k-i)
             if i:
                 acc = integer_matmul(acc, num)
-            a = c.numerator * (den // c.denominator) * d**i
+            a *= d**i
             for r in range(n):
                 acc[r][r] += a
-        return RatMatrix.from_integer_form(acc, den * d ** max(self.degree, 0))
+        return RatMatrix.from_integer_form(acc, self.den * d ** max(self.degree, 0))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -186,7 +192,7 @@ def minimal_polynomial(m: RatMatrix) -> Polynomial:
     reduced against the echelon rows kept so far, by integer
     cross-multiplication, while its coefficients over the powers are
     tracked alongside. The first power that reduces to zero yields q with
-    q(N) = 0, and the minimal polynomial is q(d x) / d^deg(q).
+    q(N) = 0, and the minimal polynomial is q(d x) / (lc(q) d^deg(q)).
     """
     if not m.is_square:
         raise ValueError("square matrix required")
@@ -204,11 +210,8 @@ def minimal_polynomial(m: RatMatrix) -> Polynomial:
                 v = primitive_part(eliminate(v, row, p)[1])
         pivot = next((i for i in range(size) if v[i]), None)
         if pivot is None:
-            coeffs = v[size:]
-            lead = coeffs[k]
-            return Polynomial.from_coeffs(
-                [Fraction(c, lead * d ** (k - i)) for i, c in enumerate(coeffs[: k + 1])]
-            )
+            coeffs = v[size : size + k + 1]
+            return Polynomial.from_integer_form([c * d**i for i, c in enumerate(coeffs)], coeffs[k] * d**k)
         echelon.append((pivot, v))
         power = integer_matmul(power, num)
 
@@ -218,7 +221,7 @@ def characteristic_polynomial(m: RatMatrix) -> Polynomial:
     form m = N / d.
 
     For N the recursion's c_k are integers and each division by k is exact;
-    det(xI - N / d) = sum_k c_k x^(n-k) / d^k.
+    det(xI - N / d) = sum_k c_k d^(n-k) x^(n-k) / d^n.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
@@ -232,7 +235,7 @@ def characteristic_polynomial(m: RatMatrix) -> Polynomial:
         coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
-    return Polynomial.from_coeffs([Fraction(coeffs[k], d**k) for k in range(n, -1, -1)])
+    return Polynomial.from_integer_form([coeffs[k] * d ** (n - k) for k in range(n, -1, -1)], d**n)
 
 
 def char_min_poly(m: RatMatrix) -> tuple[Polynomial, Polynomial, int | None]:
@@ -240,10 +243,7 @@ def char_min_poly(m: RatMatrix) -> tuple[Polynomial, Polynomial, int | None]:
     the minimal polynomial is a pure power of x."""
     char = characteristic_polynomial(m)
     minp = minimal_polynomial(m)
-    nil_index: int | None = None
-    if all(c == 0 for c in minp.coeffs[:-1]):
-        nil_index = minp.degree
-    return char, minp, nil_index
+    return char, minp, None if any(minp.num[:-1]) else minp.degree
 
 
 @dataclass(frozen=True)
@@ -305,18 +305,31 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r[:d]) else q
 
 
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, c) with c a = q b + r and deg r < deg b in Z[x], for nonzero b,
+    by steps r <- lc(b) r - r_top x^(deg r - deg b) b; c is a power of lc(b)."""
+    r, d, lead = list(a), len(b) - 1, b[-1]
+    q = [0] * max(len(r) - d, 0)
+    c = 1
+    while len(r) > d:
+        top = r.pop()
+        pos = len(r) - d
+        if lead != 1:
+            r = [x * lead for x in r]
+            q = [x * lead for x in q]
+            c *= lead
+        q[pos] = top
+        for j in range(d):
+            r[pos + j] -= top * b[j]
+        _trim(r)
+    return q, r, c
+
+
 def _gcd_z(a: list[int], b: list[int]) -> list[int]:
     """A primitive gcd of the primitive a and b (b nonzero) in Z[x], by the
     primitive polynomial remainder sequence."""
     while b:
-        r, d = list(a), len(b) - 1
-        while len(r) > d:  # r <- lc(b) r - r_top x^(deg r - d) b
-            top = r[-1]
-            r = [x * b[-1] for x in r[:-1]]
-            for j in range(d):
-                r[len(r) - d + j] -= top * b[j]
-            _trim(r)
-        a, b = b, primitive_part(r)
+        a, b = b, primitive_part(_pseudo_divmod(a, b)[1])
     return a
 
 
@@ -470,8 +483,8 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
 
 def factor_polynomial(p: Polynomial) -> list[PolyFactor]:
     """Factor a nonzero rational polynomial completely over Q: its monic
-    irreducible factors with their multiplicities, sorted by (degree,
-    coefficients).
+    irreducible factors with their multiplicities, sorted by degree and then
+    by the values of the coefficients, lowest degree first.
 
     The primitive integer multiple f of p is reduced to its squarefree part
     f / gcd(f, f'), which is factored by _factor_squarefree; each factor's
@@ -479,8 +492,7 @@ def factor_polynomial(p: Polynomial) -> list[PolyFactor]:
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    den = lcm(*[c.denominator for c in p.coeffs])
-    f = primitive_part([c.numerator * (den // c.denominator) for c in p.coeffs])
+    f = primitive_part(list(p.num))
     if len(f) == 1:
         return []
     squarefree = _exact_quotient(f, _gcd_z(f, primitive_part(_derivative(f))))
@@ -489,8 +501,10 @@ def factor_polynomial(p: Polynomial) -> list[PolyFactor]:
         mult = 0
         while (q := _exact_quotient(f, g)) is not None:
             f, mult = q, mult + 1
-        out.append(PolyFactor(Polynomial.from_coeffs([Fraction(c, g[-1]) for c in g]), mult))
-    return sorted(out, key=lambda f: (f.poly.degree, f.poly.coeffs))
+        out.append(PolyFactor(Polynomial.from_integer_form(g, g[-1]), mult))
+    # the value order of the coefficients, read on one common denominator
+    den = lcm(*[f.poly.den for f in out])
+    return sorted(out, key=lambda f: (f.poly.degree, [x * (den // f.poly.den) for x in f.poly.num]))
 
 
 @dataclass(frozen=True)

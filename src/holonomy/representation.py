@@ -30,6 +30,10 @@ KIND_PROJECTIVE = "projective-class"
 KINDS = (KIND_LINEAR, KIND_AFFINE, KIND_PROJECTIVE)
 
 
+_MAX_LIFT_SELECTIONS = 64  # sign selections lift_to_sphere enumerates at most
+_DECK_LABEL = "deck"  # the suspension's central generator
+
+
 class ValidationError(ValueError):
     """Raised when raw input does not form a valid representation."""
 
@@ -160,7 +164,7 @@ def validate_rep(
     return Representation(dimension, kind, tuple(gens), assumptions or AssumptionSet())
 
 
-def lift_to_sphere(rep: Representation, max_selections: int = 64) -> list[Representation]:
+def lift_to_sphere(rep: Representation) -> list[Representation]:
     """All sphere lifts of a projective-class representation.
 
     Each generator class has the two lifts g and -g (g canonical); the result
@@ -173,8 +177,8 @@ def lift_to_sphere(rep: Representation, max_selections: int = 64) -> list[Repres
     if rep.kind != KIND_PROJECTIVE:
         raise ValidationError("kind must be projective-class")
     k = len(rep.generators)
-    if 2**k > max_selections:
-        raise ValidationError(f"{2**k} lift selections exceed max_selections={max_selections}")
+    if 2**k > _MAX_LIFT_SELECTIONS:
+        raise ValidationError(f"{2**k} lift selections exceed max_selections={_MAX_LIFT_SELECTIONS}")
     out = []
     for signs in product((1, -1), repeat=k):
         gens = [
@@ -218,7 +222,6 @@ def benzecri_suspend(
     rep: Representation,
     lift_signs: tuple[int, ...] | None = None,
     factor: Fraction | int = 2,
-    deck_label: str = "deck",
 ) -> Representation:
     """Benzecri suspension at the holonomy level.
 
@@ -241,7 +244,7 @@ def benzecri_suspend(
         Generator(g.label, g.matrix if s == 1 else -g.matrix)
         for s, g in zip(signs, rep.generators)
     ]
-    gens.append(Generator(deck_label, RatMatrix.identity(size).scale(factor)))
+    gens.append(Generator(_DECK_LABEL, RatMatrix.identity(size).scale(factor)))
     return Representation(size, KIND_LINEAR, tuple(gens), rep.assumptions)
 
 
@@ -259,9 +262,6 @@ class AffineField:
     @property
     def dim(self) -> int:
         return self.linear_part.nrows
-
-    def value_at(self, x: Vec) -> Vec:
-        return tuple(a + b for a, b in zip(self.linear_part.apply(x), self.constant_part))
 
     def shifted(self, c) -> "AffineField":
         """Add c times the radial field x -> x."""

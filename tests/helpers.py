@@ -7,9 +7,11 @@ permutation sum, and the quotient-semisimplicity check uses the regular
 representation's trace form instead of the matrix trace form. The
 unscreened rotational walk is the rotational search as it was before the
 trace screen, the pair-loop probe is the derived-series probe as it was
-before commuting levels were settled from a basis, and the Fraction affine
+before commuting levels were settled from a basis, the Fraction affine
 fields are invariant_affine_fields as it was before it read its kernel off
-the integer RREF, to check that no shortcut changes a result.
+the integer RREF, and FractionPolynomial is Polynomial's arithmetic as it
+was before polynomials were stored in their integer form, to check that no
+shortcut changes a result.
 """
 
 from __future__ import annotations
@@ -131,18 +133,92 @@ def centralizer_oracle(mats: list[RatMatrix], size: int) -> Subspace:
     return Subspace.span(basis, size * size)
 
 
+class FractionPolynomial:
+    """Plain Fraction coefficients, lowest degree first, no trailing zeros."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def monic(self) -> "FractionPolynomial":
+        return FractionPolynomial([c / self.coeffs[-1] for c in self.coeffs]) if self.coeffs else self
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        pad = lambda cs: list(cs) + [Fraction(0)] * (n - len(cs))
+        return FractionPolynomial([a + b for a, b in zip(pad(self.coeffs), pad(other.coeffs))])
+
+    def scale(self, c) -> "FractionPolynomial":
+        return FractionPolynomial([c * a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        d = other.degree
+        quot = [Fraction(0)] * max(0, len(rem) - d)
+        while rem and len(rem) - 1 >= d:
+            f = rem[-1] / other.coeffs[-1]
+            pos = len(rem) - 1 - d
+            quot[pos] = f
+            for i, c in enumerate(other.coeffs):
+                rem[pos + i] -= f * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FractionPolynomial(quot), FractionPolynomial(rem)
+
+    def egcd(self, other):
+        """g, s, t with s*self + t*other = g and g monic (or zero)."""
+        r0, r1 = self, other
+        s0, s1 = FractionPolynomial([1]), FractionPolynomial([])
+        t0, t1 = FractionPolynomial([]), FractionPolynomial([1])
+        while not r1.is_zero:
+            q, r = r0.divmod(r1)
+            r0, r1, s0, s1, t0, t1 = r1, r, s1, s0 - q * s1, t1, t0 - q * t1
+        if r0.is_zero:
+            return r0, s0, t0
+        inv = 1 / r0.coeffs[-1]
+        return r0.monic(), s0.scale(inv), t0.scale(inv)
+
+    def eval_matrix(self, rows) -> list[list[Fraction]]:
+        """p(m) by Horner's rule on the Fraction rows of m."""
+        n = len(rows)
+        acc = [[Fraction(0)] * n for _ in range(n)]
+        for c in reversed(self.coeffs):
+            acc = [[sum((a * rows[k][j] for k, a in enumerate(r)), Fraction(0)) for j in range(n)] for r in acc]
+            for i in range(n):
+                acc[i][i] += c
+        return acc
+
+
 def charpoly_oracle(m: RatMatrix) -> Polynomial:
-    """det(xI - A) by the Leibniz permutation expansion over Q[x]."""
+    """det(xI - A) by the Leibniz permutation expansion over Q[x], in
+    FractionPolynomial arithmetic."""
     n = m.nrows
-    x = Polynomial.x()
+    x = FractionPolynomial([0, 1])
     entries = [
-        [
-            (x if i == j else Polynomial.zero()) - Polynomial.from_coeffs([m.rows[i][j]])
-            for j in range(n)
-        ]
+        [(x if i == j else FractionPolynomial([])) - FractionPolynomial([m.rows[i][j]]) for j in range(n)]
         for i in range(n)
     ]
-    total = Polynomial.zero()
+    total = FractionPolynomial([])
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -157,11 +233,11 @@ def charpoly_oracle(m: RatMatrix) -> Polynomial:
                 length += 1
             if length % 2 == 0:
                 sign = -sign
-        term = Polynomial.one()
+        term = FractionPolynomial([1])
         for i in range(n):
             term = term * entries[i][perm[i]]
         total = total + (term if sign == 1 else term.scale(-1))
-    return total
+    return Polynomial.from_coeffs(total.coeffs)
 
 
 def algebra_closure_of(mats: list[RatMatrix], size: int, include_identity: bool) -> AlgebraBasis:

@@ -1,13 +1,18 @@
 """Corpus CLI reports must stay byte-identical.
 
 tests/golden/ holds the JSON and text classify and analyze reports of
-every corpus document and of the documents in tests/data/, conjugated
-corpus groups whose certificates contain non-integer fractions. The
-corpus JSON reports and the text classify reports
+every corpus document and of the documents in tests/data/: conjugated
+corpus groups whose certificates contain non-integer fractions, and two
+single generators, J3(1) + [1] and J3(1) + [2], whose dimension-3
+classifications reach the noncommutative-radical flag and the zero set of
+dimension 2 meeting the field's image in a line, branches no corpus
+document reaches. The corpus JSON reports and the text classify reports
 were captured before the exact kernels moved to integer rows, the text
-analyze reports before the classify pipeline was merged, and the
-tests/data reports before subspaces moved to integer rows. An output change shows up here as a byte
-difference; an intended one replaces the snapshot in the same change.
+analyze reports before the classify pipeline was merged, the conjugated
+tests/data reports before subspaces moved to integer rows, and the
+J3(1) reports before polynomials moved to integer coefficients. An
+output change shows up here as a byte difference; an intended one
+replaces the snapshot in the same change.
 """
 
 import contextlib

@@ -1,15 +1,17 @@
 """The integer-row kernels against independent Fraction oracles.
 
 rref, det, matmul, apply, add/scale, Subspace.reduce, minimal_polynomial,
-characteristic_polynomial and Polynomial.eval_matrix run on integer
+characteristic_polynomial and Polynomial's arithmetic run on integer
 numerators over common denominators, and Subspace stores integer RREF
 rows; each is checked here against a plain Fraction computation or one of the
 oracles in helpers.py, on inputs with non-integer entries, zero rows,
-empty inputs and 1 x n shapes. RatMatrix stores its normalized integer
-form, so its == and hash are checked against Fraction-row equality, and
-the derived-series probe's entry-size budget against reduced entries.
+empty inputs and 1 x n shapes. RatMatrix and Polynomial store their
+normalized integer forms, so their == and hash are checked against
+Fraction equality, and the derived-series probe's entry-size budget
+against reduced entries.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 
 from holonomy.commutant import truncated_derived_series
 from holonomy.linalg import RatMatrix, Subspace, rref, rref_kernel_image
-from holonomy.polys import Polynomial, characteristic_polynomial, minimal_polynomial
+from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynomial, minimal_polynomial, poly_egcd
 from holonomy.representation import validate_rep
 
-from helpers import brute_force_nullspace, charpoly_oracle, fraction_rref
+from helpers import FractionPolynomial, brute_force_nullspace, charpoly_oracle, fraction_rref
 
 entries = st.one_of(
     st.integers(-5, 5).map(Fraction),
@@ -304,6 +306,78 @@ class TestEvalMatrix:
     @settings(max_examples=150, deadline=None)
     def test_against_fraction_horner(self, p, m):
         assert [list(r) for r in p.eval_matrix(m).rows] == fraction_horner(p, m)
+
+
+polynomial_coeffs = st.lists(st.one_of(st.just(Fraction(0)), entries), max_size=6)
+
+
+def is_normalized_poly(p: Polynomial) -> bool:
+    return p.den > 0 and gcd(p.den, *p.num) == 1 and (not p.num or p.num[-1] != 0)
+
+
+class TestPolynomialIntegerForm:
+    """Polynomial stores num / den; its arithmetic must agree with the plain
+    Fraction arithmetic it replaced, and its form must be unique."""
+
+    @given(polynomial_coeffs, polynomial_coeffs, square(max_n=3))
+    @example([], [], RatMatrix.zeros(1, 1))
+    @example([Fraction(1, 2), 0, Fraction(-3, 4)], [Fraction(2, 3), Fraction(-6)], RatMatrix.identity(2))
+    @example([1, 2, 1], [Fraction(-1, 3), Fraction(-1, 3)], RatMatrix.from_rows([[Fraction(1, 2)]]))
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_agrees_with_fraction_reference(self, ca, cb, m):
+        a, b = Polynomial.from_coeffs(ca), Polynomial.from_coeffs(cb)
+        ra, rb = FractionPolynomial(ca), FractionPolynomial(cb)
+        results = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (a.monic(), ra.monic())]
+        if not b.is_zero:
+            results += zip(a.divmod(b), ra.divmod(rb))
+        results += zip(poly_egcd(a, b), ra.egcd(rb))
+        for got, want in results:
+            assert got.coeffs == want.coeffs
+            assert is_normalized_poly(got)
+        assert [list(r) for r in a.eval_matrix(m).rows] == ra.eval_matrix([list(r) for r in m.rows])
+
+    @given(polynomial_coeffs, st.integers(1, 6), st.integers(0, 3), st.fractions(-3, 3, max_denominator=5))
+    @example([], 5, 2, Fraction(0))
+    @example([Fraction(-1, 2), Fraction(3, 4), Fraction(5)], 4, 1, Fraction(-2, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_polynomials_built_differently_compare_and_hash_equal(self, cs, k, zeros, c):
+        base = Polynomial.from_coeffs(cs)
+        # a common denominator that is not the least one, of either sign
+        den = k * lcm(*[x.denominator for x in cs])
+        num = [int(x * den) for x in cs] + [0] * zeros
+        builds = [
+            base,
+            Polynomial.from_coeffs(list(cs) + [0] * zeros),
+            Polynomial.from_coeffs([str(x) for x in cs]),
+            Polynomial.from_coeffs(base.coeffs),
+            Polynomial.from_integer_form(num, den),
+            Polynomial.from_integer_form([-x for x in num], -den),
+            base + Polynomial.zero(),
+            base * Polynomial.one(),
+        ]
+        if c:
+            builds.append(base.scale(c).scale(1 / c))
+        for p in builds:
+            assert is_normalized_poly(p)
+            assert (p.num, p.den) == (base.num, base.den)
+            assert p == base and hash(p) == hash(base)
+            assert p.coeffs == FractionPolynomial(cs).coeffs
+        assert [f.name for f in dataclasses.fields(Polynomial)] == ["num", "den"]
+        assert all(type(x) is Fraction for x in base.coeffs) and base.coeffs is base.coeffs
+
+    def test_kernels_and_arithmetic_build_no_fraction(self, monkeypatch):
+        m = RatMatrix.from_rows([[Fraction(1, 2), 3, 0], [0, Fraction(-2, 5), 1], [1, 0, 2]])
+        a = Polynomial.from_coeffs([Fraction(1, 2), 0, Fraction(-3, 4)])
+        b = Polynomial.from_coeffs([Fraction(2, 3), 5])
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        minp, char = minimal_polynomial(m), characteristic_polynomial(m * m)
+        factors = factor_polynomial(char * minp * a.monic())
+        a + b, a - b, a.divmod(b), minp.eval_matrix(m)
+        monkeypatch.undo()
+        assert built == []
+        assert len(factors) >= 2
 
 
 def rectangular():

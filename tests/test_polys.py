@@ -108,6 +108,18 @@ class TestFactorization:
         [f] = factor_polynomial(p)
         assert (f.poly, f.multiplicity) == (poly(Fraction(12, 11), 1), 4)
 
+    def test_factors_sort_by_coefficient_values(self):
+        # by value x - 2 < x + 1/3 < x + 1/2 < x + 2/3, while the integer
+        # forms (-2, 1)/1, (1, 3)/3, (1, 2)/2 and (2, 3)/3 would put x + 1/2
+        # before x + 1/3; the order decides which idempotents the capped
+        # witness search keeps
+        linear = [poly(Fraction(1, 2), 1), poly(Fraction(2, 3), 1), poly(-2, 1), poly(Fraction(1, 3), 1)]
+        p = linear[0] * linear[1] * linear[2] * linear[3] * poly(1, 0, 1)
+        factors = [f.poly for f in factor_polynomial(p)]
+        assert factors == [poly(-2, 1), poly(Fraction(1, 3), 1), poly(Fraction(1, 2), 1),
+                           poly(Fraction(2, 3), 1), poly(1, 0, 1)]
+        assert factors == [f for f, _ in sympy_factors(p)]
+
     def test_large_constant_quartic_splits(self):
         # (x^2+x+300)(x^2+x+420) has constant term 126000; a search cut at a
         # fixed lattice size once kept only b = 1 here and returned the

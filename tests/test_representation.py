@@ -84,6 +84,13 @@ class TestLiftToSphere:
         rep = validate_rep(gens, "projective-class", 1)
         assert len(lift_to_sphere(rep)) == 4
 
+    def test_selection_count_is_bounded(self):
+        gens = [(f"g{i}", frac_rows([[1, i], [0, 1]])) for i in range(7)]
+        rep = validate_rep(gens, "projective-class", 1)
+        assert len(lift_to_sphere(validate_rep(gens[:6], "projective-class", 1))) == 64
+        with pytest.raises(ValidationError, match="128 lift selections exceed max_selections=64"):
+            lift_to_sphere(rep)
+
     def test_diagonal_sign_pair(self):
         m = frac_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
         rep = validate_rep([("s", m)], "projective-class", 3)
