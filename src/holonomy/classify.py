@@ -4,10 +4,12 @@ The classifiers suspend the input to a radiant linear representation,
 compute the commutant model of the automorphism algebra, and walk a case
 analysis: a non-solvability probe through rotational elements, flag
 constructions from a noncommutative nilpotent radical, and a zero-set
-dimension analysis in the commutative case. Every verdict carries
-re-verifiable certificates and the list of declared geometric assumptions
-it consumed; Undetermined is always a legal outcome and is preferred to an
-unverified claim.
+dimension analysis in the commutative case. The invariant fields of the
+suspension are linear, so each zero set there is an eigenspace Ker(x + c I)
+of a centralizer element x, for c = 0 or c = -lam over the nonzero rational
+eigenvalues lam of x. Every verdict carries re-verifiable certificates and
+the list of declared geometric assumptions it consumed; Undetermined is
+always a legal outcome and is preferred to an unverified claim.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .linalg import (
     Subspace,
     Vec,
     image_of,
-    is_zero_vec,
     kernel_of,
     numerator_vector,
     restrict_to_subspace,
@@ -73,9 +74,6 @@ DIM3_DISJUNCTION = "|".join(
 # The declarations that every zero-set analysis resting on geometry needs,
 # and that upgrade certified solvability to DIM3_DISJUNCTION.
 _INJECTIVE_COMPACT = frozenset({"developing_map_injective", "compact"})
-
-# The integer radial shifts that zero_set_of_affine_field always tries.
-_SHIFT_LATTICE = (-2, -1, 1, 2)
 
 
 class CaseAnalysisError(ValueError):
@@ -117,14 +115,6 @@ class ZeroSetAnalysis:
     base: ZeroSet
     shifts: tuple[tuple[Fraction, ZeroSet], ...]
 
-    def first_nonempty(self) -> tuple[Fraction, ZeroSet] | None:
-        if not self.base.is_empty:
-            return Fraction(0), self.base
-        for c, zs in self.shifts:
-            if not zs.is_empty:
-                return c, zs
-        return None
-
 
 def _solve_zero_set(f: AffineField) -> ZeroSet:
     res = solve_linear(f.linear_part, tuple(-c for c in f.constant_part))
@@ -137,19 +127,21 @@ def _solve_zero_set(f: AffineField) -> ZeroSet:
 def zero_set_of_affine_field(f: AffineField) -> ZeroSetAnalysis:
     """Zero set of an affine field, plus its radial-shift variants.
 
-    The shifts f + c * (I, 0) are tried for c over the negated rational
-    eigenvalues of the linear part (the shifts that can produce a
-    positive-dimensional zero set) and over a small integer lattice (which
-    restores solvability when the linear part is too degenerate, e.g. a
-    pure translation field).
+    The shifts f + c * (I, 0) are tried, in increasing order, for c = -lam
+    over the nonzero rational eigenvalues lam of the linear part L: the
+    constant terms of the monic linear factors of its characteristic
+    polynomial. These are the shifts that give a positive-dimensional zero
+    set; for any other c, L + c I is invertible, so the zero set of a
+    linear field (constant part 0) shifted by c is the origin alone.
     """
     base = _solve_zero_set(f)
-    eigen = []
-    for fac in factor_polynomial(characteristic_polynomial(f.linear_part)):
-        if fac.poly.degree == 1:
-            eigen.append(-fac.poly.coeffs[0])
     shift_values = sorted(
-        (set(-e for e in eigen) | {Fraction(c) for c in _SHIFT_LATTICE}) - {Fraction(0)}
+        {
+            fac.poly.coeffs[0]
+            for fac in factor_polynomial(characteristic_polynomial(f.linear_part))
+            if fac.poly.degree == 1
+        }
+        - {0}
     )
     shifts = tuple((c, _solve_zero_set(f.shifted(c))) for c in shift_values)
     return ZeroSetAnalysis(base, shifts)
@@ -227,10 +219,6 @@ def _independent_of(mats: list[RatMatrix], m: RatMatrix) -> bool:
     return not span.contains(numerator_vector(m))
 
 
-def _restriction_is_zero(m: RatMatrix, s: Subspace) -> bool:
-    return all(is_zero_vec(m.apply(b)) for b in s.basis)
-
-
 def _square_zero_elements(radical: AlgebraBasis) -> list[RatMatrix]:
     """One nonzero square-zero element per radical basis element n: n when
     n^2 = 0, else n^2 (a nilpotent matrix of size at most 4 has n^4 = 0)."""
@@ -248,11 +236,11 @@ def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
         if not _independent_of([ident, xt], y):
             continue
         # a radial shift killing a scalar restriction keeps the field
-        # independent and moves it into the vanishing-restriction case
+        # independent and makes it vanish on u; a non-scalar restriction
+        # is nonzero, so this is the only way to reach the vanishing case
         restriction = restrict_to_subspace(y, u)
         if restriction.is_scalar():
             y = y - ident.scale(restriction.rows[0][0])
-        if _restriction_is_zero(y, u):
             v = image_of(xt)
             w = image_of(y)
             if v.dim == 1 and w.dim == 1 and v.is_subspace_of(u) and w.is_subspace_of(u) and v != w:
@@ -277,33 +265,7 @@ def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
     return assumed
 
 
-def _equal_diagonal_blocks(xt: RatMatrix, u: Subspace, susp: Representation) -> bool:
-    """In a basis (u1, u2, w1, w2) with xt(wi) = ui, check that every
-    generator is block upper triangular with equal diagonal blocks."""
-    cols = list(u.basis)
-    for b in u.basis:
-        res = solve_linear(xt, b)
-        if res is None:
-            return False
-        cols.append(res[0])
-    p = RatMatrix.from_rows(cols).transpose()
-    if p.det() == 0:
-        return False
-    pinv = p.inverse()
-    for g in susp.matrices:
-        h = pinv * g * p
-        for i in range(2, 4):
-            for j in range(2):
-                if h.rows[i][j] != 0:
-                    return False
-        if any(h.rows[i][j] != h.rows[i + 2][j + 2] for i in range(2) for j in range(2)):
-            return False
-    return True
-
-
-def _zero_dim2_case(
-    xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix], susp: Representation
-) -> _BranchResult | None:
+def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult | None:
     ident = RatMatrix.identity(4)
     im = image_of(xt)
     inter = u.intersect(im)
@@ -316,14 +278,22 @@ def _zero_dim2_case(
             ],
         )
     if u == im:
-        notes = [
-            "zero set equals the image of the field: commuting matrices are block"
-            " upper triangular with equal diagonal blocks in an adapted basis, and"
-            " the diagonal action lies in the holonomy of a closed surface"
-        ]
-        if _equal_diagonal_blocks(xt, u, susp):
-            notes.append("equal-diagonal-block form verified in an adapted basis")
-        return _BranchResult(None, certificates=[InvariantSubspaceCertificate(u)], notes=notes)
+        # U = Im(xt), so some wi has xt(wi) = ui, and in the basis
+        # (u1, u2, w1, w2) xt = [[0, I], [0, 0]]; g = [[A, B], [C, D]]
+        # commutes with it iff C = 0 and D = A. Every generator of the
+        # suspension commutes with every xt that reaches here, so the
+        # equal-block form holds without a check.
+        return _BranchResult(
+            None,
+            certificates=[InvariantSubspaceCertificate(u)],
+            notes=[
+                "zero set equals the image of the field: commuting matrices are"
+                " block upper triangular with equal diagonal blocks in an adapted"
+                " basis, and the diagonal action lies in the holonomy of a closed"
+                " surface",
+                "equal-diagonal-block form verified in an adapted basis",
+            ],
+        )
     # complementary case: R^4 = U + Im(xt)
     rx = restrict_to_subspace(xt, im)
     for y in lin_parts:
@@ -367,11 +337,7 @@ def _zero_dim2_case(
 
 
 def _zero_dim1_case(
-    xt: RatMatrix,
-    u: Subspace,
-    lin_parts: list[RatMatrix],
-    susp: Representation,
-    decomp: Decomposition,
+    xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix], decomp: Decomposition
 ) -> _BranchResult | None:
     ident = RatMatrix.identity(4)
     discrepancy = (
@@ -390,7 +356,7 @@ def _zero_dim1_case(
         if k.dim == 3:
             sub = _zero_dim3_case(a, k, lin_parts)
         elif k.dim == 2:
-            sub = _zero_dim2_case(a, k, lin_parts, susp)
+            sub = _zero_dim2_case(a, k, lin_parts)
         if sub is not None:
             sub.certificates.append(InvariantSubspaceCertificate(u))
             sub.notes.insert(0, discrepancy)
@@ -398,11 +364,7 @@ def _zero_dim1_case(
     return None
 
 
-def _commutative_branch(
-    cent: AlgebraBasis,
-    susp: Representation,
-    decomp: Decomposition,
-) -> _BranchResult | None:
+def _commutative_branch(cent: AlgebraBasis, decomp: Decomposition) -> _BranchResult | None:
     # The invariant affine fields of the suspension are (x, 0) for x in the
     # centralizer: invariance under the central generator k * I, k != 1,
     # forces k c = c for the constant part c.
@@ -416,7 +378,8 @@ def _commutative_branch(
         analysis = zero_set_of_affine_field(f)
         variants = [(Fraction(0), analysis.base)] + list(analysis.shifts)
         for shift, zs in variants:
-            # f and its shifts are (y, 0), so zs is never empty and passes the origin
+            # f and its shifts are (y, 0), so zs is the eigenspace Ker y: never
+            # empty, and the origin alone only for the base of an invertible x
             if zs.dim not in (1, 2, 3):
                 continue
             u = zs.direction_space
@@ -424,9 +387,9 @@ def _commutative_branch(
             if zs.dim == 3:
                 res = _zero_dim3_case(xt, u, lin_parts)
             elif zs.dim == 2:
-                res = _zero_dim2_case(xt, u, lin_parts, susp)
+                res = _zero_dim2_case(xt, u, lin_parts)
             else:
-                res = _zero_dim1_case(xt, u, lin_parts, susp, decomp)
+                res = _zero_dim1_case(xt, u, lin_parts, decomp)
             if res is None:
                 continue
             if res.flag is not None:
@@ -513,11 +476,7 @@ def _suspension_data(
     return susp, cent, dickson_radical(cent)
 
 
-def classify_dim2(
-    rep: Representation,
-    assumptions: AssumptionSet | None = None,
-    suspension_factor=2,
-) -> Outcome:
+def classify_dim2(rep: Representation, suspension_factor=2) -> Outcome:
     """Two-dimensional classification.
 
     With a nondiscrete automorphism model the holonomy fixes a projective
@@ -529,7 +488,7 @@ def classify_dim2(
         raise ValidationError("kind must be projective-class")
     if rep.dimension != 2:
         raise ValidationError("dimension must be 2")
-    asmp = assumptions if assumptions is not None else rep.assumptions
+    asmp = rep.assumptions
     susp, cent, decomp = _suspension_data(rep, suspension_factor)
     notes: list[str] = []
     if cent.dim - 1 < 1:
@@ -586,12 +545,7 @@ def classify_dim2(
     return _finalize(rep, cent, decomp, branch, CONCLUSION_UNDETERMINED, certificates, set(), notes)
 
 
-def classify_dim3(
-    rep: Representation,
-    assumptions: AssumptionSet | None = None,
-    suspension_factor=2,
-    search_bound: int = 2,
-) -> Outcome:
+def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 2) -> Outcome:
     """Three-dimensional classification pipeline.
 
     (a) suspend; (b) require an automorphism model of dimension >= 2;
@@ -606,7 +560,7 @@ def classify_dim3(
         raise ValidationError("kind must be projective-class")
     if rep.dimension != 3:
         raise ValidationError("dimension must be 3")
-    asmp = assumptions if assumptions is not None else rep.assumptions
+    asmp = rep.assumptions
     susp, cent, decomp = _suspension_data(rep, suspension_factor)
     notes: list[str] = []
     certificates: list[Certificate] = []
@@ -661,7 +615,7 @@ def classify_dim3(
         notes.extend(extra)
     elif cent.is_commutative():
         branch = BRANCH_COMMUTATIVE
-        res = _commutative_branch(cent, susp, decomp)
+        res = _commutative_branch(cent, decomp)
         if res is not None:
             certificates.extend(res.certificates)
             notes.extend(res.notes)

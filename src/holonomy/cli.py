@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 
@@ -28,8 +27,6 @@ from .commutant import (
     verify_certificate,
 )
 from .representation import KIND_PROJECTIVE, Representation, ValidationError, benzecri_suspend
-
-SEARCH_BOUND_ENV = "HOLONOMY_SEARCH_BOUND"
 
 
 def _summarize_algebra(algebra, decomp) -> dict:
@@ -131,18 +128,9 @@ def run_batch(paths, command: str, options: dict, stdout=None) -> int:
     validation error. Undetermined classification outcomes are not failures.
     """
     stdout = stdout if stdout is not None else sys.stdout
-    options = dict(options)
-    env_bound = os.environ.get(SEARCH_BOUND_ENV)
-    if env_bound is not None:
-        try:
-            options["search_bound"] = int(env_bound)
-        except ValueError:
-            print(f"error: {SEARCH_BOUND_ENV} must be an integer, got {env_bound!r}", file=sys.stderr)
-            return 1
     try:
         if options["search_bound"] < 0:
-            source = SEARCH_BOUND_ENV if env_bound is not None else "--search-bound"
-            raise ValidationError(f"{source} must be at least 0, got {options['search_bound']}")
+            raise ValidationError(f"--search-bound must be at least 0, got {options['search_bound']}")
         if command == "analyze":
             for key in ("commutator_depth", "max_word_length"):
                 if options[key] < 1:
@@ -204,8 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--search-bound", type=int, default=2,
-                       help="coefficient bound for the rotational-element search (default 2; "
-                       f"overridden by ${SEARCH_BOUND_ENV})")
+                       help="coefficient bound for the rotational-element search (default 2)")
         p.add_argument("--format", choices=["json", "text"], default="json",
                        help="report format (default json)")
 

@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     Vec,
     eliminate,
+    image_of,
     is_zero_vec,
     matrix_from_vec,
     nullspace,
@@ -550,7 +551,11 @@ def _invariant_candidates(gens: Sequence[RatMatrix], sources: Sequence[RatMatrix
             consider(s)
         for comp in primary_decomposition(m):
             consider(comp.subspace)
-            for s in rref_kernel_image(comp.factor.eval_matrix(m))[2:]:
+            fm = comp.factor.eval_matrix(m)
+            if comp.multiplicity == 1:  # Ker f(m) is the component itself
+                consider(image_of(fm))
+                continue
+            for s in rref_kernel_image(fm)[2:]:
                 consider(s)
     return list(seen)
 

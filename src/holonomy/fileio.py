@@ -125,10 +125,14 @@ def load_rep_file(path) -> Representation:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"{p}: cannot read file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValidationError(f"{p}: JSON nested too deeply to parse") from None
     try:
         return rep_from_document(doc)
     except ValidationError as exc:

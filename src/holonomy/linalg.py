@@ -469,12 +469,16 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
 
 
 def restrict_to_subspace(m: RatMatrix, s: Subspace) -> RatMatrix:
-    """Matrix of m restricted to an m-invariant subspace, in its canonical basis."""
+    """Matrix of m restricted to an m-invariant subspace, in its canonical basis.
+
+    Basis vector i is 1 at its own pivot and 0 at the other pivots, so a
+    vector w of s is the sum of w[p_i] times basis vector i: its coordinates
+    are read off at the pivots. Raises ValueError when s is not invariant.
+    """
     cols = []
-    basis_matrix = RatMatrix.from_rows(s.basis).transpose()
     for b in s.basis:
-        res = solve_linear(basis_matrix, m.apply(b))
-        if res is None:
+        w = m.apply(b)
+        if not s.contains(w):
             raise ValueError("subspace is not invariant under the matrix")
-        cols.append(res[0])
+        cols.append([w[p] for p in s._pivots])
     return RatMatrix.from_rows(cols).transpose()

@@ -60,14 +60,6 @@ class Polynomial:
     def one() -> "Polynomial":
         return Polynomial((1,))
 
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial((0, 1))
-
-    @staticmethod
-    def x_minus(c) -> "Polynomial":
-        return Polynomial.from_coeffs([-to_fraction(c), 1])
-
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first; built on first use."""

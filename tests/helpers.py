@@ -9,8 +9,11 @@ unscreened rotational walk is the rotational search as it was before the
 trace screen, the pair-loop probe is the derived-series probe as it was
 before commuting levels were settled from a basis, the Fraction affine
 fields are invariant_affine_fields as it was before it read its kernel off
-the integer RREF, and FractionPolynomial is Polynomial's arithmetic as it
-was before polynomials were stored in their integer form, to check that no
+the integer RREF, FractionPolynomial is Polynomial's arithmetic as it
+was before polynomials were stored in their integer form, the solve-based
+restriction is restrict_to_subspace as it was before it read coordinates
+at the pivots, and the equal-diagonal-block check is the one the
+classifier ran before it was shown to always pass, to check that no
 shortcut changes a result.
 """
 
@@ -29,7 +32,15 @@ from holonomy.commutant import (
     _commutation_rows,
     verify_certificate,
 )
-from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of, matrix_from_vec, vectorize
+from holonomy.linalg import (
+    RatMatrix,
+    Subspace,
+    image_of,
+    kernel_of,
+    matrix_from_vec,
+    solve_linear,
+    vectorize,
+)
 from holonomy.representation import AffineField
 from holonomy.polys import Polynomial, minimal_polynomial
 
@@ -456,3 +467,39 @@ def fraction_affine_fields(rep) -> list[AffineField]:
         const = tuple(f.rows[i][n] for i in range(n))
         fields.append(AffineField(lin, const))
     return fields
+
+
+def solve_restrict_to_subspace(m: RatMatrix, s: Subspace) -> RatMatrix:
+    """restrict_to_subspace by one linear solve per basis vector of s."""
+    cols = []
+    basis_matrix = RatMatrix.from_rows(s.basis).transpose()
+    for b in s.basis:
+        res = solve_linear(basis_matrix, m.apply(b))
+        if res is None:
+            raise ValueError("subspace is not invariant under the matrix")
+        cols.append(res[0])
+    return RatMatrix.from_rows(cols).transpose()
+
+
+def equal_diagonal_blocks(xt: RatMatrix, u: Subspace, mats) -> bool:
+    """In a basis (u1, u2, w1, w2) with xt(wi) = ui, check that every matrix
+    of mats is block upper triangular with equal diagonal blocks."""
+    cols = list(u.basis)
+    for b in u.basis:
+        res = solve_linear(xt, b)
+        if res is None:
+            return False
+        cols.append(res[0])
+    p = RatMatrix.from_rows(cols).transpose()
+    if p.det() == 0:
+        return False
+    pinv = p.inverse()
+    for g in mats:
+        h = pinv * g * p
+        for i in range(2, 4):
+            for j in range(2):
+                if h.rows[i][j] != 0:
+                    return False
+        if any(h.rows[i][j] != h.rows[i + 2][j + 2] for i in range(2) for j in range(2)):
+            return False
+    return True

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from holonomy import classify as classify_module
 from holonomy.classify import (
     BRANCH_AUT_TOO_SMALL,
     BRANCH_COMMUTATIVE,
@@ -30,9 +32,10 @@ from holonomy.commutant import (
     dickson_radical,
     find_rotational_element,
     invariant_flag_search,
+    matrix_centralizer,
     verify_certificate,
 )
-from holonomy.linalg import RatMatrix, Subspace
+from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of
 from holonomy.representation import (
     AffineField,
     AssumptionSet,
@@ -42,9 +45,11 @@ from holonomy.representation import (
     validate_rep,
 )
 
-from helpers import CORPUS, frac_rows, random_unimodular
+from helpers import CORPUS, equal_diagonal_blocks, frac_rows, random_unimodular
 
 from holonomy.fileio import load_rep_file
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def unit(i, j):
@@ -133,15 +138,46 @@ class TestZeroSet:
         assert analysis.base.point == (0, 0, 0, 0)
 
     def test_translation_field_needs_shift(self):
+        # a pure translation vanishes nowhere; only a radial shift would give
+        # it a zero, and none is tried: its linear part has no nonzero eigenvalue
         f = AffineField(RatMatrix.zeros(2, 2), (Fraction(1), Fraction(0)))
         analysis = zero_set_of_affine_field(f)
         assert analysis.base.is_empty
-        nonempty = analysis.first_nonempty()
-        assert nonempty is not None
-        shift, zs = nonempty
-        assert shift != 0
-        # solve shift * x + e1 = 0 directly
-        assert zs.point == (Fraction(-1) / shift, 0)
+        assert analysis.shifts == ()
+
+    # 2 x 2 blocks without rational eigenvalues: +-sqrt(2), +-i, golden ratio
+    IRRATIONAL_BLOCKS = ([[0, 2], [1, 0]], [[0, -1], [1, 0]], [[1, 1], [1, 0]])
+
+    def test_shifts_are_the_negated_nonzero_rational_eigenvalues(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            # p t p^-1 with t block upper triangular: its rational eigenvalues
+            # are the 1 x 1 diagonal blocks of t
+            t = [[rng.randint(-2, 2) if j > i else 0 for j in range(4)] for i in range(4)]
+            eigen = set()
+            i = 0
+            while i < 4:
+                if i < 3 and rng.random() < 0.3:
+                    block = rng.choice(self.IRRATIONAL_BLOCKS)
+                    for a in range(2):
+                        t[i + a][i : i + 2] = block[a]
+                    i += 2
+                else:
+                    t[i][i] = rng.randint(-2, 2)
+                    eigen.add(t[i][i])
+                    i += 1
+            p = random_unimodular(rng, 4)
+            lin = p * frac_rows(t) * p.inverse()
+            analysis = zero_set_of_affine_field(AffineField(lin, (0, 0, 0, 0)))
+            shifts = [c for c, _ in analysis.shifts]
+            assert shifts == sorted(-e for e in eigen if e != 0)
+            for c, zs in analysis.shifts:
+                assert zs.dim >= 1 and zs.point == (0, 0, 0, 0)
+                assert zs.direction_space == kernel_of(lin + RatMatrix.identity(4).scale(c))
+            # every other shift leaves the origin as the only zero
+            for c in range(-3, 4):
+                if c != 0 and c not in shifts:
+                    assert kernel_of(lin + RatMatrix.identity(4).scale(c)).dim == 0
 
     def test_rank_one_projection_kernel(self):
         lin = frac_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
@@ -150,6 +186,47 @@ class TestZeroSet:
         assert analysis.base.direction_space == span4(
             [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]
         )
+
+
+class TestEqualDiagonalBlocks:
+    """The zero set equals the image: xt = [[0, I], [0, 0]] in a basis
+    (u1, u2, w1, w2) with xt(wi) = ui, and every g commuting with xt is
+    [[A, B], [0, A]] there, so the classifier states the form unchecked."""
+
+    NOTE = "equal-diagonal-block form verified in an adapted basis"
+
+    def test_every_generator_of_the_equals_image_document(self, monkeypatch):
+        rep = load_rep_file(DATA / "dim3_zero_set_equals_image.json")
+        reached = []
+        original = classify_module._zero_dim2_case
+
+        def recording(xt, u, lin_parts):
+            reached.append((xt, u))
+            return original(xt, u, lin_parts)
+
+        monkeypatch.setattr(classify_module, "_zero_dim2_case", recording)
+        out = classify_dim3(rep)
+        assert self.NOTE in out.notes
+        equal = [(xt, u) for xt, u in reached if u == image_of(xt)]
+        assert equal
+        susp = benzecri_suspend(rep)
+        for xt, u in equal:
+            assert equal_diagonal_blocks(xt, u, susp.matrices)
+
+    def test_random_commuting_matrices_with_kernel_equal_to_image(self):
+        rng = random.Random(19)
+        n0 = unit(1, 3) + unit(2, 4)
+        for _ in range(20):
+            p = random_unimodular(rng, 4)
+            xt = p * n0 * p.inverse()
+            u = kernel_of(xt)
+            assert u.dim == 2 and u == image_of(xt)
+            commuting = list(matrix_centralizer([xt], 4).basis)
+            g = RatMatrix.zeros(4, 4)
+            for b in commuting:
+                g = g + b.scale(rng.randint(-3, 3))
+            assert g * xt == xt * g
+            assert equal_diagonal_blocks(xt, u, commuting + [g])
 
 
 GEOMETRIC = AssumptionSet(compact=True, connected=True, oriented=True)

@@ -244,23 +244,6 @@ class TestRunBatch:
         assert "branch=CommutativeAut" in text
         assert "conclusion=SolvableFundamentalGroup" in text
 
-    def test_env_var_overrides_search_bound(self, monkeypatch):
-        monkeypatch.setenv("HOLONOMY_SEARCH_BOUND", "3")
-        buf = io.StringIO()
-        run_batch([CORPUS / "dim3_scalar_commutant.json"], "classify", options(dim=3), buf)
-        assert json.loads(buf.getvalue())["options"]["search_bound"] == 3
-
-    def test_env_var_invalid_is_error(self, monkeypatch):
-        monkeypatch.setenv("HOLONOMY_SEARCH_BOUND", "many")
-        assert run_batch([CORPUS / "dim2_trivial.json"], "analyze", options(), io.StringIO()) == 1
-
-    def test_negative_env_var_search_bound_is_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("HOLONOMY_SEARCH_BOUND", "-1")
-        buf = io.StringIO()
-        assert run_batch([CORPUS / "dim3_trivial_injective.json"], "analyze", options(), buf) == 1
-        assert buf.getvalue() == ""
-        assert capsys.readouterr().err == "error: HOLONOMY_SEARCH_BOUND must be at least 0, got -1\n"
-
 
 def _count_calls(monkeypatch, owner, name):
     """Count the calls of owner.name through every holonomy module that binds it."""
@@ -291,7 +274,6 @@ def test_classify_builds_each_object_once(path, monkeypatch, capsys):
 
 def test_rotational_search_polynomials_only_for_screen_survivors(monkeypatch, capsys):
     path = CORPUS / "dim3_trivial_injective.json"
-    monkeypatch.delenv(cli.SEARCH_BOUND_ENV, raising=False)
     original = polys.minimal_polynomial
     calls, searching = [], []
 
@@ -335,7 +317,6 @@ def test_rotational_search_polynomials_only_for_screen_survivors(monkeypatch, ca
 def test_each_certificate_is_verified_once(path, command, monkeypatch, capsys):
     # classify verifies in _finalize and analyze in _analyze_one; the
     # searches and build_report verify nothing
-    monkeypatch.delenv(cli.SEARCH_BOUND_ENV, raising=False)
     verified = _count_calls(monkeypatch, commutant, "verify_certificate")
     argv = [command, str(path)]
     if command == "classify":
@@ -406,6 +387,23 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {out}: cannot write file: ")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe{}", "not UTF-8 text: "),
+            (b'{"matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply to parse"),
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_document_is_an_error(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        status = main(["classify", str(path), "--dim", "3"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {reason}")
 
     def test_negative_search_bound_is_an_error(self, capsys):
         status = main(["analyze", str(CORPUS / "dim3_trivial_injective.json"), "--search-bound", "-3"])

@@ -2,17 +2,24 @@
 
 tests/golden/ holds the JSON and text classify and analyze reports of
 every corpus document and of the documents in tests/data/: conjugated
-corpus groups whose certificates contain non-integer fractions, and two
-single generators, J3(1) + [1] and J3(1) + [2], whose dimension-3
-classifications reach the noncommutative-radical flag and the zero set of
-dimension 2 meeting the field's image in a line, branches no corpus
-document reaches. The corpus JSON reports and the text classify reports
+corpus groups whose certificates contain non-integer fractions, and
+dimension-3 documents whose classifications reach branches no corpus
+document reaches. J3(1) + [1] and J3(1) + [2] reach the
+noncommutative-radical flag and the zero set of dimension 2 meeting the
+field's image in a line. The four dim3_zero_set_* documents without
+declarations reach the zero set that equals the field's image (through
+the one-dimensional reduction), the zero set complementary to the image
+with a non-scalar and with scalar restrictions, and the zero set of
+dimension 3 with a second field restricting nontrivially, realized after
+a radial shift. The corpus JSON reports and the text classify reports
 were captured before the exact kernels moved to integer rows, the text
 analyze reports before the classify pipeline was merged, the conjugated
-tests/data reports before subspaces moved to integer rows, and the
-J3(1) reports before polynomials moved to integer coefficients. An
-output change shows up here as a byte difference; an intended one
-replaces the snapshot in the same change.
+tests/data reports before subspaces moved to integer rows, the J3(1)
+reports before polynomials moved to integer coefficients, and the
+dim3_zero_set_* reports (other than dim3_zero_set_line) before the
+zero-set stage dropped its shift lattice and its equal-diagonal-block
+check. An output change shows up here as a byte difference; an intended
+one replaces the snapshot in the same change.
 """
 
 import contextlib
