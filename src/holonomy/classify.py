@@ -40,6 +40,7 @@ from .linalg import (
     kernel_of,
     numerator_vector,
     restrict_to_subspace,
+    rref_kernel_image,
     solve_linear,
     zero_vec,
 )
@@ -213,12 +214,6 @@ class _BranchResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _independent_of(mats: list[RatMatrix], m: RatMatrix) -> bool:
-    d = m.nrows
-    span = Subspace.span([numerator_vector(x) for x in mats], d * d)
-    return not span.contains(numerator_vector(m))
-
-
 def _square_zero_elements(radical: AlgebraBasis) -> list[RatMatrix]:
     """One nonzero square-zero element per radical basis element n: n when
     n^2 = 0, else n^2 (a nilpotent matrix of size at most 4 has n^4 = 0)."""
@@ -231,9 +226,10 @@ def _square_zero_elements(radical: AlgebraBasis) -> list[RatMatrix]:
 
 def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult | None:
     ident = RatMatrix.identity(4)
+    plane = Subspace.span([numerator_vector(ident), numerator_vector(xt)], 16)
     assumed: _BranchResult | None = None
     for y in lin_parts:
-        if not _independent_of([ident, xt], y):
+        if plane.contains(numerator_vector(y)):
             continue
         # a radial shift killing a scalar restriction keeps the field
         # independent and makes it vanish on u; a non-scalar restriction
@@ -296,8 +292,9 @@ def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
         )
     # complementary case: R^4 = U + Im(xt)
     rx = restrict_to_subspace(xt, im)
+    plane = Subspace.span([numerator_vector(ident), numerator_vector(xt)], 16)
     for y in lin_parts:
-        if not _independent_of([ident, xt], y):
+        if plane.contains(numerator_vector(y)):
             continue
         ry = restrict_to_subspace(y, im)
         if not rx.is_scalar() or not ry.is_scalar():
@@ -514,10 +511,10 @@ def classify_dim2(rep: Representation, suspension_factor=2) -> Outcome:
         )
     else:
         for e in decomp.idempotent_witnesses:
-            ident = RatMatrix.identity(cent.ambient_dim)
-            for eigen_kernel in (kernel_of(e), kernel_of(e - ident)):
-                if eigen_kernel.dim == 1:
-                    point = eigen_kernel.basis[0]
+            # Ker(e - I) = Im e for an idempotent e
+            for eigenspace in rref_kernel_image(e)[2:]:
+                if eigenspace.dim == 1:
+                    point = eigenspace.basis[0]
                     break
             if point is not None:
                 break

@@ -12,7 +12,7 @@ as a re-verifiable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -37,7 +37,6 @@ from .linalg import (
 )
 from .polys import (
     Polynomial,
-    characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
     poly_egcd,
@@ -57,6 +56,11 @@ from .representation import (
 # bits; a generic pair passes thousands within seconds.
 _MAX_ENTRY_BITS = 256
 
+# Work bounds of the derived-series probe: conjugator words kept, and
+# matrices per level's pool and commutators kept per level. A level's cap
+# is at least 2, so that a pool that stands for a level has pairs to test.
+_MAX_CONJUGATORS, _MAX_LEVEL = 24, 32
+
 # Work bounds: idempotent witnesses kept and candidate elements tried, and
 # invariant subspaces harvested by the flag search (twice as many once
 # closed under sums and intersections).
@@ -70,49 +74,49 @@ class ClosureError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """A matrix subalgebra span in canonical form.
+    """A matrix subalgebra span, stored as its canonical span.
 
-    The basis rows are the RREF of the vectorized spanning set, so two
-    spans are equal exactly when the data is. Closure under the matrix
-    product is a property of the span, checked by algebra_closure_check,
-    not enforced by construction. span is that RREF as a subspace of the
-    vectorized matrices, kept by from_span (None when the fields are given
-    directly); it takes no part in == or hash.
+    span is the canonical subspace (see Subspace) of the row-major entries
+    of the algebra's matrices, so two algebras are equal, and hash alike,
+    exactly when they are equal as spans. basis and contains_identity are
+    views of span: each basis matrix is one primitive integer row over its
+    pivot entry, which is already the matrix's normalized integer form, so
+    the basis is one-to-one with the span and nothing else is stored.
+    Closure under the matrix product is a property of the span, checked by
+    algebra_closure_check, not enforced by construction.
     """
 
     ambient_dim: int
-    basis: tuple[RatMatrix, ...]
-    contains_identity: bool
-    span: Subspace | None = field(default=None, compare=False, repr=False)
+    span: Subspace
+
+    def __post_init__(self):
+        if self.span.ambient_dim != self.ambient_dim * self.ambient_dim:
+            raise ValueError("subspace does not match the ambient size")
 
     @staticmethod
     def from_span(mats: Sequence[RatMatrix], ambient_dim: int) -> "AlgebraBasis":
         for m in mats:
             if m.nrows != ambient_dim or m.ncols != ambient_dim:
                 raise ValueError("algebra elements must be square of the ambient size")
-        span = Subspace.span([numerator_vector(m) for m in mats], ambient_dim * ambient_dim)
-        return AlgebraBasis.from_subspace(span, ambient_dim)
-
-    @staticmethod
-    def from_subspace(span: Subspace, ambient_dim: int) -> "AlgebraBasis":
-        """The span of the matrices whose row-major entries span `span`.
-
-        Each basis matrix is a primitive integer row of the canonical form
-        over its pivot entry, which is already its normalized integer form.
-        """
-        n = ambient_dim
-        if span.ambient_dim != n * n:
-            raise ValueError("subspace does not match the ambient size")
-        basis = tuple(
-            RatMatrix.from_integer_form([v[i * n : (i + 1) * n] for i in range(n)], next(x for x in v if x))
-            for v in span.num
+        return AlgebraBasis(
+            ambient_dim, Subspace.span([numerator_vector(m) for m in mats], ambient_dim * ambient_dim)
         )
-        has_id = span.contains(numerator_vector(RatMatrix.identity(n)))
-        return AlgebraBasis(n, basis, has_id, span)
+
+    @cached_property
+    def basis(self) -> tuple[RatMatrix, ...]:
+        n = self.ambient_dim
+        return tuple(
+            RatMatrix.from_integer_form([v[i * n : (i + 1) * n] for i in range(n)], next(x for x in v if x))
+            for v in self.span.num
+        )
+
+    @cached_property
+    def contains_identity(self) -> bool:
+        return self.contains(RatMatrix.identity(self.ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.dim
 
     def contains(self, m: RatMatrix) -> bool:
         return self.span.contains(numerator_vector(m))
@@ -162,7 +166,7 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
     one span of the free-column vectors; no image of the (k n^2) x n^2
     system is built. With no generators it is the whole matrix algebra.
     """
-    return AlgebraBasis.from_subspace(nullspace(*rref(_commutation_rows(mats, size)), size * size), size)
+    return AlgebraBasis(size, nullspace(*rref(_commutation_rows(mats, size)), size * size))
 
 
 def centralizer_algebra(rep: Representation) -> AlgebraBasis:
@@ -262,13 +266,15 @@ class Decomposition:
 def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     """Bounded search for idempotents e with e*e = e, e not in {0, I}.
 
-    For each candidate element and each rational eigenvalue, the projection
-    onto the generalized eigenspace is a polynomial in the element (by the
-    coprime splitting of its minimal polynomial), hence lies in the algebra
-    whenever the algebra is unital and closed; membership is re-checked.
+    For each candidate element m whose minimal polynomial minp has at least
+    two distinct factors, and each linear factor f of minp, take primary =
+    f^multiplicity, cofactor = minp / primary and s * cofactor + t * primary
+    = 1. Then e = (s * cofactor)(m) satisfies e(I - e) = (s * t * minp)(m)
+    = 0; e is the identity on the nonzero Ker primary(m) and zero on the
+    nonzero Ker cofactor(m). So e*e = e, e != 0 and e != I hold without a
+    check. e is a polynomial in m, so a unital closed algebra contains it;
+    membership is tested because a non-unital algebra need not.
     """
-    d = a.ambient_dim
-    ident = RatMatrix.identity(d)
     candidates = list(a.basis)
     for x, y in combinations(a.basis, 2):
         candidates.append(x + y)
@@ -289,11 +295,7 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
             cofactor = minp.divmod(primary)[0]
             _, s, _ = poly_egcd(cofactor, primary)
             e = (s * cofactor).eval_matrix(m)
-            if e.is_zero() or e == ident or e in seen:
-                continue
-            if not span.contains(numerator_vector(e)):
-                continue
-            if e * e != e:
+            if e in seen or not span.contains(numerator_vector(e)):
                 continue
             witnesses.append(e)
             seen.add(e)
@@ -302,13 +304,19 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     return tuple(witnesses)
 
 
-def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposition:
+def dickson_radical(a: AlgebraBasis) -> Decomposition:
     """Radical of a product-closed matrix algebra via the trace form.
 
     Over the rationals the kernel of (x, y) -> trace(xy) on the algebra is
-    exactly its maximal nilpotent ideal. Every returned radical element is
-    re-verified nilpotent; commutativity of the semisimple quotient is
-    decided by testing commutators modulo the radical span.
+    exactly its maximal nilpotent ideal (Dickson's criterion), so its
+    elements are not re-checked for nilpotency. For x in the kernel and
+    k >= 2, x^k = x * x^(k-1) with x^(k-1) in the algebra, so tr(x^k) = 0:
+    every power sum of x^2 vanishes, which over Q makes x^2, and so x,
+    nilpotent. That argument needs closure, which is checked first.
+    Commutativity of the semisimple quotient is decided by testing
+    commutators modulo the radical span. The zero algebra takes the same
+    path to a zero radical, a commutative quotient of dimension 0 and no
+    witnesses.
     """
     ok, witness = algebra_closure_check(a)
     if not ok:
@@ -316,8 +324,6 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
             f"basis pair ({witness.left_index}, {witness.right_index}) leaves the span"
         )
     k = a.dim
-    if k == 0:
-        return Decomposition(AlgebraBasis.from_span([], a.ambient_dim), 0, True, ())
     p = a.products
     ker = nullspace(*rref(a.trace_form.num), k)
     rad_mats = []
@@ -328,15 +334,11 @@ def dickson_radical(a: AlgebraBasis, find_idempotents: bool = True) -> Decomposi
                 m = m + b.scale(c)
         rad_mats.append(m)
     radical = AlgebraBasis.from_span(rad_mats, a.ambient_dim)
-    for r in radical.basis:
-        if any(characteristic_polynomial(r).num[:-1]):  # nilpotent iff char = x^n
-            raise ClosureError("trace-form kernel contains a non-nilpotent element")
     rad_span = radical.span
     quotient_commutative = all(
         rad_span.contains(numerator_vector(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
     )
-    witnesses = _idempotent_witnesses(a) if find_idempotents else ()
-    return Decomposition(radical, k - radical.dim, quotient_commutative, witnesses)
+    return Decomposition(radical, k - radical.dim, quotient_commutative, _idempotent_witnesses(a))
 
 
 @dataclass(frozen=True)
@@ -661,8 +663,6 @@ def truncated_derived_series(
     rep: Representation,
     commutator_depth: int = 8,
     word_length: int = 6,
-    max_conjugators: int = 24,
-    max_level: int = 32,
 ) -> DerivedSeriesReport:
     """Finite, sound-but-incomplete solvability probe.
 
@@ -672,12 +672,11 @@ def truncated_derived_series(
     "yes" (solvable up to this truncation); otherwise "unknown". The probe
     never claims non-solvability.
 
-    Each level's pool holds at most max_level matrices and at most
-    max_level commutators are kept. Commutator entries of a generic group
-    grow in bit size from level to level; once one has a numerator or
-    denominator longer than _MAX_ENTRY_BITS the probe stops with "unknown"
-    and stopped="entry_bits". max_level must be at least 2, so that a pool
-    that stands for a level has pairs to test.
+    At most _MAX_CONJUGATORS conjugator words are kept, each level's pool
+    holds at most _MAX_LEVEL matrices and at most _MAX_LEVEL commutators
+    are kept. Commutator entries of a generic group grow in bit size from
+    level to level; once one has a numerator or denominator longer than
+    _MAX_ENTRY_BITS the probe stops with "unknown" and stopped="entry_bits".
 
     A level whose pool commutes pairwise is settled from a basis of the
     pool's span (_pairwise_commute), at most d(d - 1) products for a basis
@@ -687,9 +686,6 @@ def truncated_derived_series(
     """
     if commutator_depth < 1 or word_length < 1:
         raise ValueError("depth and word length must be >= 1")
-    if max_level < 2:
-        # a pool of one matrix has no pairs and would pass as commuting
-        raise ValueError("max_level must be >= 2")
     size = rep.matrix_size
     ident = RatMatrix.identity(size)
     gens = []
@@ -713,12 +709,12 @@ def truncated_derived_series(
                 if nw not in conjugators:
                     conjugators[nw] = gi * wi
                     new_frontier.append((nw, conjugators[nw]))
-                    if len(conjugators) >= max_conjugators:
+                    if len(conjugators) >= _MAX_CONJUGATORS:
                         break
-            if len(conjugators) >= max_conjugators:
+            if len(conjugators) >= _MAX_CONJUGATORS:
                 break
         frontier = new_frontier
-        if not frontier or len(conjugators) >= max_conjugators:
+        if not frontier or len(conjugators) >= _MAX_CONJUGATORS:
             break
 
     def too_large(m: RatMatrix) -> bool:
@@ -743,11 +739,11 @@ def truncated_derived_series(
     for depth in range(1, commutator_depth + 1):
         pool: dict[RatMatrix, RatMatrix] = {}  # matrix -> its inverse, in insertion order
         for s, si in current:
-            if s not in pool and len(pool) < max_level:
+            if s not in pool and len(pool) < _MAX_LEVEL:
                 pool[s] = si
         for c, ci in list(conjugators.items())[1:]:
             for s, si in current:
-                if len(pool) >= max_level:
+                if len(pool) >= _MAX_LEVEL:
                     break
                 m = c * s * ci
                 if m not in pool:
@@ -759,7 +755,7 @@ def truncated_derived_series(
             break
         nxt: dict[RatMatrix, RatMatrix] = {}
         for (a, ai), (b, bi) in combinations(pool.items(), 2):
-            if len(nxt) >= max_level:
+            if len(nxt) >= _MAX_LEVEL:
                 break
             ab = a * b
             ba = b * a

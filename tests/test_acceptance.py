@@ -109,7 +109,7 @@ def test_criterion_2_radical_soundness():
     while checked < 30:
         seeds = _random_closure_seeds(rng, checked % 3)
         algebra = algebra_closure_of(seeds, 4, include_identity=rng.random() < 0.5)
-        decomp = dickson_radical(algebra, find_idempotents=False)
+        decomp = dickson_radical(algebra)
         if decomp.radical.dim:
             nontrivial_radicals += 1
         for r in decomp.radical.basis:

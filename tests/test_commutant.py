@@ -1,13 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holonomy import commutant
 from holonomy.commutant import (
     AlgebraBasis,
     ClosureError,
+    Decomposition,
     FixedProjectivePointCertificate,
     Flag,
     InvariantFlagCertificate,
@@ -56,6 +60,8 @@ for i in range(1, 5):
         E[(i, j)] = frac_rows(rows)
 
 ROT90 = frac_rows([[0, -1], [1, 0]])
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestCentralizer:
@@ -123,7 +129,7 @@ class TestCentralizer:
                 assert cent.span == centralizer_oracle(gens, n)
                 if gens:
                     rows = _commutation_rows(gens, n)
-                    via_kernel_of = AlgebraBasis.from_subspace(kernel_of(RatMatrix.from_integer_form(rows, 1)), n)
+                    via_kernel_of = AlgebraBasis(n, kernel_of(RatMatrix.from_integer_form(rows, 1)))
                     assert cent.basis == via_kernel_of.basis
                 else:
                     assert cent.dim == n * n
@@ -279,6 +285,24 @@ class TestClosureAndRadical:
         assert d.quotient_commutative
         assert len(d.idempotent_witnesses) > 0
 
+    def test_constructor_takes_the_canonical_span(self):
+        # span{I, E12} of 2 x 2 matrices, as row-major entries
+        span = Subspace.span([[1, 0, 0, 1], [0, 1, 0, 0]], 4)
+        a = AlgebraBasis(2, span)
+        assert [f.name for f in dataclasses.fields(AlgebraBasis)] == ["ambient_dim", "span"]
+        assert a == AlgebraBasis.from_span([RatMatrix.identity(2), frac_rows([[0, 3], [0, 0]])], 2)
+        assert a.contains(frac_rows([[2, 5], [0, 2]])) and not a.contains(frac_rows([[1, 0], [0, 2]]))
+        assert a.contains_identity and a.dim == 2
+        assert algebra_closure_check(a) == (True, None)
+        d = dickson_radical(a)
+        assert d.radical == AlgebraBasis(2, Subspace.span([[0, 1, 0, 0]], 4))
+        assert (d.quotient_dim, d.quotient_commutative, d.idempotent_witnesses) == (1, True, ())
+        zero = AlgebraBasis(2, Subspace.zero(4))
+        assert dickson_radical(zero) == Decomposition(zero, 0, True, ())
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="ambient size"):
+                AlgebraBasis(n, span)
+
     def test_radical_requires_closure(self):
         a = AlgebraBasis.from_span([frac_rows([[0, 1], [0, 0]]), frac_rows([[0, 0], [1, 0]])], 2)
         with pytest.raises(ClosureError):
@@ -293,6 +317,30 @@ class TestClosureAndRadical:
         for e in d.idempotent_witnesses:
             assert e * e == e
             assert not e.is_zero() and e != ident
+
+    def test_idempotent_witnesses_are_pinned(self):
+        # reports carry only the witness count, so this pins which
+        # idempotents the search keeps and their order: it walks the basis,
+        # then sums of basis pairs, and each minimal polynomial's linear
+        # factors in factor_polynomial's order
+        rep = load_rep_file(DATA / "dim3_noncommutative_radical.json")
+        cent = centralizer_algebra(benzecri_suspend(rep))
+        assert dickson_radical(cent).idempotent_witnesses == tuple(
+            frac_rows(e)
+            for e in (
+                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+                [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+                [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+                [[0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]],
+                [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 1]],
+            )
+        )
+        diag = matrix_centralizer([frac_rows([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5]])], 4)
+        assert dickson_radical(diag).idempotent_witnesses == tuple(
+            frac_rows([[int(r == c and r in ones) for c in range(4)] for r in range(4)])
+            for ones in ((0,), (1, 2, 3), (1,), (0, 2, 3), (2,), (0, 1, 3))
+        )
 
 
 class TestRotationalElement:
@@ -352,12 +400,15 @@ class TestTraceScreen:
                 j = _rotation_conjugate(rng, blocks)
                 n = j.nrows
                 ident = RatMatrix.identity(n)
-                # not a canonical basis: the walk reaches -j as I - (j + I)
-                a = AlgebraBasis(n, (ident, j + ident, j * j), True)
+                # the canonical basis of span{I, j, j^2}: within bound 2 the
+                # walk reaches -j on one of the 20 and nothing on the others,
+                # and the screened walk must agree with the unscreened one
+                a = AlgebraBasis.from_span([ident, j + ident, j * j], n)
                 found = find_rotational_element(a)
                 assert found == unscreened_rotational_element(a)
-                finds += found is not None and found.element == -j
-        assert finds == 20
+                finds += found is not None
+                assert found is None or found.element == -j
+        assert finds == 1
 
     def test_trace_form_is_the_gram_matrix(self):
         a = centralizer_algebra(benzecri_suspend(load_rep_file(CORPUS / "dim3_torus_translations.json")))
@@ -509,28 +560,28 @@ class TestDerivedSeries:
         levels = [(lv.pool_size, lv.nontrivial_commutators) for lv in report.levels]
         assert levels == [(28, 32), (32, 2), (2, 0)]
 
-    def test_pool_never_exceeds_max_level(self):
+    def test_pool_never_exceeds_max_level(self, monkeypatch):
         gens = [
             frac_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
             frac_rows([[1, 2, -1, 1], [0, 1, 1, -1], [0, 0, 1, 1], [0, 0, 0, 1]]),
         ]
         rep = validate_rep([("a", gens[0]), ("b", gens[1])], "linear", 4)
         for max_level in (3, 5, 32):
-            report = truncated_derived_series(rep, max_level=max_level)
+            monkeypatch.setattr(commutant, "_MAX_LEVEL", max_level)
+            report = truncated_derived_series(rep)
             assert report.verdict == "yes" and report.stopped is None
             assert all(level.pool_size <= max_level for level in report.levels)
             assert all(level.nontrivial_commutators <= max_level for level in report.levels)
 
-    def test_pool_cap_below_two_is_rejected(self):
+    def test_pool_cap_below_two_is_rejected(self, monkeypatch):
         # the Sanov pair generates a free group; a pool capped at one
-        # matrix has no pairs and would pass for a commuting level
+        # matrix would have no pairs and pass for a commuting level, so the
+        # cap is at least two, and at two the verdict stays unknown
         a = frac_rows([[1, 2], [0, 1]])
         b = frac_rows([[1, 0], [2, 1]])
         rep = validate_rep([("a", a), ("b", b)], "linear", 2)
-        for max_level in (-1, 0, 1):
-            with pytest.raises(ValueError, match="max_level"):
-                truncated_derived_series(rep, max_level=max_level)
-        assert truncated_derived_series(rep, max_level=2).verdict == "unknown"
+        monkeypatch.setattr(commutant, "_MAX_LEVEL", 2)
+        assert truncated_derived_series(rep).verdict == "unknown"
 
 
 def _unipotent_pair(n):
@@ -559,7 +610,9 @@ def _rotation_pair(n):
 def _assert_matches_pair_loop(rep, options=((8, 6, 32), (3, 2, 5))):
     for depth, words, max_level in options:
         expected = pair_loop_derived_series(rep, depth, words, max_level=max_level)
-        assert truncated_derived_series(rep, depth, words, max_level=max_level) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(commutant, "_MAX_LEVEL", max_level)
+            assert truncated_derived_series(rep, depth, words) == expected
 
 
 class TestCommutingLevelShortcut:

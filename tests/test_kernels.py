@@ -15,9 +15,11 @@ import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holonomy import commutant
 from holonomy.commutant import truncated_derived_series
 from holonomy.linalg import RatMatrix, Subspace, rref, rref_kernel_image
 from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynomial, minimal_polynomial, poly_egcd
@@ -452,7 +454,9 @@ def derived_probe(x, y):
     a = RatMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
     b = RatMatrix.from_rows([[1, x, y], [0, 1, 0], [0, 0, 1]])
     rep = validate_rep([("a", a), ("b", b)], "linear", 3)
-    return truncated_derived_series(rep, commutator_depth=1, word_length=1, max_conjugators=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commutant, "_MAX_CONJUGATORS", 1)
+        return truncated_derived_series(rep, commutator_depth=1, word_length=1)
 
 
 class TestEntryBitsBudget:
