@@ -37,10 +37,10 @@ from .linalg import (
     Subspace,
     Vec,
     image_of,
+    kernel_and_image,
     kernel_of,
     numerator_vector,
     restrict_to_subspace,
-    rref_kernel_image,
     solve_linear,
     zero_vec,
 )
@@ -188,7 +188,8 @@ def flag_from_nilpotent_element(a: RatMatrix) -> Flag:
     Kernel of dimension 1 gives Ker(a) < Ker(a^2) < Im(a); kernel of
     dimension 2 gives Ker(a) cap Im(a) < Ker(a) < Ker(a) + Im(a). Both are
     (1, 2, 3)-chains that every invertible matrix commuting with a maps
-    onto themselves, so they are not checked here.
+    onto themselves, so they are not checked here. No other kernel
+    dimension occurs: a nilpotent rank-one matrix squares to zero.
     """
     _require_m4(a, "a")
     if any(characteristic_polynomial(a).num[:-1]):  # nilpotent iff char = x^4
@@ -198,10 +199,8 @@ def flag_from_nilpotent_element(a: RatMatrix) -> Flag:
     ka = kernel_of(a)
     if ka.dim == 1:
         return Flag((ka, kernel_of(a * a), image_of(a)))
-    if ka.dim == 2:
-        ia = image_of(a)
-        return Flag((ka.intersect(ia), ka, ka.add(ia)))
-    raise CaseAnalysisError("case analysis: nilpotent with nonzero square has kernel dim 1 or 2")
+    ia = image_of(a)
+    return Flag((ka.intersect(ia), ka, ka.add(ia)))
 
 
 @dataclass
@@ -214,20 +213,22 @@ class _BranchResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _square_zero_elements(radical: AlgebraBasis) -> list[RatMatrix]:
-    """One nonzero square-zero element per radical basis element n: n when
-    n^2 = 0, else n^2 (a nilpotent matrix of size at most 4 has n^4 = 0)."""
-    out = []
-    for n in radical.basis:
-        sq = n * n
-        out.append(n if sq.is_zero() else sq)
-    return out
+def _square_zero_element(radical: AlgebraBasis) -> RatMatrix:
+    """A nonzero square-zero element of a nonzero nilpotent radical: its first
+    basis element n if n^2 = 0, else n^2 (a nilpotent 4x4 n has n^4 = 0)."""
+    n = radical.basis[0]
+    sq = n * n
+    return n if sq.is_zero() else sq
 
 
-def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult | None:
+def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult:
+    """u = Ker xt has dimension 3, so xt = v phi with Ker phi = u. A y
+    outside span(I, xt) with y|u = c id gives y - cI = w phi, w not parallel
+    to v; commuting with xt forces phi(w) v = phi(v) w, so phi(v) = phi(w) =
+    0 and Im xt, Im(y - cI) are distinct lines in u: the flag needs no test.
+    Without such a y, some y outside span(I, xt) restricts non-scalar."""
     ident = RatMatrix.identity(4)
     plane = Subspace.span([numerator_vector(ident), numerator_vector(xt)], 16)
-    assumed: _BranchResult | None = None
     for y in lin_parts:
         if plane.contains(numerator_vector(y)):
             continue
@@ -236,33 +237,32 @@ def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
         # is nonzero, so this is the only way to reach the vanishing case
         restriction = restrict_to_subspace(y, u)
         if restriction.is_scalar():
-            y = y - ident.scale(restriction.rows[0][0])
             v = image_of(xt)
-            w = image_of(y)
-            if v.dim == 1 and w.dim == 1 and v.is_subspace_of(u) and w.is_subspace_of(u) and v != w:
-                return _BranchResult(
-                    Flag((v, v.add(w), u)),
-                    notes=[
-                        "zero set of dimension 3: the images of two independent"
-                        " commuting fields inside it form an invariant complete flag"
-                    ],
-                )
-        elif assumed is None:
-            assumed = _BranchResult(
-                None,
-                certificates=[InvariantSubspaceCertificate(u)],
+            w = image_of(y - ident.scale(restriction.rows[0][0]))
+            return _BranchResult(
+                Flag((v, v.add(w), u)),
                 notes=[
-                    "zero set of dimension 3 with a second field restricting"
-                    " nontrivially: the quotient surface inherits nondiscrete"
-                    " automorphisms, so its fundamental group is solvable and the"
-                    " restriction exact sequence makes the whole group solvable"
+                    "zero set of dimension 3: the images of two independent"
+                    " commuting fields inside it form an invariant complete flag"
                 ],
             )
-    return assumed
+    return _BranchResult(
+        None,
+        certificates=[InvariantSubspaceCertificate(u)],
+        notes=[
+            "zero set of dimension 3 with a second field restricting"
+            " nontrivially: the quotient surface inherits nondiscrete"
+            " automorphisms, so its fundamental group is solvable and the"
+            " restriction exact sequence makes the whole group solvable"
+        ],
+    )
 
 
-def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult | None:
-    ident = RatMatrix.identity(4)
+def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult:
+    """u = Ker xt has dimension 2. In the last, complementary case Q^4 = u +
+    Im xt, the first y outside span(I, xt) decides: if xt|Im = r id and y|Im
+    = s id, then z = y - sI vanishes on Im xt, and z|u = t id would put y =
+    (s + t)I - (t/r)xt in span(I, xt), so z|u is non-scalar without a test."""
     im = image_of(xt)
     inter = u.intersect(im)
     if inter.dim == 1:
@@ -290,84 +290,68 @@ def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
                 "equal-diagonal-block form verified in an adapted basis",
             ],
         )
-    # complementary case: R^4 = U + Im(xt)
-    rx = restrict_to_subspace(xt, im)
-    plane = Subspace.span([numerator_vector(ident), numerator_vector(xt)], 16)
-    for y in lin_parts:
-        if plane.contains(numerator_vector(y)):
-            continue
-        ry = restrict_to_subspace(y, im)
-        if not rx.is_scalar() or not ry.is_scalar():
-            return _BranchResult(
-                None,
-                certificates=[
-                    InvariantSubspaceCertificate(u),
-                    InvariantSubspaceCertificate(im),
-                ],
-                notes=[
-                    "zero set complementary to the image: a field restricts"
-                    " non-scalar to one block, so the holonomy restriction there is"
-                    " commutative, and the other block lies in the holonomy of a"
-                    " closed surface"
-                ],
-            )
-        scalar = ry.rows[0][0]
-        z = y - ident.scale(scalar)
-        if z.is_zero():
-            continue
-        rzu = restrict_to_subspace(z, u)
-        if rzu.is_scalar():
-            continue
-        return _BranchResult(
-            None,
-            certificates=[
-                InvariantSubspaceCertificate(u),
-                InvariantSubspaceCertificate(im),
-            ],
-            notes=[
-                "zero set complementary to the image with scalar restrictions:"
-                " subtracting the scalar yields a field vanishing on the image and"
-                " non-scalar on the zero set, reducing to the non-scalar case"
-            ],
+    plane = Subspace.span([numerator_vector(RatMatrix.identity(4)), numerator_vector(xt)], 16)
+    y = next(y for y in lin_parts if not plane.contains(numerator_vector(y)))
+    if restrict_to_subspace(xt, im).is_scalar() and restrict_to_subspace(y, im).is_scalar():
+        note = (
+            "zero set complementary to the image with scalar restrictions:"
+            " subtracting the scalar yields a field vanishing on the image and"
+            " non-scalar on the zero set, reducing to the non-scalar case"
         )
-    return None
+    else:
+        note = (
+            "zero set complementary to the image: a field restricts"
+            " non-scalar to one block, so the holonomy restriction there is"
+            " commutative, and the other block lies in the holonomy of a"
+            " closed surface"
+        )
+    return _BranchResult(
+        None,
+        certificates=[InvariantSubspaceCertificate(u), InvariantSubspaceCertificate(im)],
+        notes=[note],
+    )
 
 
-def _zero_dim1_case(
-    xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix], decomp: Decomposition
-) -> _BranchResult | None:
-    ident = RatMatrix.identity(4)
-    discrepancy = (
+def _zero_dim1_case(u: Subspace, lin_parts: list[RatMatrix], decomp: Decomposition) -> _BranchResult:
+    """Reduce a one-dimensional zero set u to a kernel of dimension 2 or 3:
+    that of a nonzero square-zero radical element (rank <= 2), or, for a
+    zero radical, of the first idempotent witness e or of e - I (dim Ker e +
+    dim Ker(e - I) = 4). A zero radical makes C semisimple, so the element
+    with eigenspace u has a squarefree minimal polynomial with a linear and
+    another factor, from which the witness search builds an idempotent."""
+    if decomp.radical.dim:
+        a = _square_zero_element(decomp.radical)
+        k = kernel_of(a)
+    else:
+        e = decomp.idempotent_witnesses[0]
+        ker, im = kernel_and_image(e)  # Ker(e - I) = Im e
+        a, k = (e, ker) if ker.dim > 1 else (e - RatMatrix.identity(4), im)
+    sub = _zero_dim3_case(a, k, lin_parts) if k.dim == 3 else _zero_dim2_case(a, k, lin_parts)
+    sub.certificates.append(InvariantSubspaceCertificate(u))
+    sub.notes.insert(
+        0,
         "one-dimensional zero set: the stated conclusion would be a nilpotent"
         " fundamental group, but the derivation reduces to the higher-dimensional"
         " zero-set analyses, which certify solvability; the verdict records"
-        " SolvableFundamentalGroup"
+        " SolvableFundamentalGroup",
     )
-    reducers = _square_zero_elements(decomp.radical)
-    if decomp.radical.dim == 0:
-        for e in decomp.idempotent_witnesses:
-            reducers.extend([e, e - ident])
-    for a in reducers:
-        k = kernel_of(a)
-        sub = None
-        if k.dim == 3:
-            sub = _zero_dim3_case(a, k, lin_parts)
-        elif k.dim == 2:
-            sub = _zero_dim2_case(a, k, lin_parts)
-        if sub is not None:
-            sub.certificates.append(InvariantSubspaceCertificate(u))
-            sub.notes.insert(0, discrepancy)
-            return sub
-    return None
+    return sub
 
 
 def _commutative_branch(cent: AlgebraBasis, decomp: Decomposition) -> _BranchResult | None:
+    """The first zero set whose analysis gives a flag, else the first
+    assumption-backed result, else None. C is commutative, contains I and
+    has dim C >= 3 (classify_dim3 stops at AutTooSmall otherwise), so for
+    each non-scalar xt some basis element lies outside span(I, xt) and every
+    case concludes. A zero set of dimension 1 enters its reduction only as
+    an appended certificate, so only the first one is reduced."""
     # The invariant affine fields of the suspension are (x, 0) for x in the
     # centralizer: invariance under the central generator k * I, k != 1,
     # forces k c = c for the constant part c.
     lin_parts = list(cent.basis)
     zero = zero_vec(cent.ambient_dim)
     assumed: _BranchResult | None = None
+    reduced = False
     for x in lin_parts:
         if x.is_scalar():
             continue
@@ -377,7 +361,7 @@ def _commutative_branch(cent: AlgebraBasis, decomp: Decomposition) -> _BranchRes
         for shift, zs in variants:
             # f and its shifts are (y, 0), so zs is the eigenspace Ker y: never
             # empty, and the origin alone only for the base of an invertible x
-            if zs.dim not in (1, 2, 3):
+            if zs.dim == 0 or (zs.dim == 1 and reduced):
                 continue
             u = zs.direction_space
             xt = f.shifted(shift).linear_part
@@ -386,47 +370,42 @@ def _commutative_branch(cent: AlgebraBasis, decomp: Decomposition) -> _BranchRes
             elif zs.dim == 2:
                 res = _zero_dim2_case(xt, u, lin_parts)
             else:
-                res = _zero_dim1_case(xt, u, lin_parts, decomp)
-            if res is None:
-                continue
+                res = _zero_dim1_case(u, lin_parts, decomp)
+                reduced = True
+            if shift != 0:
+                res.notes.append(f"zero set realized after radial shift by {shift}")
             if res.flag is not None:
-                if shift != 0:
-                    res.notes.append(f"zero set realized after radial shift by {shift}")
                 return res
             if assumed is None:
-                if shift != 0:
-                    res.notes.append(f"zero set realized after radial shift by {shift}")
                 assumed = res
     return assumed
 
 
-def _flag_from_noncommutative_radical(radical: AlgebraBasis) -> tuple[Flag | None, list[str]]:
+def _flag_from_noncommutative_radical(radical: AlgebraBasis) -> tuple[Flag, list[str]]:
+    """Invariant complete flag from a noncommutative nilpotent radical.
+
+    A candidate a with a^2 != 0 has rank >= 2 (a nilpotent rank-one matrix
+    squares to zero), so its kernel has dimension 1 or 2 and the element
+    construction applies. If every candidate squares to zero, (x + y)^2 = 0
+    gives xy = -yx, nonzero for a noncommuting basis pair, so Ker x cap Ker
+    y contains Im(xy) != 0; a kernel of dimension 3 or two equal kernels
+    would force xy = yx = 0, so the pair construction applies.
+    """
     basis = list(radical.basis)
     candidates = list(basis)
     for x, y in combinations(basis, 2):
         candidates.extend([x + y, x - y])
     for a in candidates:
         if not (a * a).is_zero():
-            try:
-                flag = flag_from_nilpotent_element(a)
-            except (ValueError, CaseAnalysisError):
-                continue
-            return flag, [
+            return flag_from_nilpotent_element(a), [
                 "noncommutative radical: a nilpotent element with nonzero square"
                 " yields the invariant kernel-image chain"
             ]
-    for x, y in combinations(basis, 2):
-        if x * y == y * x:
-            continue
-        try:
-            flag = flag_from_nilpotent_pair(x, y)
-        except (ValueError, CaseAnalysisError):
-            continue
-        return flag, [
-            "noncommutative radical of square-zero elements: a noncommuting pair"
-            " yields the invariant kernel chain"
-        ]
-    return None, []
+    x, y = next((x, y) for x, y in combinations(basis, 2) if x * y != y * x)
+    return flag_from_nilpotent_pair(x, y), [
+        "noncommutative radical of square-zero elements: a noncommuting pair"
+        " yields the invariant kernel chain"
+    ]
 
 
 def _declared(asmp: AssumptionSet, names: frozenset[str]) -> bool:
@@ -478,8 +457,10 @@ def classify_dim2(rep: Representation, suspension_factor=2) -> Outcome:
 
     With a nondiscrete automorphism model the holonomy fixes a projective
     point: either the image line of a square-zero radical element, or the
-    one-dimensional eigenspace of a nontrivial idempotent. With the compact,
-    connected, oriented declarations the conclusion is TorusOrSphere.
+    one-dimensional eigenspace of the first idempotent witness (a nontrivial
+    idempotent on Q^3 has exactly one of Ker e and Im e a line). With the
+    compact, connected, oriented declarations the conclusion is
+    TorusOrSphere.
     """
     if rep.kind != KIND_PROJECTIVE:
         raise ValidationError("kind must be projective-class")
@@ -499,36 +480,28 @@ def classify_dim2(rep: Representation, suspension_factor=2) -> Outcome:
             set(),
             ["automorphism model is the radial line only: nondiscreteness hypothesis unmet"],
         )
-    certificates: list[Certificate] = []
     branch = BRANCH_COMMUTATIVE
-    point: Vec | None = None
     if decomp.radical.dim > 0:
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE
-        point = image_of(_square_zero_elements(decomp.radical)[0]).basis[0]
+        point = image_of(_square_zero_element(decomp.radical)).basis[0]
         notes.append(
             "nonzero radical: the image line of a square-zero element is fixed by"
             " the holonomy"
         )
+    elif not decomp.idempotent_witnesses:
+        notes.append(
+            "semisimple model of dimension >= 2 but the bounded idempotent"
+            " search found no witness: no conclusion is asserted"
+        )
+        return _finalize(rep, cent, decomp, branch, CONCLUSION_UNDETERMINED, [], set(), notes)
     else:
-        for e in decomp.idempotent_witnesses:
-            # Ker(e - I) = Im e for an idempotent e
-            for eigenspace in rref_kernel_image(e)[2:]:
-                if eigenspace.dim == 1:
-                    point = eigenspace.basis[0]
-                    break
-            if point is not None:
-                break
-        if point is None:
-            notes.append(
-                "semisimple model of dimension >= 2 but the bounded idempotent"
-                " search found no witness: no conclusion is asserted"
-            )
-            return _finalize(rep, cent, decomp, branch, CONCLUSION_UNDETERMINED, [], set(), notes)
+        ker, im = kernel_and_image(decomp.idempotent_witnesses[0])  # Im e = Ker(e - I)
+        point = (ker if ker.dim == 1 else im).basis[0]
         notes.append(
             "trivial radical: a nontrivial idempotent has a one-dimensional"
             " eigenspace fixed by the holonomy"
         )
-    certificates.append(FixedProjectivePointCertificate(point))
+    certificates: list[Certificate] = [FixedProjectivePointCertificate(point)]
     needed = frozenset({"compact", "connected", "oriented"})
     if _declared(asmp, needed):
         notes.append("branch label records the machinery that produced the certificate")
@@ -601,12 +574,11 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
                 " its image meets the fixed space, the holonomy is solvable"
             )
 
-    radical_noncommutative = decomp.radical.dim > 0 and not decomp.radical.is_commutative()
     flag: Flag | None = None
     branch: str | None = None
     assumed: _BranchResult | None = None
 
-    if radical_noncommutative:
+    if not decomp.radical.is_commutative():  # a zero radical is commutative
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE
         flag, extra = _flag_from_noncommutative_radical(decomp.radical)
         notes.extend(extra)
@@ -650,14 +622,13 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
                 " dedicated analysis applies"
             )
 
-    solvable = flag is not None and flag.complete
-    if not solvable and assumed is not None and _declared(asmp, _INJECTIVE_COMPACT):
-        solvable = True
-        used |= _INJECTIVE_COMPACT
-        notes.append("solvability concluded from the declared geometric hypotheses")
-
-    if solvable:
-        if _declared(asmp, _INJECTIVE_COMPACT):
+    # flag is only ever a complete flag: a (1, 2, 3)-chain from the radical
+    # or a zero set, or the direct search's result when it is complete
+    declared = _declared(asmp, _INJECTIVE_COMPACT)
+    if flag is not None or (assumed is not None and declared):
+        if flag is None:
+            notes.append("solvability concluded from the declared geometric hypotheses")
+        if declared:
             used |= _INJECTIVE_COMPACT
             notes.append(
                 "solvable holonomy with an injective developing map on a compact"
@@ -666,22 +637,21 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
                 " it carries no projective structure (Benoist; Cooper-Goldman)"
             )
             return _finalize(rep, cent, decomp, branch, DIM3_DISJUNCTION, certificates, used, notes)
-        if flag is not None and flag.complete:
-            notes.append(
-                "the invariant complete flag certifies solvability of the"
-                " holonomy image of the suspension"
-            )
+        notes.append(
+            "the invariant complete flag certifies solvability of the"
+            " holonomy image of the suspension"
+        )
         return _finalize(
             rep, cent, decomp, branch, CONCLUSION_SOLVABLE_PI1, certificates, used, notes
         )
 
-    if branch == BRANCH_COMMUTATIVE and assumed is None and flag is None:
+    if branch == BRANCH_COMMUTATIVE and assumed is None:
         notes.append(
             "commutative model but no rational zero set of dimension 1 to 3 was"
             " realizable within the shift bounds; a freely acting pair of fields"
             " would make a torus bundle, which is not decidable from generators"
         )
-    if assumed is not None and not _declared(asmp, _INJECTIVE_COMPACT):
+    if assumed is not None:
         missing = sorted(n for n in _INJECTIVE_COMPACT if not getattr(asmp, n))
         notes.append(
             "the zero-set analysis applies but needs undeclared hypotheses: "

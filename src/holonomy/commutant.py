@@ -26,12 +26,12 @@ from .linalg import (
     eliminate,
     image_of,
     is_zero_vec,
+    kernel_and_image,
     matrix_from_vec,
     nullspace,
     numerator_vector,
     primitive_part,
     rref,
-    rref_kernel_image,
     vector,
     vectorize,
 )
@@ -460,7 +460,7 @@ def verify_certificate(rep: Representation, cert: Certificate) -> bool:
         j = cert.element
         if not _is_rotational_minpoly(minimal_polynomial(j)):
             return False
-        _, _, ker, img = rref_kernel_image(j)
+        ker, img = kernel_and_image(j)
         if img != cert.rotation_space or ker != cert.fixed_space:
             return False
         for g in mats:
@@ -511,7 +511,7 @@ def find_rotational_element(
         cand = a.basis[i] if i == j else a.basis[i].scale(cx) + a.basis[j].scale(cy)
         if not _is_rotational_minpoly(minimal_polynomial(cand)):
             return None
-        _, _, ker, img = rref_kernel_image(cand)
+        ker, img = kernel_and_image(cand)
         cert = RotationalElementCertificate(cand, img, ker)
         if rep is not None and not verify_certificate(rep, cert):
             return None
@@ -549,7 +549,7 @@ def _invariant_candidates(gens: Sequence[RatMatrix], sources: Sequence[RatMatrix
     for m in sources:
         if m.is_scalar():
             continue
-        for s in rref_kernel_image(m)[2:]:  # kernel first: seen keeps the order and the cap counts it
+        for s in kernel_and_image(m):  # kernel first: seen keeps the order and the cap counts it
             consider(s)
         for comp in primary_decomposition(m):
             consider(comp.subspace)
@@ -557,7 +557,7 @@ def _invariant_candidates(gens: Sequence[RatMatrix], sources: Sequence[RatMatrix
             if comp.multiplicity == 1:  # Ker f(m) is the component itself
                 consider(image_of(fm))
                 continue
-            for s in rref_kernel_image(fm)[2:]:
+            for s in kernel_and_image(fm):
                 consider(s)
     return list(seen)
 

@@ -398,29 +398,24 @@ class Subspace:
         return Subspace.span([[_dot(r, b) for r in m.num] for b in self.num], m.nrows)
 
 
-def rref_kernel_image(m: RatMatrix) -> tuple[RatMatrix, int, Subspace, Subspace]:
-    """RREF, rank, kernel, and column-space image, all canonical.
+def kernel_and_image(m: RatMatrix) -> tuple[Subspace, Subspace]:
+    """Kernel and column-space image of m, both canonical, from one RREF.
 
-    rank + dim(kernel) = ncols; the image is spanned by the pivot columns
-    of the original matrix.
+    dim(kernel) + dim(image) = ncols; the image is spanned by the pivot
+    columns of the original matrix.
     """
     reduced, pivots = rref(m.num)
-    rank = len(pivots)
     kernel = nullspace(reduced, pivots, m.ncols)
-    image = Subspace.span([[r[p] for r in m.num] for p in pivots], m.nrows)
-    den = lcm(*[r[p] for r, p in zip(reduced, pivots)])  # the pivot rows over one denominator
-    head = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
-    return RatMatrix.from_integer_form(head + reduced[rank:], den), rank, kernel, image
+    return kernel, Subspace.span([[r[p] for r in m.num] for p in pivots], m.nrows)
 
 
 def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> Subspace:
     """Kernel of a matrix whose integer RREF (as rref returns it) occupies
     the first ncols columns of reduced: one vector per free column, spanned
     once. `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with
-    no image and no RREF matrix; solve_linear, Subspace.intersect,
-    rref_kernel_image, the centralizer, the invariant affine fields, the
-    Dickson radical and the primary components read their kernels this
-    way."""
+    no image; solve_linear, Subspace.intersect, kernel_and_image, the
+    centralizer, the invariant affine fields, the Dickson radical and the
+    primary components read their kernels this way."""
     kernel_vecs = []
     for f in range(ncols):
         if f in pivots:
@@ -434,11 +429,11 @@ def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: in
 
 
 def kernel_of(m: RatMatrix) -> Subspace:
-    """Kernel of m, through rref_kernel_image: this also spans the image
-    and builds the RREF matrix, then drops both. Kernel-only hot paths read
-    `nullspace(*rref(...))` instead, and callers that need the image too
-    take both from one rref_kernel_image call."""
-    return rref_kernel_image(m)[2]
+    """Kernel of m, through kernel_and_image: this also spans the image,
+    then drops it. Kernel-only hot paths read `nullspace(*rref(...))`
+    instead, and callers that need the image too take both from one
+    kernel_and_image call."""
+    return kernel_and_image(m)[0]
 
 
 def image_of(m: RatMatrix) -> Subspace:

@@ -14,7 +14,8 @@ was before polynomials were stored in their integer form, the solve-based
 restriction is restrict_to_subspace as it was before it read coordinates
 at the pivots, and the equal-diagonal-block check is the one the
 classifier ran before it was shown to always pass, to check that no
-shortcut changes a result.
+shortcut changes a result. assert_dim3_invariance is the conjugation,
+rescaling and permutation check of acceptance criterion 5.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 
+from holonomy.classify import classify_dim3
 from holonomy.commutant import (
     AlgebraBasis,
     Decomposition,
@@ -41,10 +43,12 @@ from holonomy.linalg import (
     solve_linear,
     vectorize,
 )
-from holonomy.representation import AffineField
+from holonomy.representation import AffineField, conjugate_representation, validate_rep
 from holonomy.polys import Polynomial, minimal_polynomial
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+INVARIANCE_SCALES = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-5, 3)]
 
 
 def frac_rows(rows):
@@ -78,6 +82,36 @@ def random_unimodular(rng, n, ops=8) -> RatMatrix:
             for k in range(n):
                 m[i][k] += c * m[j][k]
     return RatMatrix.from_rows(m)
+
+
+def assert_dim3_invariance(rep, rng, name: str, trials: int = 20) -> None:
+    """classify_dim3 keeps (branch, conclusion) on `trials` unimodular
+    conjugates of rep, then on `trials` rescalings of one random generator,
+    then on `trials` random permutations of the generators."""
+    base = classify_dim3(rep)
+    label = (base.branch, base.conclusion)
+    for _ in range(trials):
+        conj = conjugate_representation(rep, random_unimodular(rng, 4))
+        out = classify_dim3(conj)
+        assert (out.branch, out.conclusion) == label, f"conjugation changed {name}"
+    for _ in range(trials):
+        if rep.generators:
+            idx = rng.randrange(len(rep.generators))
+            gens = [
+                (g.label, g.matrix.scale(rng.choice(INVARIANCE_SCALES)) if i == idx else g.matrix)
+                for i, g in enumerate(rep.generators)
+            ]
+        else:
+            gens = []
+        scaled = validate_rep(gens, "projective-class", 3, rep.assumptions)
+        out = classify_dim3(scaled)
+        assert (out.branch, out.conclusion) == label, f"rescaling changed {name}"
+    for _ in range(trials):
+        gens = [(g.label, g.matrix) for g in rep.generators]
+        rng.shuffle(gens)
+        permuted = validate_rep(gens, "projective-class", 3, rep.assumptions)
+        out = classify_dim3(permuted)
+        assert (out.branch, out.conclusion) == label, f"permutation changed {name}"
 
 
 def fraction_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], dict[int, int]]:

@@ -34,7 +34,6 @@ from holonomy.linalg import RatMatrix, vectorize
 from holonomy.representation import (
     benzecri_suspend,
     canonicalize_projective_class,
-    conjugate_representation,
     embed_linear_as_affine,
     radiant_fixed_point,
     validate_rep,
@@ -43,6 +42,7 @@ from holonomy.representation import (
 from helpers import (
     CORPUS,
     algebra_closure_of,
+    assert_dim3_invariance,
     centralizer_oracle,
     frac_rows,
     quotient_regular_radical_dim,
@@ -241,34 +241,9 @@ def test_criterion_5_classification_invariance():
         "dim3_trivial_injective.json",
         "dim3_scalar_commutant.json",
     ]
-    scales = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-5, 3)]
     trials = 20
     for name in corpus:
-        rep = load_rep_file(CORPUS / name)
-        base = classify_dim3(rep)
-        label = (base.branch, base.conclusion)
-        for _ in range(trials):
-            conj = conjugate_representation(rep, random_unimodular(rng, 4))
-            out = classify_dim3(conj)
-            assert (out.branch, out.conclusion) == label, f"conjugation changed {name}"
-        for _ in range(trials):
-            if rep.generators:
-                idx = rng.randrange(len(rep.generators))
-                gens = [
-                    (g.label, g.matrix.scale(rng.choice(scales)) if i == idx else g.matrix)
-                    for i, g in enumerate(rep.generators)
-                ]
-            else:
-                gens = []
-            scaled = validate_rep(gens, "projective-class", 3, rep.assumptions)
-            out = classify_dim3(scaled)
-            assert (out.branch, out.conclusion) == label, f"rescaling changed {name}"
-        for _ in range(trials):
-            gens = [(g.label, g.matrix) for g in rep.generators]
-            rng.shuffle(gens)
-            permuted = validate_rep(gens, "projective-class", 3, rep.assumptions)
-            out = classify_dim3(permuted)
-            assert (out.branch, out.conclusion) == label, f"permutation changed {name}"
+        assert_dim3_invariance(load_rep_file(CORPUS / name), rng, name, trials)
     elapsed = time.perf_counter() - start
     report(
         5,

@@ -45,7 +45,13 @@ from holonomy.representation import (
     validate_rep,
 )
 
-from helpers import CORPUS, equal_diagonal_blocks, frac_rows, random_unimodular
+from helpers import (
+    CORPUS,
+    assert_dim3_invariance,
+    equal_diagonal_blocks,
+    frac_rows,
+    random_unimodular,
+)
 
 from holonomy.fileio import load_rep_file
 
@@ -399,6 +405,27 @@ class TestOutcomeInvariance:
             )
             out = classify_dim3(scaled)
             assert (out.branch, out.conclusion) == (base.branch, base.conclusion)
+
+
+def _dim3_documents():
+    for path in sorted(DATA.glob("dim3_*.json")):
+        marks = ()
+        if path.stem == "dim3_zero_set_equals_image":
+            # Ker f(m)^j for 1 < j < multiplicity is not an invariant
+            # candidate, so some conjugates lose the flag that certifies
+            # solvability and come out Undetermined.
+            marks = pytest.mark.xfail(
+                strict=True, reason="primary-component candidates miss Ker f(m)^j"
+            )
+        yield pytest.param(path, id=path.stem, marks=marks)
+
+
+@pytest.mark.parametrize("path", _dim3_documents())
+def test_data_documents_keep_their_outcome_labels(path):
+    """Acceptance criterion 5's conjugations, rescalings and permutations,
+    applied to each dimension-3 document of tests/data/, each drawn from a
+    fresh seed-113 generator."""
+    assert_dim3_invariance(load_rep_file(path), random.Random(113), path.stem)
 
 
 class TestFinalGate:

@@ -11,14 +11,24 @@ declarations reach the zero set that equals the field's image (through
 the one-dimensional reduction), the zero set complementary to the image
 with a non-scalar and with scalar restrictions, and the zero set of
 dimension 3 with a second field restricting nontrivially, realized after
-a radial shift. The corpus JSON reports and the text classify reports
-were captured before the exact kernels moved to integer rows, the text
-analyze reports before the classify pipeline was merged, the conjugated
-tests/data reports before subspaces moved to integer rows, the J3(1)
-reports before polynomials moved to integer coefficients, and the
-dim3_zero_set_* reports (other than dim3_zero_set_line) before the
-zero-set stage dropped its shift lattice and its equal-diagonal-block
-check. An output change shows up here as a byte difference; an intended
+a radial shift. Four more documents pin branches of the decision tree that
+nothing else reaches: dim3_anticommuting_radical (I plus right
+multiplication by e1 and by e2 on the exterior algebra of Q^2) has a radical
+of square-zero elements and reaches the noncommuting-pair flag;
+dim3_mixed_radical (diag(2, 3, 3, 5) and I + E12) reaches the "noncommutative
+only through mixed radical terms" note; dim3_quartic_field (the companion
+matrix of x^4 - 2) reaches the "no rational zero set" note; and
+dim2_cubic_field (the companion matrix of x^3 - 2, declared compact,
+connected and oriented) reaches the dimension-2 "found no witness" branch.
+The corpus JSON reports and the text classify reports were captured
+before the exact kernels moved to integer rows, the text analyze reports
+before the classify pipeline was merged, the conjugated tests/data reports
+before subspaces moved to integer rows, the J3(1) reports before
+polynomials moved to integer coefficients, the dim3_zero_set_* reports
+(other than dim3_zero_set_line) before the zero-set stage dropped its shift
+lattice and its equal-diagonal-block check, and the reports of the four
+documents above before the case analysis dropped its unreachable
+fallbacks. An output change shows up here as a byte difference; an intended
 one replaces the snapshot in the same change.
 """
 
