@@ -659,6 +659,19 @@ def _pairwise_commute(mats: Iterable[RatMatrix]) -> bool:
     return True
 
 
+def _conjugate(word: tuple[int, ...], s: RatMatrix, letters: list[RatMatrix], memo: list[dict]) -> RatMatrix:
+    """g1 (... (gk s gk^-1) ...) g1^-1 for the word (gk, ..., g1) of indices
+    into letters, the generators and then their inverses; each step is
+    looked up in memo[letter index] by matrix."""
+    half = len(letters) // 2
+    for i in word:
+        t = memo[i].get(s)
+        if t is None:
+            t = memo[i][s] = letters[i] * s * letters[i - half]
+        s = t
+    return s
+
+
 def truncated_derived_series(
     rep: Representation,
     commutator_depth: int = 8,
@@ -678,6 +691,10 @@ def truncated_derived_series(
     level to level; once one has a numerator or denominator longer than
     _MAX_ENTRY_BITS the probe stops with "unknown" and stopped="entry_bits".
 
+    Conjugates are built letter by letter through a memo local to a level:
+    two products each in a free group, fewer where steps recur. Inverses
+    are built only for the members of a pair that does not commute.
+
     A level whose pool commutes pairwise is settled from a basis of the
     pool's span (_pairwise_commute), at most d(d - 1) products for a basis
     of d matrices instead of two for each of the pool's pairs; it is
@@ -693,21 +710,18 @@ def truncated_derived_series(
         if m != ident and m not in gens:
             gens.append(m)
 
-    # Every matrix travels with its inverse, built from products: the
-    # inverse of w g is g^-1 w^-1, of c s c^-1 is c s^-1 c^-1, and of the
-    # commutator a b a^-1 b^-1 is b a b^-1 a^-1. Only the generators are
-    # inverted by elimination, whose cost grows fastest with entry size.
-    letters = [(g, g.inverse()) for g in gens]
-    letters += [(gi, g) for g, gi in letters]
-    conjugators = {ident: ident}  # word -> its inverse, in insertion order
-    frontier = [(ident, ident)]
+    # Only the generators are inverted by elimination, whose cost grows
+    # fastest with entry size; other inverses are products.
+    letters = gens + [g.inverse() for g in gens]
+    conjugators = {ident: ()}  # matrix -> its word, innermost letter first
+    frontier = [(ident, ())]
     for _ in range(word_length):
         new_frontier = []
-        for w, wi in frontier:
-            for g, gi in letters:
+        for w, word in frontier:
+            for i, g in enumerate(letters):
                 nw = w * g
                 if nw not in conjugators:
-                    conjugators[nw] = gi * wi
+                    conjugators[nw] = (i,) + word
                     new_frontier.append((nw, conjugators[nw]))
                     if len(conjugators) >= _MAX_CONJUGATORS:
                         break
@@ -732,46 +746,54 @@ def truncated_derived_series(
                     return True
         return False
 
+    inverses = dict(zip(gens, letters[len(gens) :]))
     levels: list[DerivedLevel] = []
-    current = letters[: len(gens)]
+    # a commutator a b a^-1 b^-1 -> (b a, b^-1, a^-1), the factors of its inverse
+    current: dict[RatMatrix, tuple | None] = dict.fromkeys(gens)
     verdict = "unknown"
     stopped = None
     for depth in range(1, commutator_depth + 1):
-        pool: dict[RatMatrix, RatMatrix] = {}  # matrix -> its inverse, in insertion order
-        for s, si in current:
-            if s not in pool and len(pool) < _MAX_LEVEL:
-                pool[s] = si
-        for c, ci in list(conjugators.items())[1:]:
-            for s, si in current:
+        pool: dict[RatMatrix, tuple] = {}  # c s c^-1 -> (word of c, s)
+        memo: list[dict] = [{} for _ in letters]  # per letter g: s -> g s g^-1
+        for word in conjugators.values():
+            for s in current:
                 if len(pool) >= _MAX_LEVEL:
                     break
-                m = c * s * ci
+                m = _conjugate(word, s, letters, memo)
                 if m not in pool:
-                    pool[m] = c * si * ci
+                    pool[m] = (word, s)
         if _pairwise_commute(pool):
             # what the pair loop records when every commutator is the identity
             levels.append(DerivedLevel(depth, len(pool), 0, True))
             verdict = "yes"
             break
-        nxt: dict[RatMatrix, RatMatrix] = {}
-        for (a, ai), (b, bi) in combinations(pool.items(), 2):
+        nxt: dict[RatMatrix, tuple] = {}
+        for a, b in combinations(pool, 2):
             if len(nxt) >= _MAX_LEVEL:
                 break
             ab = a * b
             ba = b * a
             if ab == ba:  # exactly when the commutator is the identity
                 continue
+            for m in (a, b):
+                if m not in inverses:
+                    word, s = pool[m]  # the inverse of c s c^-1 is c s^-1 c^-1
+                    if s not in inverses:  # a commutator
+                        x, y, z = current[s]
+                        inverses[s] = x * y * z
+                    inverses[m] = _conjugate(word, inverses[s], letters, memo)
+            ai, bi = inverses[a], inverses[b]
             comm = ab * ai * bi
             if comm not in nxt:
                 if too_large(comm):
                     stopped = "entry_bits"
                     break
-                nxt[comm] = ba * bi * ai
+                nxt[comm] = (ba, bi, ai)
         if stopped:
             break
         # the pool has a pair that does not commute, so nxt is not empty
         levels.append(DerivedLevel(depth, len(pool), len(nxt), False))
-        current = list(nxt.items())
+        current = nxt
     return DerivedSeriesReport(tuple(levels), verdict, commutator_depth, word_length, stopped)
 
 

@@ -408,9 +408,10 @@ def pair_loop_derived_series(
     rep, commutator_depth=8, word_length=6, max_conjugators=24, max_level=32, max_entry_bits=256
 ) -> DerivedSeriesReport:
     """Reference derived-series probe: every level, commuting or not, is
-    settled by forming the commutator of each pair of its pool. Pool order,
-    caps and inverse bookkeeping are those of truncated_derived_series; the
-    entry-size check reads the reduced Fraction entries."""
+    settled by forming the commutator of each pair of its pool. Pool order
+    and caps are those of truncated_derived_series, but every matrix is
+    built whole, c s c^-1 as two products, and with its inverse as soon as
+    it is made; the entry-size check reads the reduced Fraction entries."""
     size = rep.matrix_size
     ident = RatMatrix.identity(size)
     gens = []

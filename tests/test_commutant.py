@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -607,17 +608,44 @@ def _rotation_pair(n):
     return frac_rows(a), frac_rows(b)
 
 
-def _assert_matches_pair_loop(rep, options=((8, 6, 32), (3, 2, 5))):
-    for depth, words, max_level in options:
-        expected = pair_loop_derived_series(rep, depth, words, max_level=max_level)
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return frac_rows([[rng.choice([-1, 1]) * (perm[i] == j) for j in range(n)] for i in range(n)])
+
+
+def _groups_with_relations():
+    """Generator lists whose conjugates recur, so that the probe's
+    letter-by-letter conjugation finds most of its steps in its memo."""
+    rng = random.Random(31)
+    groups = {
+        f"signed-permutations-{n}-{k}": [_signed_permutation(rng, n) for _ in range(k)]
+        for n in (3, 4)
+        for k in (2, 3)
+    }
+    e12 = frac_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    e23 = frac_rows([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    groups["heisenberg"] = [e12, e23]  # the commutator I + E_13 is central
+    groups["involution"] = [frac_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), e12 * e23]
+    a, b = _unipotent_pair(3)
+    groups["own-inverse"] = [a, a.inverse(), b]
+    return groups
+
+
+def _assert_matches_pair_loop(rep, options=((8, 6, 32, 24), (3, 2, 5, 24))):
+    for depth, words, max_level, max_conjugators in options:
+        expected = pair_loop_derived_series(rep, depth, words, max_conjugators, max_level)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(commutant, "_MAX_LEVEL", max_level)
+            mp.setattr(commutant, "_MAX_CONJUGATORS", max_conjugators)
             assert truncated_derived_series(rep, depth, words) == expected
 
 
 class TestCommutingLevelShortcut:
     """A level whose pool commutes is settled from a basis of the pool's
-    span; the reports must equal the pair loop's."""
+    span, conjugates are built letter by letter and inverses only when
+    read; the reports must equal the pair loop's, which builds every
+    matrix whole and with its inverse."""
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
     def test_matches_pair_loop_on_corpus(self, path):
@@ -636,7 +664,15 @@ class TestCommutingLevelShortcut:
         rng = random.Random(23)
         for n in (2, 3, 4, 5):
             rep = validate_rep([("a", random_invertible(rng, n)), ("b", random_invertible(rng, n))], "linear", n)
-            _assert_matches_pair_loop(rep, options=((8, 6, 32), (2, 2, 3)))
+            _assert_matches_pair_loop(rep, options=((8, 6, 32, 24), (2, 2, 3, 24)))
+
+    @pytest.mark.parametrize("name", sorted(_groups_with_relations()))
+    def test_matches_pair_loop_on_groups_with_relations(self, name):
+        # the small caps fill the pool, or run out of conjugators, partway
+        # through a level
+        gens = _groups_with_relations()[name]
+        rep = validate_rep([(f"g{i}", g) for i, g in enumerate(gens)], "linear", gens[0].nrows)
+        _assert_matches_pair_loop(rep, options=((8, 6, 32, 24), (4, 3, 3, 5), (8, 6, 7, 3)))
 
     def test_commuting_pool_costs_at_most_d_times_d_minus_one_products(self, monkeypatch):
         # 32 members of the commutative algebra {a I + [[0, B], [0, 0]]} of
@@ -657,6 +693,36 @@ class TestCommutingLevelShortcut:
         monkeypatch.setattr(RatMatrix, "matmul", lambda x, y: products.append(1) or matmul(x, y))
         assert _pairwise_commute(pool)
         assert len(products) <= d * (d - 1)
+
+
+class TestDerivedSeriesWork:
+    @pytest.mark.parametrize(
+        ("pair", "bound"),
+        [(_rotation_pair(4), 244), (_unipotent_pair(3), 283)],
+        ids=["rotation-4", "unipotent-3"],
+    )
+    def test_default_probe_products(self, pair, bound, monkeypatch):
+        # building every inverse with its matrix, and each conjugate c s c^-1
+        # whole, took 677 and 432 products
+        rep = validate_rep([("a", pair[0]), ("b", pair[1])], "linear", pair[0].nrows)
+        products = []
+        matmul = RatMatrix.matmul
+        monkeypatch.setattr(RatMatrix, "matmul", lambda x, y: products.append(1) or matmul(x, y))
+        assert truncated_derived_series(rep).verdict == "yes"
+        assert len(products) <= bound
+
+    def test_probe_leaves_no_reference_cycles(self):
+        # the memo lives in the call's frame; a cycle, such as a closure
+        # that calls itself, would leave it to the cycle collector
+        a, b = _unipotent_pair(4)
+        rep = validate_rep([("a", a), ("b", b)], "linear", 4)
+        gc.collect()
+        gc.disable()
+        try:
+            truncated_derived_series(rep)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @st.composite
