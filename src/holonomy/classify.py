@@ -192,13 +192,14 @@ def flag_from_nilpotent_element(a: RatMatrix) -> Flag:
     dimension occurs: a nilpotent rank-one matrix squares to zero.
     """
     _require_m4(a, "a")
-    if any(characteristic_polynomial(a).num[:-1]):  # nilpotent iff char = x^4
+    sq = a * a
+    if not (sq * sq).is_zero():  # a 4x4 matrix is nilpotent iff a^4 = 0
         raise ValueError("matrix is not nilpotent")
-    if (a * a).is_zero():
+    if sq.is_zero():
         raise ValueError("square vanishes: use the pair construction instead")
     ka = kernel_of(a)
     if ka.dim == 1:
-        return Flag((ka, kernel_of(a * a), image_of(a)))
+        return Flag((ka, kernel_of(sq), image_of(a)))
     ia = image_of(a)
     return Flag((ka.intersect(ia), ka, ka.add(ia)))
 

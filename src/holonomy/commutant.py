@@ -535,30 +535,36 @@ def find_rotational_element(
     return None
 
 
-def _invariant_candidates(gens: Sequence[RatMatrix], sources: Sequence[RatMatrix], size: int) -> list[Subspace]:
-    """Harvest kernels, images, and primary components of the sources, kept
-    only when invariant under every generator."""
+def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], size: int) -> list[Subspace]:
+    """Harvest kernels, images, and primary components of the centralizer
+    elements cent, then of the generators.
+
+    One taken from a generator is kept only when every generator maps it
+    onto itself. One taken from an element m of cent needs no check: each
+    generator g commutes with m, so g maps Ker f(m), Im f(m) and every
+    primary component of m into itself, and onto itself as g is invertible.
+    """
     seen: dict[Subspace, None] = {}
 
-    def consider(s: Subspace):
+    def consider(s: Subspace, check: bool):
         if not 0 < s.dim < size or s in seen or len(seen) >= _FLAG_CANDIDATE_CAP:
             return
-        if all(s.apply(g) == s for g in gens):
+        if not check or all(s.apply(g) == s for g in gens):
             seen[s] = None
 
-    for m in sources:
+    for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:
         if m.is_scalar():
             continue
         for s in kernel_and_image(m):  # kernel first: seen keeps the order and the cap counts it
-            consider(s)
+            consider(s, check)
         for comp in primary_decomposition(m):
-            consider(comp.subspace)
+            consider(comp.subspace, check)
             fm = comp.factor.eval_matrix(m)
             if comp.multiplicity == 1:  # Ker f(m) is the component itself
-                consider(image_of(fm))
+                consider(image_of(fm), check)
                 continue
             for s in kernel_and_image(fm):
-                consider(s)
+                consider(s, check)
     return list(seen)
 
 
@@ -587,9 +593,10 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
 
     Strategy: harvest kernels, images, and primary components of commutant
     elements (and of the generators themselves), close once under pairwise
-    intersections and sums, and take the longest containment chain. Every
-    harvested subspace is kept only when each generator maps it onto
-    itself, and an invertible generator maps sums and intersections of
+    intersections and sums, and take the longest containment chain. Each
+    generator maps every harvested subspace onto itself (by commutation for
+    those of commutant elements, checked for those of the generators), and
+    an invertible generator maps sums and intersections of
     such subspaces onto themselves too, so the returned flag is invariant
     by construction. Absence of a find is not a nonexistence claim. cent
     is the centralizer of rep when the caller already holds it; it is
@@ -599,8 +606,7 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
     size = rep.matrix_size
     if cent is None:
         cent = matrix_centralizer(gens, size)
-    sources = list(cent.basis) + gens
-    cands = _invariant_candidates(gens, sources, size)
+    cands = _invariant_candidates(gens, cent.basis, size)
     chain = _longest_chain(cands)
     if chain and len(chain) == size - 1:  # a strictly increasing chain this long is complete
         return Flag(tuple(chain))

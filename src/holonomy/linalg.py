@@ -280,29 +280,34 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], lis
     positive entry at pivots[i] and zeros at the other pivots; divided by
     that entry it is the RREF row. The zero rows follow.
 
-    Fraction-free Gauss-Jordan: each row is cleared of denominators, rows
-    are combined by integer cross-multiplication and divided by their gcd
-    content.
+    Fraction-free and incremental: the reduced rows found so far are kept
+    by pivot column, each zero at the other pivots and left of its own.
+    The rows are taken in order, each cleared of denominators and reduced
+    against the kept rows by integer cross-multiplication. A row that
+    vanishes is dropped then and there, before it costs a clearing or a
+    content gcd, which is most rows of a tall system of low rank (the
+    commutation system of the centralizer). A row that survives is divided
+    by its content, given a positive pivot at its first nonzero column,
+    and its pivot column is cleared from the kept rows; the RREF of a row
+    space is unique, so the order does not change the result.
     """
-    m = [primitive_part(_integer_row(r)[0]) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+    kept: dict[int, list[int]] = {}
+    ncols = len(rows[0]) if rows else 0
+    for r in rows:
+        v = _integer_row(r)[0]
+        for p, top in kept.items():
+            if v[p]:
+                v = eliminate(v, top, p)[1]
+        if not any(v):
             continue
-        top = m[piv] if m[piv][c] > 0 else [-x for x in m[piv]]  # eliminate keeps it positive
-        m[piv], m[r] = m[r], top
-        for i in range(nrows):
-            if m[i][c] and i != r:
-                m[i] = primitive_part(eliminate(m[i], top, c)[1])
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        c = v.index(next(filter(None, v)))  # the first nonzero column
+        v = primitive_part(v) if v[c] > 0 else [-x for x in primitive_part(v)]
+        for p, row in kept.items():
+            if row[c]:  # eliminate keeps the kept row's pivot positive
+                kept[p] = primitive_part(eliminate(row, v, c)[1])
+        kept[c] = v
+    pivots = sorted(kept)
+    return [kept[p] for p in pivots] + [[0] * ncols for _ in range(len(rows) - len(kept))], pivots
 
 
 @dataclass(frozen=True)

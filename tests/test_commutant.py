@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy import commutant
+from holonomy import commutant, linalg
 from holonomy.commutant import (
     AlgebraBasis,
     ClosureError,
@@ -152,6 +152,34 @@ class TestCentralizer:
             calls.clear()
             matrix_centralizer(gens, n)
             assert calls == [n * n]
+
+    def test_eliminations_of_one_seeded_system(self, monkeypatch):
+        # the 48 x 16 commutation system has rank 13; rref drops each
+        # dependent row once it reduces to zero, so no kept pivot is ever
+        # cleared from it. Gauss-Jordan over every row took 140 eliminations.
+        p = random_unimodular(random.Random(71), 4)
+        j = frac_rows([[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, -1]])
+        k = frac_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 5], [0, 0, 0, 2]])
+        gens = [p * j * p.inverse(), p * k * p.inverse(), RatMatrix.identity(4).scale(2)]
+        calls = []
+        eliminate = linalg.eliminate
+        monkeypatch.setattr(linalg, "eliminate", lambda *args: calls.append(1) or eliminate(*args))
+        cent = matrix_centralizer(gens, 4)
+        assert cent.dim == 3
+        assert len(calls) == 87
+
+    def test_hostile_pq_pair_has_scalar_centralizer(self):
+        # two 6 x 6 generators with entries p/q of up to 20 bits each: the
+        # 72 x 36 system has rank 35, and over the lcm of each generator's
+        # denominators its entries have up to 552 bits
+        rng = random.Random(7)
+        gens = [
+            frac_rows([[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(6)]
+                       for _ in range(6)])
+            for _ in range(2)
+        ]
+        cent = matrix_centralizer(gens, 6)
+        assert cent.dim == 1 and cent.contains_identity
 
 
 def _jordan(n: int, eigenvalue, block: int) -> RatMatrix:

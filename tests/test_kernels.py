@@ -34,11 +34,19 @@ entries = st.one_of(
 
 
 @st.composite
-def row_lists(draw, max_rows=5, max_cols=5):
-    """Rows of a common width; some rows are zero or repeated."""
+def row_lists(draw, max_rows=5, max_cols=5, tall=False):
+    """Rows of a common width; some rows are zero or repeated. A tall draw
+    has up to four times as many rows as columns, each zero or an integer
+    combination of 1-3 drawn rows, so most rows vanish during reduction and
+    leading entries are often negative."""
     ncols = draw(st.integers(1, max_cols))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     zero = st.just([Fraction(0)] * ncols)
+    if tall:
+        base = draw(st.lists(row, min_size=1, max_size=3))
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        combination = coeffs.map(lambda cs: [sum(c * b[k] for c, b in zip(cs, base)) for k in range(ncols)])
+        return draw(st.lists(st.one_of(combination, combination, zero), min_size=ncols, max_size=4 * ncols))
     rows = draw(st.lists(st.one_of(row, row, zero), min_size=0, max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.append(list(rows[0]))
@@ -81,7 +89,7 @@ def leibniz_det(m: RatMatrix) -> Fraction:
 
 
 class TestRref:
-    @given(row_lists())
+    @given(st.one_of(row_lists(), row_lists(tall=True)))
     @settings(max_examples=150, deadline=None)
     def test_against_brute_force_nullspace(self, rows):
         reduced, pivots = rref(rows)
@@ -122,7 +130,7 @@ class TestRref:
     def test_zero_width(self):
         assert rref([[], []]) == ([[], []], [])
 
-    @given(row_lists())
+    @given(st.one_of(row_lists(), row_lists(tall=True)))
     @settings(max_examples=100, deadline=None)
     def test_kernel_image_matrix_is_the_fraction_rref(self, rows):
         if not rows:
