@@ -197,6 +197,13 @@ def flag_from_nilpotent_element(a: RatMatrix) -> Flag:
         raise ValueError("matrix is not nilpotent")
     if sq.is_zero():
         raise ValueError("square vanishes: use the pair construction instead")
+    return _element_flag(a, sq)
+
+
+def _element_flag(a: RatMatrix, sq: RatMatrix) -> Flag:
+    """flag_from_nilpotent_element's chain for a nilpotent 4x4 a with
+    nonzero square sq = a * a, taken as given: a radical element is
+    nilpotent, and its caller has formed sq already."""
     ka = kernel_of(a)
     if ka.dim == 1:
         return Flag((ka, kernel_of(sq), image_of(a)))
@@ -397,8 +404,9 @@ def _flag_from_noncommutative_radical(radical: AlgebraBasis) -> tuple[Flag, list
     for x, y in combinations(basis, 2):
         candidates.extend([x + y, x - y])
     for a in candidates:
-        if not (a * a).is_zero():
-            return flag_from_nilpotent_element(a), [
+        sq = a * a
+        if not sq.is_zero():
+            return _element_flag(a, sq), [
                 "noncommutative radical: a nilpotent element with nonzero square"
                 " yields the invariant kernel-image chain"
             ]
@@ -579,11 +587,14 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
     branch: str | None = None
     assumed: _BranchResult | None = None
 
-    if not decomp.radical.is_commutative():  # a zero radical is commutative
+    # a commutative centralizer has a commutative radical, so its radical's
+    # products are never built; a zero radical is commutative too
+    cent_commutative = cent.is_commutative()
+    if not cent_commutative and not decomp.radical.is_commutative():
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE
         flag, extra = _flag_from_noncommutative_radical(decomp.radical)
         notes.extend(extra)
-    elif cent.is_commutative():
+    elif cent_commutative:
         branch = BRANCH_COMMUTATIVE
         res = _commutative_branch(cent, decomp)
         if res is not None:

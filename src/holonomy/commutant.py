@@ -164,9 +164,16 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
 
     The kernel is read off one integer RREF of the commutation rows, with
     one span of the free-column vectors; no image of the (k n^2) x n^2
-    system is built. With no generators it is the whole matrix algebra.
+    system is built. Every generator's size is checked, but a scalar
+    generator cI gives no rows, since XcI - cIX = 0 for every X: the
+    suspension's central 2I alone would add n^2 zero rows. With no
+    generators, or only scalar ones, it is the whole matrix algebra.
     """
-    return AlgebraBasis(size, nullspace(*rref(_commutation_rows(mats, size)), size * size))
+    for g in mats:
+        if g.nrows != size or g.ncols != size:
+            raise ValueError("generator size mismatch")
+    rows = _commutation_rows([g for g in mats if not g.is_scalar()], size)
+    return AlgebraBasis(size, nullspace(*rref(rows), size * size))
 
 
 def centralizer_algebra(rep: Representation) -> AlgebraBasis:
@@ -274,6 +281,11 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     nonzero Ker cofactor(m). So e*e = e, e != 0 and e != I hold without a
     check. e is a polynomial in m, so a unital closed algebra contains it;
     membership is tested because a non-unital algebra need not.
+
+    dickson_radical calls it only when the semisimple quotient has
+    dimension >= 2 or the algebra lacks I: on a local algebra every
+    candidate has a minimal polynomial with one factor, so it would find
+    nothing.
     """
     candidates = list(a.basis)
     for x, y in combinations(a.basis, 2):
@@ -314,7 +326,17 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
     every power sum of x^2 vanishes, which over Q makes x^2, and so x,
     nilpotent. That argument needs closure, which is checked first.
     Commutativity of the semisimple quotient is decided by testing
-    commutators modulo the radical span. The zero algebra takes the same
+    commutators modulo the radical span; a quotient of dimension <= 1 is
+    spanned by at most one class, so it is commutative without a test.
+
+    The idempotent search (_idempotent_witnesses) runs only when the
+    quotient has dimension >= 2 or the algebra lacks I. Otherwise the
+    algebra is local: A = J, or A = QI + J with I outside the nilpotent J.
+    Every candidate is then cI + n with n nilpotent, whose minimal
+    polynomial (x - c)^s has one factor, so the search cannot succeed and
+    the empty witness tuple is a proven absence, not a bound. A non-unital
+    algebra with a quotient of dimension 1, such as span{E11, E12}, can
+    hold an idempotent, so it is searched. The zero algebra takes the same
     path to a zero radical, a commutative quotient of dimension 0 and no
     witnesses.
     """
@@ -334,11 +356,14 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
                 m = m + b.scale(c)
         rad_mats.append(m)
     radical = AlgebraBasis.from_span(rad_mats, a.ambient_dim)
+    quotient_dim = k - radical.dim
     rad_span = radical.span
-    quotient_commutative = all(
+    quotient_commutative = quotient_dim <= 1 or all(
         rad_span.contains(numerator_vector(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
     )
-    return Decomposition(radical, k - radical.dim, quotient_commutative, _idempotent_witnesses(a))
+    local = quotient_dim == 0 or (quotient_dim == 1 and a.contains_identity)
+    witnesses = () if local else _idempotent_witnesses(a)
+    return Decomposition(radical, quotient_dim, quotient_commutative, witnesses)
 
 
 @dataclass(frozen=True)

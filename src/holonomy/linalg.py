@@ -61,10 +61,16 @@ def is_zero_vec(v: Vec) -> bool:
 
 
 def _integer_row(row: Sequence) -> tuple[list[int], int]:
-    """(numerators, d) with row == numerators / d, d the lcm of the denominators."""
-    den = lcm(*[x.denominator for x in row])
-    if den == 1:
-        return [x.numerator for x in row], 1
+    """(numerators, d) with row == numerators / d, d the lcm of the
+    denominators, every numerator an int. The lcm runs over the entries that
+    are not ints only, so a row of ints (a commutation row, a matrix's or a
+    subspace's integer form) is copied once and not scanned for
+    denominators; a Fraction with denominator 1 still comes back as an int.
+    """
+    dens = [x.denominator for x in row if type(x) is not int]
+    if not dens:
+        return list(row), 1
+    den = lcm(*dens)
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
@@ -420,15 +426,23 @@ def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: in
     once. `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with
     no image; solve_linear, Subspace.intersect, kernel_and_image, the
     centralizer, the invariant affine fields, the Dickson radical and the
-    primary components read their kernels this way."""
+    primary components read their kernels this way.
+
+    Each vector is built in integers: for free column f, with t the lcm of
+    the pivot entries r[p] of the rows r with r[f] != 0, it is t at f,
+    -r[f] * (t / r[p]) at each such pivot p and 0 elsewhere, which is t
+    times the Fraction vector with 1 at f."""
+    rows = list(zip(pivots, reduced))
     kernel_vecs = []
     for f in range(ncols):
         if f in pivots:
             continue
+        touched = [(p, r) for p, r in rows if r[f]]
+        top = lcm(*[r[p] for p, r in touched])
         v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = Fraction(-reduced[i][f], reduced[i][p])
+        v[f] = top
+        for p, r in touched:
+            v[p] = -r[f] * (top // r[p])
         kernel_vecs.append(v)
     return Subspace.span(kernel_vecs, ncols)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from holonomy import classify as classify_module
+from holonomy import commutant, linalg, polys
 from holonomy.classify import (
     BRANCH_AUT_TOO_SMALL,
     BRANCH_COMMUTATIVE,
@@ -377,6 +378,49 @@ class TestClassifyDim3:
         rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
         out = classify_dim3(rep, suspension_factor=Fraction(3))
         assert out.conclusion == CONCLUSION_SOLVABLE_PI1
+
+
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count minimal_polynomial, factor_polynomial and eliminate calls, and
+    the rows handed to rref, through every module that binds them."""
+    counts = dict(minimal_polynomial=0, factor_polynomial=0, eliminate=0, rref_rows=0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            if name == "rref":
+                counts["rref_rows"] += len(args[0])
+            else:
+                counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (linalg, polys, commutant, classify_module):
+        for name in ("minimal_polynomial", "factor_polynomial", "eliminate", "rref"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, classify_fn, expected",
+    [
+        ("conj_dim3_torus_translations_1", classify_dim3,
+         dict(minimal_polynomial=0, factor_polynomial=1, eliminate=183, rref_rows=103)),
+        ("conj_dim2_translation_torus_2", classify_dim2,
+         dict(minimal_polynomial=0, factor_polynomial=0, eliminate=70, rref_rows=35)),
+    ],
+)
+def test_work_counts_of_conjugated_translation_groups(name, classify_fn, expected, monkeypatch):
+    """A conjugated translation group's suspension has a local centralizer
+    (QI plus the radical), so dickson_radical runs no idempotent search: no
+    minimal polynomial, and the one factorization left is the zero-set
+    analysis's characteristic polynomial. The central 2I adds no
+    commutation rows. The counts are deterministic; a search or zero rows
+    brought back raise them."""
+    rep = load_rep_file(DATA / f"{name}.json")
+    counts = _count_work(monkeypatch)
+    classify_fn(rep)
+    assert counts == expected
 
 
 class TestOutcomeInvariance:

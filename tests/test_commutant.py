@@ -75,6 +75,13 @@ class TestCentralizer:
     def test_scalar_generator_centralizes_everything(self):
         rep = benzecri_suspend(validate_rep([], "projective-class", 3))
         assert centralizer_algebra(rep).dim == 16
+        # scalar generators give no commutation rows, but their size is checked
+        for n in (1, 3):
+            scalars = [RatMatrix.identity(n).scale(2), RatMatrix.identity(n).scale(Fraction(-3, 2))]
+            assert matrix_centralizer(scalars, n).span == Subspace.full(n * n)
+        for wrong in (RatMatrix.identity(2).scale(2), RatMatrix.zeros(4, 4), RatMatrix.zeros(2, 3)):
+            with pytest.raises(ValueError, match="size mismatch"):
+                matrix_centralizer([RatMatrix.identity(3), wrong], 3)
 
     def test_distinct_diagonal(self):
         rep = validate_rep([("d", frac_rows([[2, 0], [0, 3]]))], "linear", 2)
@@ -180,6 +187,11 @@ class TestCentralizer:
         ]
         cent = matrix_centralizer(gens, 6)
         assert cent.dim == 1 and cent.contains_identity
+
+
+def E_n(n: int, i: int, j: int) -> RatMatrix:
+    """The n x n matrix unit with a 1 at (i, j), counted from 0."""
+    return frac_rows([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
 
 
 def _jordan(n: int, eigenvalue, block: int) -> RatMatrix:
@@ -331,6 +343,41 @@ class TestClosureAndRadical:
         for n in (1, 3):
             with pytest.raises(ValueError, match="ambient size"):
                 AlgebraBasis(n, span)
+
+    def test_local_centralizers_have_no_idempotent(self):
+        # The centralizers of conjugated unipotent, full-lattice translation
+        # and Jordan-block groups, with the suspension's 2I, are local: QI
+        # plus the radical. dickson_radical skips the idempotent search on
+        # them, and the search itself finds nothing there either.
+        rng = random.Random(83)
+        checked = 0
+        for n in range(2, 6):
+            unipotent = [RatMatrix.identity(n) + E_n(n, i, i + 1) for i in range(n - 1)]
+            translations = [RatMatrix.identity(n) + E_n(n, i, n - 1) for i in range(n - 1)]
+            for gens in (unipotent, translations, [_jordan(n, Fraction(-2, 3), n)]):
+                p = random_unimodular(rng, n)
+                pinv = p.inverse()
+                conj = [p * g * pinv for g in gens] + [RatMatrix.identity(n).scale(2)]
+                cent = matrix_centralizer(conj, n)
+                d = dickson_radical(cent)
+                assert cent.contains_identity and d.quotient_dim == 1 and d.quotient_commutative
+                assert d.idempotent_witnesses == () == commutant._idempotent_witnesses(cent)
+                checked += 1
+        assert checked == 12
+
+    def test_idempotent_search_boundaries(self):
+        # span{E11, E12} is closed with a one-dimensional quotient but lacks
+        # I, so it is searched and holds E11; a strictly upper triangular
+        # algebra is its own radical and holds no idempotent
+        e11, e12 = frac_rows([[1, 0], [0, 0]]), frac_rows([[0, 1], [0, 0]])
+        corner = AlgebraBasis.from_span([e11, e12], 2)
+        d = dickson_radical(corner)
+        assert not corner.contains_identity and d.quotient_dim == 1
+        assert d.idempotent_witnesses[0] == e11
+        strict = AlgebraBasis.from_span([E[(1, 2)], E[(1, 3)], E[(2, 4)], E[(3, 4)], E[(1, 4)]], 4)
+        d = dickson_radical(strict)
+        assert d.radical == strict and d.quotient_dim == 0 and d.quotient_commutative
+        assert d.idempotent_witnesses == () == commutant._idempotent_witnesses(strict)
 
     def test_radical_requires_closure(self):
         a = AlgebraBasis.from_span([frac_rows([[0, 1], [0, 0]]), frac_rows([[0, 0], [1, 0]])], 2)

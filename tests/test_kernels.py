@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from holonomy import commutant
 from holonomy.commutant import truncated_derived_series
-from holonomy.linalg import RatMatrix, Subspace, rref
+from holonomy.linalg import RatMatrix, Subspace, _integer_row, nullspace, rref
 from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynomial, minimal_polynomial, poly_egcd
 from holonomy.representation import validate_rep
 
@@ -120,6 +120,8 @@ class TestRref:
                 v[p] = -reduced[i][f]
             kernel.append(v)
         assert kernel == brute_force_nullspace(rows, ncols)
+        # nullspace builds the same kernel from integer vectors
+        assert nullspace(*rref(rows), ncols) == Subspace.span(kernel, ncols)
 
     def test_one_by_n(self):
         reduced, pivots = rref([[Fraction(0), Fraction(-3, 4), Fraction(1, 2)]])
@@ -129,6 +131,22 @@ class TestRref:
 
     def test_zero_width(self):
         assert rref([[], []]) == ([[], []], [])
+
+    def test_integer_row(self):
+        # the lcm skips int entries, but every numerator comes back an int,
+        # and a row of ints comes back as a new list
+        for row, expected in (
+            ([Fraction(2), 3], ([2, 3], 1)),
+            ([Fraction(1, 2), 1], ([1, 2], 2)),
+            ([Fraction(-3, 4), Fraction(5, 6), 0], ([-9, 10, 0], 12)),
+            ([3, -4, 0], ([3, -4, 0], 1)),
+            ((7,), ([7], 1)),
+            ([], ([], 1)),
+        ):
+            nums, den = _integer_row(row)
+            assert (nums, den) == expected
+            assert type(nums) is list and nums is not row
+            assert all(type(x) is int for x in nums)
 
     @given(st.one_of(row_lists(), row_lists(tall=True)))
     @settings(max_examples=100, deadline=None)
