@@ -25,8 +25,11 @@ from .linalg import (
     Vec,
     eliminate,
     image_of,
+    integer_matmul,
     is_zero_vec,
     kernel_and_image,
+    kernel_vectors,
+    krylov_powers,
     matrix_from_vec,
     nullspace,
     numerator_vector,
@@ -162,18 +165,59 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
     """Basis of {X : Xg = gX for every g}, the joint kernel of the
     commutation maps X -> Xg - gX.
 
-    The kernel is read off one integer RREF of the commutation rows, with
-    one span of the free-column vectors; no image of the (k n^2) x n^2
-    system is built. Every generator's size is checked, but a scalar
-    generator cI gives no rows, since XcI - cIX = 0 for every X: the
-    suspension's central 2I alone would add n^2 zero rows. With no
-    generators, or only scalar ones, it is the whole matrix algebra.
+    Every generator's size is checked, but a scalar generator cI constrains
+    nothing, since XcI - cIX = 0 for every X: the suspension's central 2I
+    is skipped. With no generators, or only scalar ones, the centralizer is
+    the whole matrix algebra.
+
+    Cyclic rule: let A = N / d be the first non-scalar generator. One
+    Krylov pass (krylov_powers) over I, N, ..., N^(n-1) stops at the first
+    power that depends on the earlier ones. When all n are independent, A
+    is cyclic (non-derogatory), and a matrix that commutes with a cyclic
+    matrix is a polynomial in it (Horn-Johnson, Matrix Analysis, 2nd ed.,
+    Thm 3.2.4.2), so C(A) = Q[N]. The centralizer is then the set of
+    sum_k c_k N^k with sum_k c_k (N^k M - M N^k) = 0 for the numerator M of
+    every other non-scalar generator: an integer system in n unknowns,
+    whose kernel vectors are combined with the powers and spanned once.
+
+    Fallback, when A is derogatory: the kernel of the integer commutation
+    system in the n^2 entries of X, read off one RREF with one span of the
+    free-column vectors; no image of the (k n^2) x n^2 system is built.
+
+    The span is canonical, so both paths give the same AlgebraBasis.
     """
     for g in mats:
         if g.nrows != size or g.ncols != size:
             raise ValueError("generator size mismatch")
-    rows = _commutation_rows([g for g in mats if not g.is_scalar()], size)
+    nonscalar = [g for g in mats if not g.is_scalar()]
+    if nonscalar:
+        powers, dependence = krylov_powers(nonscalar[0].num, size)
+        if dependence is None:
+            return AlgebraBasis(size, _polynomial_centralizer(powers, nonscalar[1:], size))
+    rows = _commutation_rows(nonscalar, size)
     return AlgebraBasis(size, nullspace(*rref(rows), size * size))
+
+
+def _polynomial_centralizer(
+    powers: list[list[list[int]]], others: Sequence[RatMatrix], size: int
+) -> Subspace:
+    """The elements of Q[N] = span{I, N, ..., N^(n-1)} (powers, the integer
+    powers of a cyclic N) that commute with every matrix of others.
+
+    Column k of the system is the vectorized commutator N^k M - M N^k, one
+    block of n^2 rows per M = numerator of an element of others; column 0
+    is zero, since I commutes with M. Each kernel vector c gives the
+    element sum_k c_k N^k."""
+    rows: list[tuple[int, ...]] = []
+    for g in others:
+        m = g.num
+        comms = [[0] * (size * size)]
+        for p in powers[1:]:
+            pm, mp = integer_matmul(p, m), integer_matmul(m, p)
+            comms.append([a - b for ra, rb in zip(pm, mp) for a, b in zip(ra, rb)])
+        rows.extend(zip(*comms))
+    flat = [[x for row in p for x in row] for p in powers]
+    return Subspace.span(integer_matmul(kernel_vectors(*rref(rows), size), flat), size * size)
 
 
 def centralizer_algebra(rep: Representation) -> AlgebraBasis:

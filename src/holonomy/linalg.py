@@ -47,11 +47,6 @@ def vector(entries: Iterable) -> Vec:
     return tuple([x if type(x) is Fraction else to_fraction(x) for x in entries])
 
 
-def _exact(entries: Iterable) -> list:
-    """The entries as ints or Fractions, for the integer kernels."""
-    return [x if type(x) is int or type(x) is Fraction else to_fraction(x) for x in entries]
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
@@ -62,14 +57,20 @@ def is_zero_vec(v: Vec) -> bool:
 
 def _integer_row(row: Sequence) -> tuple[list[int], int]:
     """(numerators, d) with row == numerators / d, d the lcm of the
-    denominators, every numerator an int. The lcm runs over the entries that
-    are not ints only, so a row of ints (a commutation row, a matrix's or a
-    subspace's integer form) is copied once and not scanned for
-    denominators; a Fraction with denominator 1 still comes back as an int.
+    denominators, every numerator an int. Entries are ints, Fractions or
+    'p/q' strings; a float or a bool raises TypeError (see to_fraction).
+
+    One scan picks out the entries that are not ints, and only those are
+    coerced or read for denominators: a row of ints (a commutation row, a
+    kernel vector, a matrix's or a subspace's integer form) is then copied
+    once, and a Fraction with denominator 1 still comes back as an int.
     """
-    dens = [x.denominator for x in row if type(x) is not int]
-    if not dens:
+    odd = [x for x in row if type(x) is not int]
+    if not odd:
         return list(row), 1
+    dens = [x.denominator for x in odd if type(x) is Fraction]
+    if len(dens) < len(odd):
+        return _integer_row([x if type(x) is int else to_fraction(x) for x in row])
     den = lcm(*dens)
     return [x.numerator * (den // x.denominator) for x in row], den
 
@@ -116,11 +117,12 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "RatMatrix":
-        vecs = [_exact(r) for r in rows]
+        vecs = [list(r) for r in rows]
         ncols = len(vecs[0]) if vecs else 0
         if any(len(v) != ncols for v in vecs):
             raise ValueError("ragged rows")
-        # over the lcm of the denominators of reduced Fractions the form is normalized
+        # over the lcm of the denominators of reduced Fractions the form is
+        # normalized; _integer_row coerces and checks the entries
         flat, den = _integer_row([x for v in vecs for x in v])
         return RatMatrix(tuple(tuple(flat[i * ncols : (i + 1) * ncols]) for i in range(len(vecs))), den)
 
@@ -281,10 +283,10 @@ def matrix_from_vec(v: Sequence[Fraction], nrows: int, ncols: int) -> RatMatrix:
 
 
 def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of rows of ints or Fractions, in integers:
-    (rows, pivot column indices). Row i < len(pivots) is primitive with a
-    positive entry at pivots[i] and zeros at the other pivots; divided by
-    that entry it is the RREF row. The zero rows follow.
+    """Reduced row echelon form of rows of ints, Fractions or 'p/q'
+    strings, in integers: (rows, pivot column indices). Row i < len(pivots)
+    is primitive with a positive entry at pivots[i] and zeros at the other
+    pivots; divided by that entry it is the RREF row. The zero rows follow.
 
     Fraction-free and incremental: the reduced rows found so far are kept
     by pivot column, each zero at the other pivots and left of its own.
@@ -331,10 +333,10 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [_exact(v) for v in vectors]
+        vecs = list(vectors)
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector does not match ambient dimension")
-        reduced, pivots = rref(vecs)
+        reduced, pivots = rref(vecs)  # rref coerces and checks each entry once
         return Subspace(ambient_dim, tuple(map(tuple, reduced[: len(pivots)])))
 
     @staticmethod
@@ -360,7 +362,7 @@ class Subspace:
 
     def _residual(self, v: Sequence) -> tuple[list[int], int]:
         """(numerators, d) of the residual of v along the canonical basis."""
-        w, den = _integer_row(_exact(v))
+        w, den = _integer_row(v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector does not match ambient dimension")
         for piv, row in zip(self._pivots, self.num):
@@ -422,16 +424,24 @@ def kernel_and_image(m: RatMatrix) -> tuple[Subspace, Subspace]:
 
 def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> Subspace:
     """Kernel of a matrix whose integer RREF (as rref returns it) occupies
-    the first ncols columns of reduced: one vector per free column, spanned
-    once. `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with
-    no image; solve_linear, Subspace.intersect, kernel_and_image, the
+    the first ncols columns of reduced: the kernel_vectors, spanned once.
+    `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with no
+    image; solve_linear, Subspace.intersect, kernel_and_image, the
     centralizer, the invariant affine fields, the Dickson radical and the
-    primary components read their kernels this way.
+    primary components read their kernels this way."""
+    return Subspace.span(kernel_vectors(reduced, pivots, ncols), ncols)
 
-    Each vector is built in integers: for free column f, with t the lcm of
-    the pivot entries r[p] of the rows r with r[f] != 0, it is t at f,
-    -r[f] * (t / r[p]) at each such pivot p and 0 elsewhere, which is t
-    times the Fraction vector with 1 at f."""
+
+def kernel_vectors(
+    reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+) -> list[list[int]]:
+    """A basis of the kernel that nullspace spans, one integer vector per
+    free column, not yet in canonical form.
+
+    For free column f, with t the lcm of the pivot entries r[p] of the rows
+    r with r[f] != 0, the vector is t at f, -r[f] * (t / r[p]) at each such
+    pivot p and 0 elsewhere, which is t times the Fraction vector with 1 at
+    f."""
     rows = list(zip(pivots, reduced))
     kernel_vecs = []
     for f in range(ncols):
@@ -444,7 +454,46 @@ def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: in
         for p, r in touched:
             v[p] = -r[f] * (top // r[p])
         kernel_vecs.append(v)
-    return Subspace.span(kernel_vecs, ncols)
+    return kernel_vecs
+
+
+def krylov_powers(
+    num: Sequence[Sequence[int]], limit: int
+) -> tuple[list[list[list[int]]], list[int] | None]:
+    """The powers I, N, N^2, ... of the square integer matrix N up to the
+    first one that depends linearly on those before it: (powers, q).
+
+    Each new power, vectorized, is reduced against the echelon rows kept so
+    far by integer cross-multiplication, while its coefficients over the
+    powers are tracked alongside, so one elimination step updates both.
+    When N^k is the first dependent power, powers is [I, ..., N^(k-1)] and
+    q = [q_0, ..., q_k] with q_k != 0 and sum q_i N^i = 0. When the first
+    `limit` powers are independent, q is None, powers holds those `limit`
+    powers and N^limit is not formed. minimal_polynomial reads q (with
+    limit n + 1, which Cayley-Hamilton never reaches); the centralizer reads
+    whether the first n powers are independent, that is whether N is
+    cyclic, and those powers.
+    """
+    n = len(num)
+    size = n * n
+    # each echelon row is a power's entries followed by its coefficients
+    # over I, N, N^2, ...
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
+    powers: list[list[list[int]]] = []
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(limit):
+        v = [x for row in power for x in row] + [int(i == k) for i in range(limit)]
+        for p, row in echelon:
+            if v[p]:
+                v = primitive_part(eliminate(v, row, p)[1])
+        pivot = next((i for i in range(size) if v[i]), None)
+        if pivot is None:
+            return powers, v[size : size + k + 1]
+        echelon.append((pivot, v))
+        powers.append(power)
+        if k + 1 < limit:
+            power = integer_matmul(power, num)
+    return powers, None
 
 
 def kernel_of(m: RatMatrix) -> Subspace:

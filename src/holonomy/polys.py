@@ -23,7 +23,16 @@ from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .linalg import RatMatrix, Subspace, eliminate, integer_matmul, nullspace, primitive_part, rref, to_fraction
+from .linalg import (
+    RatMatrix,
+    Subspace,
+    integer_matmul,
+    krylov_powers,
+    nullspace,
+    primitive_part,
+    rref,
+    to_fraction,
+)
 
 
 @dataclass(frozen=True)
@@ -180,32 +189,16 @@ def minimal_polynomial(m: RatMatrix) -> Polynomial:
     """Monic minimal polynomial, from the first linear dependence among the
     vectorized powers I, m, m^2, ...
 
-    With m = N / d, the powers N^k are integer vectors. Each new power is
-    reduced against the echelon rows kept so far, by integer
-    cross-multiplication, while its coefficients over the powers are
-    tracked alongside. The first power that reduces to zero yields q with
-    q(N) = 0, and the minimal polynomial is q(d x) / (lc(q) d^deg(q)).
+    With m = N / d, linalg.krylov_powers finds the first power N^k that
+    depends on the earlier ones, and the dependence: q with q(N) = 0. The
+    minimal polynomial is q(d x) / (lc(q) d^deg(q)).
     """
     if not m.is_square:
         raise ValueError("square matrix required")
     num, d = m.integer_form
-    n = m.nrows
-    size = n * n
-    # each echelon row is a power's entries followed by its coefficients over
-    # I, N, N^2, ..., so one elimination step updates both
-    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in itertools.count():
-        v = [x for row in power for x in row] + [int(i == k) for i in range(n + 1)]
-        for p, row in echelon:
-            if v[p]:
-                v = primitive_part(eliminate(v, row, p)[1])
-        pivot = next((i for i in range(size) if v[i]), None)
-        if pivot is None:
-            coeffs = v[size : size + k + 1]
-            return Polynomial.from_integer_form([c * d**i for i, c in enumerate(coeffs)], coeffs[k] * d**k)
-        echelon.append((pivot, v))
-        power = integer_matmul(power, num)
+    _, coeffs = krylov_powers(num, m.nrows + 1)
+    k = len(coeffs) - 1
+    return Polynomial.from_integer_form([c * d**i for i, c in enumerate(coeffs)], coeffs[k] * d**k)
 
 
 def characteristic_polynomial(m: RatMatrix) -> Polynomial:

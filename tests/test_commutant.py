@@ -46,6 +46,7 @@ from helpers import (
     centralizer_oracle,
     frac_rows,
     fraction_affine_fields,
+    fraction_rref,
     pair_loop_derived_series,
     passes_trace_screen,
     random_int_matrix,
@@ -164,6 +165,9 @@ class TestCentralizer:
         # the 48 x 16 commutation system has rank 13; rref drops each
         # dependent row once it reduces to zero, so no kept pivot is ever
         # cleared from it. Gauss-Jordan over every row took 140 eliminations.
+        # The first generator is derogatory (minimal polynomial of degree 3),
+        # which the Krylov pass finds at N^3 after 0 + 1 + 2 + 3 = 6
+        # eliminations; the RREF takes the other 87.
         p = random_unimodular(random.Random(71), 4)
         j = frac_rows([[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, -1]])
         k = frac_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 5], [0, 0, 0, 2]])
@@ -173,20 +177,138 @@ class TestCentralizer:
         monkeypatch.setattr(linalg, "eliminate", lambda *args: calls.append(1) or eliminate(*args))
         cent = matrix_centralizer(gens, 4)
         assert cent.dim == 3
-        assert len(calls) == 87
+        assert len(calls) == 93
 
     def test_hostile_pq_pair_has_scalar_centralizer(self):
         # two 6 x 6 generators with entries p/q of up to 20 bits each: the
         # 72 x 36 system has rank 35, and over the lcm of each generator's
-        # denominators its entries have up to 552 bits
+        # denominators its entries have up to 552 bits. The first generator
+        # is cyclic, so the solve has 6 unknowns instead of 36.
         rng = random.Random(7)
-        gens = [
-            frac_rows([[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(6)]
-                       for _ in range(6)])
-            for _ in range(2)
-        ]
+        gens = [_hostile_pq(rng, 6) for _ in range(2)]
         cent = matrix_centralizer(gens, 6)
         assert cent.dim == 1 and cent.contains_identity
+
+    def test_hostile_8x8_centralizers(self):
+        # the 8 x 8 seed-7 pair and a block-diagonal 8 x 8 whose blocks are
+        # two random 4 x 4 p/q matrices, whose centralizer is the block
+        # scalars; the oracle's 128 x 64 Fraction elimination would take
+        # seconds, so each basis element is checked against the generators
+        rng = random.Random(7)
+        pair = [_hostile_pq(rng, 8) for _ in range(2)]
+        rng = random.Random(7)
+        blocks = [_block_diagonal(_hostile_pq(rng, 4), _hostile_pq(rng, 4)) for _ in range(2)]
+        upper = _block_diagonal(RatMatrix.identity(4), RatMatrix.zeros(4, 4))
+        for gens, dim in ((pair, 1), (blocks, 2)):
+            cent = matrix_centralizer(gens, 8)
+            assert cent.dim == dim and cent.contains_identity
+            assert cent.contains(upper) == (dim == 2)
+            for b in cent.basis:
+                for g in gens:
+                    assert (b * g - g * b).is_zero()
+
+    def test_cyclic_path_matches_oracle(self, monkeypatch):
+        # C(A) = Q[A] for a cyclic A: the centralizer solves for polynomials
+        # in the first non-scalar generator when it is cyclic, and falls back
+        # to the n^2-unknown commutation system when it is derogatory
+        widths = []
+        rref = commutant.rref
+        monkeypatch.setattr(commutant, "rref", lambda rows: widths.extend(map(len, rows)) or rref(rows))
+        rng = random.Random(73)
+        paths = {True: 0, False: 0}
+        for n in range(1, 8):
+            for gens, cyclic in _cyclic_generator_sets(rng, n):
+                widths.clear()
+                cent = matrix_centralizer(gens, n)
+                assert cent.span == centralizer_oracle(gens, n)
+                assert cent.contains_identity
+                assert set(widths) <= ({n} if cyclic else {n * n})
+                paths[cyclic] += 1
+        assert paths == {True: 20, False: 15}
+
+    def test_cyclic_first_generator_hands_rref_no_long_row(self, monkeypatch):
+        # a cyclic 6 x 6 first generator: 36 rows of 6 unknowns for the second
+        # generator, none for the scalar 2I, and no row of length 36. The
+        # integer products: N, ..., N^5 in the Krylov pass, N^k M and M N^k
+        # for k = 1..5, and one to combine the kernel with the powers.
+        rng = random.Random(79)
+        a, b = _cyclic_pq(rng, 6), _cyclic_pq(rng, 6)
+        calls, products = [], []
+        rref = commutant.rref
+        monkeypatch.setattr(commutant, "rref", lambda rows: calls.append(list(map(len, rows))) or rref(rows))
+        for module in (linalg, commutant):
+            matmul = module.integer_matmul
+            monkeypatch.setattr(module, "integer_matmul", lambda x, y, f=matmul: products.append(1) or f(x, y))
+        matrix_centralizer([RatMatrix.identity(6).scale(2), a, b], 6)
+        assert calls == [[6] * 36]
+        assert len(products) == 5 + 10 + 1
+        calls.clear()
+        matrix_centralizer([a], 6)
+        assert calls == [[]]
+        calls.clear()
+        p = random_unimodular(rng, 6)
+        derogatory = p * _jordan(6, Fraction(3, 2), 3) * p.inverse()
+        matrix_centralizer([derogatory, a], 6)
+        assert calls == [[36] * 72]
+
+
+def _hostile_pq(rng: random.Random, n: int) -> RatMatrix:
+    """Entries p/q with |p| <= 10^6 and 1 <= q <= 10^6."""
+    return frac_rows([[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(n)]
+                      for _ in range(n)])
+
+
+def _block_diagonal(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    zeros = [Fraction(0)]
+    return frac_rows([list(r) + zeros * b.ncols for r in a.rows] + [zeros * a.ncols + list(r) for r in b.rows])
+
+
+def _cyclic_pq(rng: random.Random, n: int) -> RatMatrix:
+    """A random n x n matrix with small p/q entries whose first n powers are
+    independent: cyclic, and for n >= 2 not scalar."""
+    while True:
+        m = frac_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
+        if _is_cyclic(m):
+            return m
+
+
+def _is_cyclic(m: RatMatrix) -> bool:
+    """Whether I, m, ..., m^(n-1) are independent, by a plain Fraction rank."""
+    n = m.nrows
+    powers, power = [], RatMatrix.identity(n)
+    for _ in range(n):
+        powers.append(list(vectorize(power)))
+        power = power * m
+    return len(fraction_rref(powers, n * n)[1]) == n
+
+
+def _cyclic_generator_sets(rng: random.Random, n: int) -> list[tuple[list[RatMatrix], bool]]:
+    """Generator sets, each with whether its first non-scalar generator is
+    cyclic: a cyclic or derogatory single generator, a derogatory one
+    followed by a cyclic one, scalars (such as the suspension's 2I) mixed
+    in, and p/q entries; up to n = 5 also second generators that leave a
+    centralizer between Q I and Q[A] (the oracle takes seconds beyond)."""
+    scalar = RatMatrix.identity(n).scale(2)
+    if n == 1:
+        return [([scalar], False), ([scalar, RatMatrix.identity(1).scale(Fraction(-3, 5))], False)]
+    p = random_unimodular(rng, n)
+    pinv = p.inverse()
+    cyc, other = _cyclic_pq(rng, n), _cyclic_pq(rng, n)
+    sets = [([cyc], True), ([scalar, cyc, other], True)]
+    if n <= 5:
+        k = rng.randint(1, n - 1)
+        while True:  # cyclic when the blocks' characteristic polynomials are coprime
+            blocks = p * _block_diagonal(_cyclic_pq(rng, k), _cyclic_pq(rng, n - k)) * pinv
+            if _is_cyclic(blocks):
+                break
+        partial = p * _block_diagonal(_cyclic_pq(rng, k), RatMatrix.identity(n - k).scale(Fraction(5, 3))) * pinv
+        sets += [([cyc, scalar, cyc * cyc - cyc.scale(3)], True), ([blocks, scalar, partial], True)]
+    if n >= 3:
+        derogatory = p * _jordan(n, Fraction(3, 2), rng.randint(2, n - 1)) * pinv
+        sets += [([derogatory], False), ([derogatory, cyc], False)]
+        if n <= 5:
+            sets.append(([scalar, derogatory, other, scalar], False))
+    return sets
 
 
 def E_n(n: int, i: int, j: int) -> RatMatrix:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from holonomy import commutant
 from holonomy.commutant import truncated_derived_series
-from holonomy.linalg import RatMatrix, Subspace, _integer_row, nullspace, rref
+from holonomy.linalg import RatMatrix, Subspace, _integer_row, krylov_powers, nullspace, rref
 from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynomial, minimal_polynomial, poly_egcd
 from holonomy.representation import validate_rep
 
@@ -147,6 +147,22 @@ class TestRref:
             assert (nums, den) == expected
             assert type(nums) is list and nums is not row
             assert all(type(x) is int for x in nums)
+        # the one scan also coerces 'p/q' strings and rejects floats and bools,
+        # for spans, residuals and matrices alike
+        assert _integer_row(["1/2", 3, Fraction(1, 3)]) == ([3, 18, 2], 6)
+        s = Subspace.span([["1/2", 1], [0, 0]], 2)
+        assert s == Subspace.span([[1, 2]], 2) and s.contains(["-1", "-2"])
+        assert RatMatrix.from_rows([["1/2", 1]]) == RatMatrix.from_integer_form([[1, 2]], 2)
+        for bad in (0.5, True):
+            for build in (
+                lambda: _integer_row([1, bad]),
+                lambda: _integer_row([Fraction(1, 2), bad]),
+                lambda: Subspace.span([[1, bad]], 2),
+                lambda: s.contains([bad, 0]),
+                lambda: RatMatrix.from_rows([[bad, 1]]),
+            ):
+                with pytest.raises(TypeError):
+                    build()
 
     @given(st.one_of(row_lists(), row_lists(tall=True)))
     @settings(max_examples=100, deadline=None)
@@ -306,6 +322,28 @@ class TestMinimalPolynomial:
         assert p.degree == len(powers) - 1
         # and it divides the Leibniz characteristic polynomial
         assert p.divides(charpoly_oracle(m))
+
+
+class TestKrylovPowers:
+    @given(square(5), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_against_fraction_rank(self, m, past_n):
+        # the powers up to the first dependent one, against the naive product
+        # and a plain Fraction rank; with limit n + 1 there always is one
+        n = m.nrows
+        limit = n + 1 if past_n else n
+        powers, q = krylov_powers(m.num, limit)
+        expected = [[[int(i == j) for j in range(n)] for i in range(n)]]
+        while len(expected) < len(powers) + (q is not None):
+            expected.append(naive_product(expected[-1], m.num))
+        assert powers == expected[: len(powers)]
+        flat = [[Fraction(x) for r in p for x in r] for p in expected]
+        assert len(fraction_rref(flat[: len(powers)], n * n)[1]) == len(powers)
+        if q is None:
+            assert len(powers) == limit and not past_n
+        else:
+            assert len(q) == len(powers) + 1 and q[-1] != 0
+            assert all(sum(c * v[e] for c, v in zip(q, flat)) == 0 for e in range(n * n))
 
 
 class TestCharacteristicPolynomial:
