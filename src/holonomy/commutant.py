@@ -257,31 +257,6 @@ def invariant_affine_fields(rep: Representation) -> list[AffineField]:
     return fields
 
 
-def project_automorphism_algebra(susp_fields: Sequence[AffineField]) -> list[RatMatrix]:
-    """Quotient of the span of the linear parts by the radial line R*I.
-
-    This is the Lie-algebra shadow of passing from the automorphisms of the
-    suspended radiant structure back down to the base: the radial direction
-    acts trivially there. The identity must lie in the span (the radial
-    field is invariant for every radiant representation); if it does not,
-    the input was not a suspension field system and this is flagged.
-    """
-    if not susp_fields:
-        raise ValueError("identity not in span: no fields supplied")
-    d = susp_fields[0].dim
-    span = Subspace.span([numerator_vector(f.linear_part) for f in susp_fields], d * d)
-    ident = RatMatrix.identity(d)
-    if not span.contains(numerator_vector(ident)):
-        raise ValueError("identity not in span: radiant direction missing from the fields")
-    acc = Subspace.span([numerator_vector(ident)], d * d)
-    reps: list[RatMatrix] = []
-    for v in span.basis:
-        if not acc.contains(v):
-            reps.append(matrix_from_vec(v, d, d))
-            acc = acc.add(Subspace.span([v], d * d))
-    return reps
-
-
 @dataclass(frozen=True)
 class ClosureWitness:
     left_index: int

@@ -296,12 +296,3 @@ def _write_text(text: str, destination) -> None:
     else:
         Path(destination).write_text(text, encoding="utf-8")
 
-
-def write_report(report: dict, destination, fmt: str = "json") -> None:
-    """Serialize a report deterministically as JSON or text."""
-    if fmt == "json":
-        _write_text(dumps_canonical(report), destination)
-    elif fmt == "text":
-        _write_text(render_text(report), destination)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

@@ -25,8 +25,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 Vec = tuple[Fraction, ...]
 
 

@@ -8,21 +8,20 @@ of one of three kinds:
 * ``projective-class``  (n+1) x (n+1) matrices taken up to nonzero scale.
 
 The module also provides the constructions relating them: the scale-canonical
-representative of a projective class, sphere lifts, the block embedding of
-affine data into projective classes, the suspension that turns an
-n-dimensional projective-class representation into a radiant linear one in
-dimension n+1 (new central generator 2*I), common fixed points of affine
-representations, and the radial evaluation map (x, t) -> t*x.
+representative of a projective class, the view of linear data as affine with
+zero translations, the suspension that turns an n-dimensional
+projective-class representation into a radiant linear one in dimension n+1
+(new central generator 2*I), common fixed points of affine representations,
+and conjugation by a fixed matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
-from .linalg import RatMatrix, Vec, is_zero_vec, numerator_vector, solve_linear, to_fraction, vector, zero_vec
+from .linalg import RatMatrix, Vec, numerator_vector, solve_linear, to_fraction, zero_vec
 
 KIND_LINEAR = "linear"
 KIND_AFFINE = "affine"
@@ -30,7 +29,6 @@ KIND_PROJECTIVE = "projective-class"
 KINDS = (KIND_LINEAR, KIND_AFFINE, KIND_PROJECTIVE)
 
 
-_MAX_LIFT_SELECTIONS = 64  # sign selections lift_to_sphere enumerates at most
 _DECK_LABEL = "deck"  # the suspension's central generator
 
 
@@ -164,46 +162,6 @@ def validate_rep(
     return Representation(dimension, kind, tuple(gens), assumptions or AssumptionSet())
 
 
-def lift_to_sphere(rep: Representation) -> list[Representation]:
-    """All sphere lifts of a projective-class representation.
-
-    Each generator class has the two lifts g and -g (g canonical); the result
-    enumerates every sign selection, canonical-first, as linear
-    representations acting in dimension n+1. No determinant normalization is
-    applied: lifts are kept as a scale class because |det|^(1/(n+1)) is
-    irrational in general, and all downstream analyses are invariant under
-    positive rescaling.
-    """
-    if rep.kind != KIND_PROJECTIVE:
-        raise ValidationError("kind must be projective-class")
-    k = len(rep.generators)
-    if 2**k > _MAX_LIFT_SELECTIONS:
-        raise ValidationError(f"{2**k} lift selections exceed max_selections={_MAX_LIFT_SELECTIONS}")
-    out = []
-    for signs in product((1, -1), repeat=k):
-        gens = [
-            Generator(g.label, g.matrix if s == 1 else -g.matrix)
-            for s, g in zip(signs, rep.generators)
-        ]
-        out.append(Representation(rep.dimension + 1, KIND_LINEAR, tuple(gens), rep.assumptions))
-    return out
-
-
-def embed_affine_as_projective(rep: Representation) -> Representation:
-    """Block-embed a linear or affine representation as projective classes.
-
-    A linear generator A becomes the class of diag(A, 1); an affine generator
-    is already homogeneous and passes through. The output is canonicalized.
-    """
-    if rep.kind not in (KIND_LINEAR, KIND_AFFINE):
-        raise ValidationError("kind must be linear or affine")
-    gens = []
-    for g in rep.generators:
-        m = _block_with_one(g.matrix) if rep.kind == KIND_LINEAR else g.matrix
-        gens.append(Generator(g.label, canonicalize_projective_class(m)))
-    return Representation(rep.dimension, KIND_PROJECTIVE, tuple(gens), rep.assumptions)
-
-
 def _block_with_one(m: RatMatrix) -> RatMatrix:
     """diag(m, 1), which is diag(N, d) / d for m = N / d."""
     return RatMatrix(tuple(r + (0,) for r in m.num) + ((0,) * m.nrows + (m.den,),), m.den)
@@ -218,34 +176,26 @@ def embed_linear_as_affine(rep: Representation) -> Representation:
     return Representation(rep.dimension, KIND_AFFINE, gens, rep.assumptions)
 
 
-def benzecri_suspend(
-    rep: Representation,
-    lift_signs: tuple[int, ...] | None = None,
-    factor: Fraction | int = 2,
-) -> Representation:
+def benzecri_suspend(rep: Representation, factor: Fraction | int = 2) -> Representation:
     """Benzecri suspension at the holonomy level.
 
     The n-dimensional projective-class input becomes a linear representation
-    in dimension n+1 whose generators are the chosen sphere lifts plus one
-    extra central generator factor * I, the image of the circle deck
-    transformation. The output fixes the origin, i.e. it is radiant.
+    in dimension n+1 whose generators are the canonical representatives of
+    the classes plus one extra central generator factor * I, the image of the
+    circle deck transformation. The output fixes the origin, i.e. it is
+    radiant. Each class has the two sphere lifts g and -g, and the canonical
+    g stands for both: X commutes with -g exactly when it commutes with g,
+    so the centralizer that models the automorphism algebra is the same for
+    every choice of signs (and -g keeps exactly the subspaces g keeps).
     """
     if rep.kind != KIND_PROJECTIVE:
         raise ValidationError("kind must be projective-class")
     factor = to_fraction(factor)
     if factor <= 0 or factor == 1:
         raise ValidationError("suspension factor must be a positive rational != 1")
-    k = len(rep.generators)
-    signs = lift_signs if lift_signs is not None else (1,) * k
-    if len(signs) != k or any(s not in (1, -1) for s in signs):
-        raise ValidationError("lift selection must give one sign (+1/-1) per generator")
     size = rep.dimension + 1
-    gens = [
-        Generator(g.label, g.matrix if s == 1 else -g.matrix)
-        for s, g in zip(signs, rep.generators)
-    ]
-    gens.append(Generator(_DECK_LABEL, RatMatrix.identity(size).scale(factor)))
-    return Representation(size, KIND_LINEAR, tuple(gens), rep.assumptions)
+    deck = Generator(_DECK_LABEL, RatMatrix.identity(size).scale(factor))
+    return Representation(size, KIND_LINEAR, rep.generators + (deck,), rep.assumptions)
 
 
 @dataclass(frozen=True)
@@ -303,17 +253,6 @@ def radiant_fixed_point(rep: Representation) -> tuple[Vec, Vec] | None:
         return None
     point = res[0]
     return point, point
-
-
-def develop_eval(x: Vec, t) -> Vec:
-    """Radial evaluation (x, t) -> t * x for a sphere-class vector x and t > 0."""
-    t = to_fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    xv = vector(x)
-    if is_zero_vec(xv):
-        raise ValueError("x must be nonzero")
-    return tuple(t * a for a in xv)
 
 
 def conjugate_representation(rep: Representation, p: RatMatrix) -> Representation:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,6 @@ from holonomy.commutant import (
     invariant_flag_search,
     matrix_centralizer,
     orbit_dimension_at,
-    project_automorphism_algebra,
     truncated_derived_series,
     verify_certificate,
     verify_flag_invariant,
@@ -115,6 +115,34 @@ class TestCentralizer:
         rep1 = validate_rep([("g", g)], "linear", 3)
         rep2 = validate_rep([("g", g.scale(Fraction(-7, 3)))], "linear", 3)
         assert centralizer_algebra(rep1).basis == centralizer_algebra(rep2).basis
+
+    def test_sphere_lift_signs_do_not_change_the_centralizer(self):
+        # each projective class has the two sphere lifts g and -g; X commutes
+        # with -g exactly when it commutes with g, so negating any subset of
+        # the suspension's non-deck generators leaves its centralizer as it is
+        rng = random.Random(59)
+        dims = set()
+        for n in (2, 3, 2, 3, 2, 3):
+            size = n + 1
+            p = random_unimodular(rng, size)
+            pinv = p.inverse()
+            # a generic generator and commuting unipotent / repeated-eigenvalue
+            # ones, so that some centralizers are larger than the scalars
+            unipotent = RatMatrix.identity(size) + frac_rows(
+                [[rng.randint(-2, 2) if c > r else 0 for c in range(size)] for r in range(size)]
+            )
+            diagonal = frac_rows([[rng.choice((1, 2)) if c == r else 0 for c in range(size)] for r in range(size)])
+            pool = [random_invertible(rng, size), p * unipotent * pinv, p * diagonal * pinv]
+            gens = rng.sample(pool, rng.randint(1, 3))
+            rep = validate_rep([(f"g{i}", g) for i, g in enumerate(gens)], "projective-class", n)
+            susp = benzecri_suspend(rep)
+            cent = matrix_centralizer(susp.matrices, size)
+            dims.add(cent.dim)
+            *lifts, deck = susp.matrices
+            for signs in itertools.product((1, -1), repeat=len(lifts)):
+                negated = [g if s == 1 else g.scale(-1) for s, g in zip(signs, lifts)]
+                assert matrix_centralizer(negated + [deck], size) == cent
+        assert max(dims) > 1
 
     def test_conjugation_equivariance(self):
         rng = random.Random(53)
@@ -379,26 +407,6 @@ class TestInvariantAffineFields:
         assert all(f.constant_part == (0, 0) for f in fields)
         assert all(f.linear_part.rows[0][1] == 0 and f.linear_part.rows[1][0] == 0 for f in fields)
         assert len(fields) == 2
-
-
-class TestProjectAutomorphismAlgebra:
-    def _fields(self, mats, d):
-        from holonomy.representation import AffineField
-
-        return [AffineField(m, (Fraction(0),) * d) for m in mats]
-
-    def test_scalar_span_gives_zero(self):
-        assert project_automorphism_algebra(self._fields([RatMatrix.identity(4)], 4)) == []
-
-    def test_dimension_counts(self):
-        mats = [RatMatrix.identity(4), frac_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])]
-        assert len(project_automorphism_algebra(self._fields(mats, 4))) == 1
-        full = [E[(i, j)] for i in range(1, 5) for j in range(1, 5)]
-        assert len(project_automorphism_algebra(self._fields(full, 4))) == 15
-
-    def test_identity_missing_flagged(self):
-        with pytest.raises(ValueError, match="identity not in span"):
-            project_automorphism_algebra(self._fields([E[(1, 2)]], 4))
 
 
 class TestClosureAndRadical:

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level definition is left without a reference.
+"""No module of the package imports a name it never uses, no private
+module-level definition is left without a reference, and no exported name is
+left without a user.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's public surface. `from __future__ import ...` binds no name. A
@@ -10,6 +11,14 @@ A private definition is a module-level function, class or assigned
 constant whose name starts with one underscore. It counts as referenced
 when its name appears outside its own definition, anywhere in the package,
 as a bare name, an attribute or an imported name.
+
+An exported name is one in `holonomy.__all__`. It counts as used when a
+package module other than `__init__.py` refers to it outside its own
+definition (by the rule above), when `bench/` refers to it by an attribute
+access or by a `(module, name)` entry of a `TARGETS` tuple (as in
+`bench/tracer.py`), or when it is on ACCEPTANCE_ONLY, which names the
+acceptance criterion that needs it. bench is read as source with `ast`,
+never imported.
 """
 
 import ast
@@ -17,8 +26,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "holonomy"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "holonomy"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH = ROOT / "bench"
+
+# Exported names that no library path, CLI command or benchmark file reaches,
+# kept because an acceptance criterion in tests/test_acceptance.py calls them.
+ACCEPTANCE_ONLY = {
+    "flag_from_nilpotent_element": "criterion 3 builds the nilpotent flag of each single element",
+    "embed_linear_as_affine": "criterion 4 reads the suspension in affine form",
+    "radiant_fixed_point": "criterion 4 checks that the suspension fixes the origin",
+    "orbit_dimension_at": "criterion 7 computes orbit dimensions",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,9 +55,10 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
-    """`module:line: name` for each private definition in sources (module
-    name -> source) that nothing outside its own definition refers to."""
+def unreferenced_definitions(sources: dict[str, str], wanted) -> list[str]:
+    """`module:line: name` for each module-level definition in sources (module
+    name -> source) whose name satisfies wanted and that nothing outside its
+    own definition refers to."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     definitions = []
     for module, tree in trees.items():
@@ -51,7 +72,7 @@ def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
                 continue
             own = {id(n) for n in ast.walk(node)}
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
+                if wanted(name):
                     definitions.append((module, node.lineno, name, own))
     references: dict[str, list[int]] = {}
     for tree in trees.values():
@@ -70,6 +91,40 @@ def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
         for module, line, name, own in definitions
         if all(ref in own for ref in references.get(name, []))
     ]
+
+
+def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
+    return unreferenced_definitions(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def exported_names(init_source: str) -> set[str]:
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def bench_references(sources: dict[str, str]) -> set[str]:
+    """Names the bench sources reach: attribute accesses and the first
+    component of each TARGETS qualname."""
+    names = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                names.update(qualname.split(".")[0] for _, qualname in ast.literal_eval(node.value))
+    return names
+
+
+def orphaned_exports(sources: dict[str, str], bench: dict[str, str], allowed) -> list[str]:
+    """`module:line: name` for each name in the `__init__` source's `__all__`
+    that no other module of sources, no bench source and no allowed entry
+    uses."""
+    exported = exported_names(sources["__init__"])
+    modules = {module: source for module, source in sources.items() if module != "__init__"}
+    reached = bench_references(bench) | set(allowed)
+    return unreferenced_definitions(modules, lambda name: name in exported and name not in reached)
 
 
 def test_the_check_sees_an_unused_name():
@@ -98,3 +153,36 @@ def test_the_orphan_check_sees_an_unreferenced_definition():
 def test_no_orphaned_private_definition():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_private_definitions(sources) == []
+
+
+def test_the_export_check_sees_a_planted_orphan():
+    sources = {
+        "__init__": '__all__ = ["used", "orphan", "traced", "attribute", "allowed", "recursive"]\n',
+        "a": "def used():\n    return 1\ndef orphan():\n    return used()\ndef traced():\n    pass\n"
+        "class attribute:\n    pass\ndef allowed():\n    pass\ndef recursive(n):\n    return recursive(n)\n",
+        "b": "from .a import orphan as _o\n",
+    }
+    bench = {
+        "run": "lib['a'].attribute\n",
+        "tracer": 'TARGETS = (("a", "traced.method"),)\n',
+    }
+    assert orphaned_exports(sources, bench, {"allowed": "criterion 0"}) == ["a:11: recursive"]
+    del sources["b"]
+    assert orphaned_exports(sources, bench, {"allowed": "criterion 0"}) == ["a:3: orphan", "a:11: recursive"]
+
+
+def _tree_sources():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    bench = {p.stem: p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))}
+    return package, bench
+
+
+def test_no_orphaned_export():
+    package, bench = _tree_sources()
+    assert orphaned_exports(package, bench, ACCEPTANCE_ONLY) == []
+
+
+def test_every_allowlisted_export_is_needed():
+    package, bench = _tree_sources()
+    orphans = orphaned_exports(package, bench, {})
+    assert sorted(line.rsplit(" ", 1)[1] for line in orphans) == sorted(ACCEPTANCE_ONLY)

@@ -340,25 +340,6 @@ def test_analyze_refuses_an_unverifiable_certificate(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-class TestWriteReport:
-    def test_path_and_stream_destinations(self, tmp_path):
-        from holonomy.fileio import build_report, render_text, write_report
-
-        rep = load_rep_file(CORPUS / "dim2_trivial.json")
-        report = build_report(rep, "analyze", {"format": "json"}, {"dimension": 9}, (), None)
-        json_path = tmp_path / "report.json"
-        text_path = tmp_path / "report.txt"
-        write_report(report, json_path, "json")
-        write_report(report, text_path, "text")
-        assert json.loads(json_path.read_text(encoding="utf-8")) == report
-        assert text_path.read_text(encoding="utf-8") == render_text(report)
-        buf = io.StringIO()
-        write_report(report, buf, "json")
-        assert buf.getvalue() == dumps_canonical(report)
-        with pytest.raises(ValueError, match="format"):
-            write_report(report, buf, "yaml")
-
-
 class TestMainEntry:
     def test_classify_via_argv(self, capsys):
         status = main(["classify", str(CORPUS / "dim2_trivial.json"), "--dim", "2"])

@@ -1,7 +1,8 @@
 """Corpus CLI reports must stay byte-identical.
 
-tests/golden/ holds the JSON and text classify and analyze reports of
-every corpus document and of the documents in tests/data/: conjugated
+tests/golden/ holds the JSON and text classify and analyze reports, and the
+suspended document that `holonomy suspend` writes to stdout, of every
+corpus document and of the documents in tests/data/: conjugated
 corpus groups whose certificates contain non-integer fractions, and
 dimension-3 documents whose classifications reach branches no corpus
 document reaches. J3(1) + [1] and J3(1) + [2] reach the
@@ -28,7 +29,8 @@ polynomials moved to integer coefficients, the dim3_zero_set_* reports
 (other than dim3_zero_set_line) before the zero-set stage dropped its shift
 lattice and its equal-diagonal-block check, and the reports of the four
 documents above before the case analysis dropped its unreachable
-fallbacks. An output change shows up here as a byte difference; an intended
+fallbacks, and the suspend documents before the suspension dropped its
+sphere-lift sign option. An output change shows up here as a byte difference; an intended
 one replaces the snapshot in the same change.
 """
 
@@ -54,6 +56,7 @@ def _invocations():
         yield f"{path.stem}.analyze.json", ["analyze", "--format", "json", str(path)]
         yield f"{path.stem}.analyze.txt", ["analyze", "--format", "text", str(path)]
         yield f"{path.stem}.classify.txt", ["classify", "--dim", dim, "--format", "text", str(path)]
+        yield f"{path.stem}.suspend.json", ["suspend", str(path)]
 
 
 @pytest.mark.parametrize("name,argv", [pytest.param(n, a, id=n) for n, a in _invocations()])
