@@ -587,8 +587,10 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
     branch: str | None = None
     assumed: _BranchResult | None = None
 
-    # a commutative centralizer has a commutative radical, so its radical's
-    # products are never built; a zero radical is commutative too
+    # the centralizer's test reads the products that the closure check and
+    # the radical left in its memo; a commutative centralizer has a
+    # commutative radical, so the radical is tested only when the
+    # centralizer is not commutative, and a zero radical forms no product
     cent_commutative = cent.is_commutative()
     if not cent_commutative and not decomp.radical.is_commutative():
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .linalg import (
@@ -24,7 +25,6 @@ from .linalg import (
     Subspace,
     Vec,
     eliminate,
-    image_of,
     integer_matmul,
     is_zero_vec,
     kernel_and_image,
@@ -40,10 +40,10 @@ from .linalg import (
 )
 from .polys import (
     Polynomial,
+    characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
     poly_egcd,
-    primary_decomposition,
 )
 from .representation import (
     KIND_AFFINE,
@@ -86,7 +86,10 @@ class AlgebraBasis:
     pivot entry, which is already the matrix's normalized integer form, so
     the basis is one-to-one with the span and nothing else is stored.
     Closure under the matrix product is a property of the span, checked by
-    algebra_closure_check, not enforced by construction.
+    algebra_closure_check, not enforced by construction. The basis products
+    are formed on demand by product(i, j) and memoized, so every consumer
+    (the closure check, the commutativity tests) shares each one and pays
+    only for the pairs it reads.
     """
 
     ambient_dim: int
@@ -125,21 +128,54 @@ class AlgebraBasis:
         return self.span.contains(numerator_vector(m))
 
     @cached_property
-    def products(self) -> tuple[tuple[RatMatrix, ...], ...]:
-        """products[i][j] = basis[i] * basis[j]. Computed once per algebra;
-        it is not a field, so it takes no part in == or hash."""
-        return tuple(tuple(x * y for y in self.basis) for x in self.basis)
+    def _products(self) -> dict[tuple[int, int], RatMatrix]:
+        """The memo of product: (i, j) -> basis[i] * basis[j]. It is not a
+        field, so it takes no part in == or hash."""
+        return {}
+
+    def product(self, i: int, j: int) -> RatMatrix:
+        """basis[i] * basis[j], formed on first request and memoized on the
+        algebra, so each product is computed at most once."""
+        p = self._products.get((i, j))
+        if p is None:
+            p = self._products[i, j] = self.basis[i] * self.basis[j]
+        return p
 
     @cached_property
     def trace_form(self) -> RatMatrix:
         """Gram matrix of the trace form: trace_form[i][j] = tr(basis[i] *
-        basis[j]), read off the cached products. Computed once per algebra;
-        it is not a field, so it takes no part in == or hash."""
-        return RatMatrix.from_rows([[xy.trace() for xy in row] for row in self.products])
+        basis[j]) = sum over r, c of basis[i][r][c] * basis[j][c][r], read
+        off the integer entries once per unordered pair; no product is
+        formed. Computed once per algebra; it is not a field, so it takes
+        no part in == or hash."""
+        den = lcm(*[b.den for b in self.basis])
+        rows = [[x * (den // b.den) for r in b.num for x in r] for b in self.basis]
+        cols = [[x * (den // b.den) for c in zip(*b.num) for x in c] for b in self.basis]
+        k = self.dim
+        gram = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                gram[i][j] = gram[j][i] = sum(map(mul, rows[i], cols[j]))
+        return RatMatrix.from_integer_form(gram, den * den)
 
     def is_commutative(self) -> bool:
-        p = self.products
-        return all(p[i][j] == p[j][i] for i, j in combinations(range(self.dim), 2))
+        """True iff the basis elements commute pairwise; the pairs are walked
+        through the product memo up to the first that does not commute."""
+        return all(self.product(i, j) == self.product(j, i) for i, j in combinations(range(self.dim), 2))
+
+    @cached_property
+    def _closure(self) -> tuple[bool, ClosureWitness | None]:
+        """The verdict of algebra_closure_check, computed once per algebra."""
+        n = self.ambient_dim
+        if self.dim == n * n:  # the span is M_n(Q) itself
+            return True, None
+        span = self.span
+        for i in range(self.dim):
+            for j in range(self.dim):
+                p = self.product(i, j)
+                if not span.contains(numerator_vector(p)):
+                    return False, ClosureWitness(i, j, p, matrix_from_vec(span.reduce(vectorize(p)), n, n))
+        return True, None
 
 
 def _commutation_rows(mats: Sequence[RatMatrix], size: int) -> list[list[int]]:
@@ -267,16 +303,14 @@ class ClosureWitness:
 
 def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, ClosureWitness | None]:
     """True iff every pairwise product of basis elements stays in the span;
-    otherwise the offending pair and the component outside the span."""
-    span = a.span
-    for i, row in enumerate(a.products):
-        for j, p in enumerate(row):
-            if not span.contains(numerator_vector(p)):
-                residual = span.reduce(vectorize(p))
-                return False, ClosureWitness(
-                    i, j, p, matrix_from_vec(residual, a.ambient_dim, a.ambient_dim)
-                )
-    return True, None
+    otherwise the offending pair, the first in row-major order, and the
+    component outside the span.
+
+    A span of dimension n^2 is M_n(Q) itself, so it is closed without a
+    product; every smaller span is checked product by product. The verdict
+    is computed once per algebra and cached on it, so dickson_radical and a
+    caller that checked first share one pass."""
+    return a._closure
 
 
 @dataclass(frozen=True)
@@ -345,8 +379,9 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
     every power sum of x^2 vanishes, which over Q makes x^2, and so x,
     nilpotent. That argument needs closure, which is checked first.
     Commutativity of the semisimple quotient is decided by testing
-    commutators modulo the radical span; a quotient of dimension <= 1 is
-    spanned by at most one class, so it is commutative without a test.
+    commutators modulo the radical span, up to the first that leaves it; a
+    quotient of dimension <= 1 is spanned by at most one class, so it is
+    commutative without a test.
 
     The idempotent search (_idempotent_witnesses) runs only when the
     quotient has dimension >= 2 or the algebra lacks I. Otherwise the
@@ -365,7 +400,6 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
             f"basis pair ({witness.left_index}, {witness.right_index}) leaves the span"
         )
     k = a.dim
-    p = a.products
     ker = nullspace(*rref(a.trace_form.num), k)
     rad_mats = []
     for coeffs in ker.basis:
@@ -378,7 +412,8 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
     quotient_dim = k - radical.dim
     rad_span = radical.span
     quotient_commutative = quotient_dim <= 1 or all(
-        rad_span.contains(numerator_vector(p[i][j] - p[j][i])) for i, j in combinations(range(k), 2)
+        rad_span.contains(numerator_vector(a.product(i, j) - a.product(j, i)))
+        for i, j in combinations(range(k), 2)
     )
     local = quotient_dim == 0 or (quotient_dim == 1 and a.contains_identity)
     witnesses = () if local else _idempotent_witnesses(a)
@@ -587,6 +622,18 @@ def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], 
     onto itself. One taken from an element m of cent needs no check: each
     generator g commutes with m, so g maps Ker f(m), Im f(m) and every
     primary component of m into itself, and onto itself as g is invertible.
+
+    For each non-scalar m, in this order: Ker m and Im m; then, for each
+    irreducible factor f of multiplicity k of the characteristic polynomial
+    (in factor_polynomial's order), the primary component Ker f(m)^k, then
+    Ker f(m) and Im f(m). f(m) is evaluated once, and one kernel_and_image
+    reads its kernel and image; with k = 1 that kernel is the component.
+    Subspaces that consider would reject are not formed: Ker m = 0 and
+    Im m = Q^n when the constant term shows m invertible (every generator
+    is); the component of a lone factor, which is Q^n, and its Im f(m) = 0
+    when k = 1, since then f(m) = 0 (Cayley-Hamilton); and a second Ker m
+    and Im m when f = x. So the list, its order and the cap's cut are those
+    of the full harvest.
     """
     seen: dict[Subspace, None] = {}
 
@@ -599,16 +646,27 @@ def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], 
     for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:
         if m.is_scalar():
             continue
-        for s in kernel_and_image(m):  # kernel first: seen keeps the order and the cap counts it
-            consider(s, check)
-        for comp in primary_decomposition(m):
-            consider(comp.subspace, check)
-            fm = comp.factor.eval_matrix(m)
-            if comp.multiplicity == 1:  # Ker f(m) is the component itself
-                consider(image_of(fm), check)
-                continue
-            for s in kernel_and_image(fm):
+        char = characteristic_polynomial(m)
+        if not char.num[0]:  # m is singular
+            for s in kernel_and_image(m):  # kernel first: seen keeps the order and the cap counts it
                 consider(s, check)
+        factors = factor_polynomial(char)
+        lone = len(factors) == 1
+        for f in factors:
+            k = f.multiplicity
+            component = k > 1 and not lone
+            kernel_image = f.poly.num != (0, 1) and (k > 1 or not lone)
+            if not (component or kernel_image):
+                continue
+            fm = f.poly.eval_matrix(m)
+            if component:
+                power = fm.num
+                for _ in range(k - 1):
+                    power = integer_matmul(power, fm.num)
+                consider(nullspace(*rref(power), size), check)
+            if kernel_image:
+                for s in kernel_and_image(fm):  # with k = 1 the kernel is the component
+                    consider(s, check)
     return list(seen)
 
 

@@ -12,8 +12,10 @@ fields are invariant_affine_fields as it was before it read its kernel off
 the integer RREF, FractionPolynomial is Polynomial's arithmetic as it
 was before polynomials were stored in their integer form, the solve-based
 restriction is restrict_to_subspace as it was before it read coordinates
-at the pivots, and the equal-diagonal-block check is the one the
-classifier ran before it was shown to always pass, to check that no
+at the pivots, the equal-diagonal-block check is the one the
+classifier ran before it was shown to always pass, and the primary-
+decomposition harvest is the flag search's candidate harvest as it was
+before it skipped the subspaces that it rejects, to check that no
 shortcut changes a result. assert_dim3_invariance is the conjugation,
 rescaling and permutation check of acceptance criterion 5.
 """
@@ -38,13 +40,14 @@ from holonomy.linalg import (
     RatMatrix,
     Subspace,
     image_of,
+    kernel_and_image,
     kernel_of,
     matrix_from_vec,
     solve_linear,
     vectorize,
 )
 from holonomy.representation import AffineField, conjugate_representation, validate_rep
-from holonomy.polys import Polynomial, minimal_polynomial
+from holonomy.polys import Polynomial, minimal_polynomial, primary_decomposition
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -538,3 +541,35 @@ def equal_diagonal_blocks(xt: RatMatrix, u: Subspace, mats) -> bool:
         if any(h.rows[i][j] != h.rows[i + 2][j + 2] for i in range(2) for j in range(2)):
             return False
     return True
+
+
+def primary_decomposition_harvest(gens, cent, size: int, cap: int) -> list[Subspace]:
+    """Reference candidate harvest of the flag search: for each non-scalar
+    element of cent, then each generator, Ker m and Im m, then for each
+    component of primary_decomposition(m) the component, and Ker f(m) and
+    Im f(m) with f(m) evaluated afresh. Every subspace is formed and offered;
+    proper nonzero ones not seen before are kept while fewer than cap are,
+    those of a generator only when every generator maps them onto
+    themselves."""
+    seen: dict[Subspace, None] = {}
+
+    def consider(s: Subspace, check: bool):
+        if not 0 < s.dim < size or s in seen or len(seen) >= cap:
+            return
+        if not check or all(s.apply(g) == s for g in gens):
+            seen[s] = None
+
+    for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:
+        if m.is_scalar():
+            continue
+        for s in kernel_and_image(m):
+            consider(s, check)
+        for comp in primary_decomposition(m):
+            consider(comp.subspace, check)
+            fm = comp.factor.eval_matrix(m)
+            if comp.multiplicity == 1:  # Ker f(m) is the component itself
+                consider(image_of(fm), check)
+                continue
+            for s in kernel_and_image(fm):
+                consider(s, check)
+    return list(seen)

@@ -19,6 +19,7 @@ from holonomy.commutant import (
     InvariantFlagCertificate,
     InvariantSubspaceCertificate,
     _commutation_rows,
+    _invariant_candidates,
     _pairwise_commute,
     algebra_closure_check,
     centralizer_algebra,
@@ -49,6 +50,7 @@ from helpers import (
     fraction_rref,
     pair_loop_derived_series,
     passes_trace_screen,
+    primary_decomposition_harvest,
     random_int_matrix,
     random_invertible,
     random_unimodular,
@@ -286,9 +288,12 @@ def _hostile_pq(rng: random.Random, n: int) -> RatMatrix:
                       for _ in range(n)])
 
 
-def _block_diagonal(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+def _block_diagonal(*blocks: RatMatrix) -> RatMatrix:
+    a = blocks[0]
     zeros = [Fraction(0)]
-    return frac_rows([list(r) + zeros * b.ncols for r in a.rows] + [zeros * a.ncols + list(r) for r in b.rows])
+    for b in blocks[1:]:
+        a = frac_rows([list(r) + zeros * b.ncols for r in a.rows] + [zeros * a.ncols + list(r) for r in b.rows])
+    return a
 
 
 def _cyclic_pq(rng: random.Random, n: int) -> RatMatrix:
@@ -549,6 +554,95 @@ class TestClosureAndRadical:
         )
 
 
+class TestAlgebraProducts:
+    @staticmethod
+    def _count_products(monkeypatch) -> list:
+        products = []
+        matmul = RatMatrix.matmul
+        monkeypatch.setattr(RatMatrix, "matmul", lambda x, y: products.append(1) or matmul(x, y))
+        return products
+
+    @pytest.mark.parametrize(("name", "n"), [("dim2_trivial", 3), ("dim3_trivial_injective", 4)])
+    def test_trivial_holonomy_radical_forms_at_most_two_products(self, name, n, monkeypatch):
+        # the suspended centralizer is M_n(Q): closed without a product, its
+        # trace form read off the entries, and its quotient non-commutative
+        # at the first pair, E11 E12 != E12 E11; confirming closure formed
+        # all n^4 products
+        cent = centralizer_algebra(benzecri_suspend(load_rep_file(CORPUS / f"{name}.json")))
+        assert cent.dim == n * n
+        products = self._count_products(monkeypatch)
+        d = dickson_radical(cent)
+        assert (d.radical.dim, d.quotient_dim, d.quotient_commutative) == (0, n * n, False)
+        assert len(products) <= 2
+        assert not cent.is_commutative()  # reads the same pair from the memo
+        assert len(products) <= 2
+
+    def test_is_commutative_on_full_matrix_algebra_stops_after_first_pair(self, monkeypatch):
+        products = self._count_products(monkeypatch)
+        for n in range(2, 6):
+            products.clear()
+            assert not matrix_centralizer([], n).is_commutative()
+            assert len(products) == 2
+
+    def test_product_is_memoized(self, monkeypatch):
+        a = matrix_centralizer([], 3)
+        products = self._count_products(monkeypatch)
+        p = a.product(0, 1)
+        assert a.product(0, 1) is p and p == a.basis[0] * a.basis[1]
+        assert len(products) == 2  # the first call and the check's own product
+        assert not hasattr(a, "products")
+
+    def test_trace_form_forms_no_product_and_matches_product_traces(self, monkeypatch):
+        # centralizers of conjugated derogatory generators, whose canonical
+        # bases have non-integer entries
+        rng = random.Random(67)
+        fractional = 0
+        for n in range(2, 6):
+            p = random_invertible(rng, n)
+            pinv = p.inverse()
+            transvection = E_n(n, 0, n - 1) + RatMatrix.identity(n)
+            for gens in ([_jordan(n, Fraction(1, 2), max(1, n - 2))], [transvection]):
+                a = matrix_centralizer([p * g * pinv for g in gens], n)
+                fractional += any(b.den > 1 for b in a.basis)
+                with monkeypatch.context() as m:
+                    products = self._count_products(m)
+                    gram = a.trace_form
+                    assert products == []
+                k = a.dim
+                traces = [[a.product(i, j).trace() for j in range(k)] for i in range(k)]
+                assert gram == RatMatrix.from_rows(traces)
+        assert fractional >= 4
+
+    def test_closure_checks_every_product_below_full_dimension(self, monkeypatch):
+        # the diagonal algebra of M_3 is closed, with all 9 products checked;
+        # the trace-zero 2 x 2 matrices span 3 < 4 dimensions and are not
+        # closed: E12 E21 = E11 leaves them
+        diag = AlgebraBasis.from_span([E_n(3, i, i) for i in range(3)], 3)
+        products = self._count_products(monkeypatch)
+        assert algebra_closure_check(diag) == (True, None)
+        assert len(products) == 9
+        sl2 = AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0), E_n(2, 0, 0) - E_n(2, 1, 1)], 2)
+        ok, witness = algebra_closure_check(sl2)
+        assert not ok and not sl2.span.contains(vectorize(witness.product))
+        with pytest.raises(ClosureError):
+            dickson_radical(sl2)
+
+    def test_closure_verdict_is_computed_once(self, monkeypatch):
+        cent = centralizer_algebra(benzecri_suspend(load_rep_file(CORPUS / "dim3_torus_translations.json")))
+        assert cent.dim < 16
+        verdict = algebra_closure_check(cent)
+        calls = []
+        contains = Subspace.contains
+        monkeypatch.setattr(Subspace, "contains", lambda s, v: calls.append(1) or contains(s, v))
+        assert algebra_closure_check(cent) is verdict == (True, None)
+        assert calls == []
+        open_span = AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0)], 2)
+        first = algebra_closure_check(open_span)
+        calls.clear()
+        assert algebra_closure_check(open_span) is first and not first[0]
+        assert calls == []
+
+
 class TestRotationalElement:
     def test_rotation_block_found(self):
         j = frac_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
@@ -702,6 +796,69 @@ class TestFlags:
             )
         )
         assert verify_flag_invariant(rep, through_kernel) == (True, None)
+
+
+def _diagonal(*entries) -> RatMatrix:
+    return frac_rows([[x if i == j else 0 for j, _ in enumerate(entries)] for i, x in enumerate(entries)])
+
+
+def _harvest_inputs() -> list[tuple[str, list[RatMatrix], int]]:
+    """(name, generators, size) of flag-search inputs: the suspension of every
+    corpus and tests/data document; M_n(Q) for n = 2..6, as the centralizer
+    of the suspended trivial group; diagonal and block-diagonal generators
+    conjugated by unimodular matrices; and the analyze-families shapes
+    (unipotent, rotation block, generic pair) in dimensions 3-6."""
+    rng = random.Random(71)
+
+    def conj(mats):
+        p = random_unimodular(rng, mats[0].nrows)
+        pinv = p.inverse()
+        return [p * g * pinv for g in mats]
+
+    inputs = []
+    for path in sorted(CORPUS.glob("*.json")) + sorted(DATA.glob("*.json")):
+        susp = benzecri_suspend(load_rep_file(path))
+        inputs.append((path.stem, list(susp.matrices), susp.matrix_size))
+    for n in range(2, 7):
+        inputs.append((f"M_{n}", [RatMatrix.identity(n).scale(2)], n))
+    j2 = _jordan(2, 1, 2)
+    inputs += [
+        ("diag(1,1,2,2,3,3,4,4)", conj([_diagonal(1, 1, 2, 2, 3, 3, 4, 4)]), 8),
+        ("diag(1,2,2,3,3,3)", conj([_diagonal(1, 2, 2, 3, 3, 3)]), 6),
+        ("blocks(J2,J2,2)", conj([_block_diagonal(j2, j2, _diagonal(2))]), 5),
+        ("blocks(R,R)", conj([_block_diagonal(ROT90, ROT90)]), 4),
+        ("blocks(R,R,J2)+diag", conj([_block_diagonal(ROT90, ROT90, j2), _diagonal(1, 1, 1, 1, 3, 3)]), 6),
+    ]
+    for n in range(3, 7):
+        generic = [random_invertible(rng, n), random_invertible(rng, n)]
+        families = (("unipotent", _unipotent_pair(n)), ("rotation", _rotation_pair(n)), ("generic", generic))
+        for family, pair in families:
+            inputs.append((f"{family}-{n}", conj(list(pair)), n))
+    return inputs
+
+
+class TestFlagHarvest:
+    """_invariant_candidates against the harvest that forms every kernel,
+    image and primary component (helpers.primary_decomposition_harvest)."""
+
+    @pytest.mark.parametrize("cap", [None, 3, 5])
+    def test_matches_primary_decomposition_harvest(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(commutant, "_FLAG_CANDIDATE_CAP", cap)
+        cap = commutant._FLAG_CANDIDATE_CAP
+        sizes = {}
+        for name, gens, size in _harvest_inputs():
+            cent = matrix_centralizer(gens, size).basis
+            expected = primary_decomposition_harvest(gens, cent, size, cap)
+            assert _invariant_candidates(gens, cent, size) == expected, name
+            sizes[name] = len(expected)
+        if cap == 48:
+            # no input reaches the default cap
+            assert (sizes["M_6"], sizes["diag(1,1,2,2,3,3,4,4)"]) == (12, 30)
+            assert max(sizes.values()) < cap
+        else:
+            # the cap cuts the harvest of many inputs short
+            assert sum(k == cap for k in sizes.values()) >= 15
 
 
 class TestDerivedSeries:
