@@ -587,10 +587,11 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
     branch: str | None = None
     assumed: _BranchResult | None = None
 
-    # the centralizer's test reads the products that the closure check and
-    # the radical left in its memo; a commutative centralizer has a
-    # commutative radical, so the radical is tested only when the
-    # centralizer is not commutative, and a zero radical forms no product
+    # the centralizer's test reads the products that the radical's quotient
+    # test left in its memo (its closure is proven, so that check formed
+    # none); a commutative centralizer has a commutative radical, so the
+    # radical is tested only when the centralizer is not commutative, and a
+    # zero radical forms no product
     cent_commutative = cent.is_commutative()
     if not cent_commutative and not decomp.radical.is_commutative():
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE
@@ -661,9 +662,10 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
 
     if branch == BRANCH_COMMUTATIVE and assumed is None:
         notes.append(
-            "commutative model but no rational zero set of dimension 1 to 3 was"
-            " realizable within the shift bounds; a freely acting pair of fields"
-            " would make a torus bundle, which is not decidable from generators"
+            "commutative model but no basis field of the centralizer has a zero"
+            " set of dimension 1 to 3, unshifted or radially shifted by a rational"
+            " eigenvalue; a freely acting pair of fields would make a torus"
+            " bundle, which is not decidable from generators"
         )
     if assumed is not None:
         missing = sorted(n for n in _INJECTIVE_COMPACT if not getattr(asmp, n))

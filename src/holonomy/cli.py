@@ -75,7 +75,7 @@ def _analyze_one(rep: Representation, options: dict) -> dict:
     verified here, once, before the report is built: the gate of the
     analyze exit, as _finalize is of classify's."""
     algebra = centralizer_algebra(rep)
-    decomp = dickson_radical(algebra)  # raises ClosureError on a span that is not closed
+    decomp = dickson_radical(algebra)  # a centralizer: closed by proof, no product is checked
     certificates = []
     rot = find_rotational_element(algebra, bound=options["search_bound"])
     if rot is not None:

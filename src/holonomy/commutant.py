@@ -85,11 +85,13 @@ class AlgebraBasis:
     views of span: each basis matrix is one primitive integer row over its
     pivot entry, which is already the matrix's normalized integer form, so
     the basis is one-to-one with the span and nothing else is stored.
-    Closure under the matrix product is a property of the span, checked by
-    algebra_closure_check, not enforced by construction. The basis products
-    are formed on demand by product(i, j) and memoized, so every consumer
-    (the closure check, the commutativity tests) shares each one and pays
-    only for the pairs it reads.
+    Closure under the matrix product is a property of the span, read by
+    algebra_closure_check. matrix_centralizer records it as proven, since a
+    centralizer is closed by construction; a span built any other way, as
+    by from_span, is checked product by product on first request. The
+    basis products are formed on demand by product(i, j) and memoized, so
+    every consumer (the closure check, the commutativity tests) shares each
+    one and pays only for the pairs it reads.
     """
 
     ambient_dim: int
@@ -165,7 +167,8 @@ class AlgebraBasis:
 
     @cached_property
     def _closure(self) -> tuple[bool, ClosureWitness | None]:
-        """The verdict of algebra_closure_check, computed once per algebra."""
+        """The verdict of algebra_closure_check, computed once per algebra;
+        matrix_centralizer records it without computing it."""
         n = self.ambient_dim
         if self.dim == n * n:  # the span is M_n(Q) itself
             return True, None
@@ -220,18 +223,26 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
     system in the n^2 entries of X, read off one RREF with one span of the
     free-column vectors; no image of the (k n^2) x n^2 system is built.
 
-    The span is canonical, so both paths give the same AlgebraBasis.
+    The span is canonical, so both paths give the same AlgebraBasis. On
+    either path it is closed under the product, since XY commutes with g
+    whenever X and Y do; the result carries that verdict as proven, so
+    algebra_closure_check and dickson_radical form no product to confirm it.
     """
     for g in mats:
         if g.nrows != size or g.ncols != size:
             raise ValueError("generator size mismatch")
     nonscalar = [g for g in mats if not g.is_scalar()]
+    span = None
     if nonscalar:
         powers, dependence = krylov_powers(nonscalar[0].num, size)
         if dependence is None:
-            return AlgebraBasis(size, _polynomial_centralizer(powers, nonscalar[1:], size))
-    rows = _commutation_rows(nonscalar, size)
-    return AlgebraBasis(size, nullspace(*rref(rows), size * size))
+            span = _polynomial_centralizer(powers, nonscalar[1:], size)
+    if span is None:
+        span = nullspace(*rref(_commutation_rows(nonscalar, size)), size * size)
+    algebra = AlgebraBasis(size, span)
+    # seed the frozen instance's cached verdict; the docstring proves it
+    algebra.__dict__["_closure"] = (True, None)
+    return algebra
 
 
 def _polynomial_centralizer(
@@ -306,10 +317,12 @@ def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, ClosureWitness | None]
     otherwise the offending pair, the first in row-major order, and the
     component outside the span.
 
-    A span of dimension n^2 is M_n(Q) itself, so it is closed without a
-    product; every smaller span is checked product by product. The verdict
-    is computed once per algebra and cached on it, so dickson_radical and a
-    caller that checked first share one pass."""
+    A centralizer from matrix_centralizer carries this verdict as proven,
+    and a span of dimension n^2 is M_n(Q) itself, so neither forms a
+    product. Every other span, such as one built by from_span, is checked
+    product by product. The verdict is computed once per algebra and cached
+    on it, so dickson_radical and a caller that checked first share one
+    pass."""
     return a._closure
 
 
@@ -377,7 +390,9 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
     elements are not re-checked for nilpotency. For x in the kernel and
     k >= 2, x^k = x * x^(k-1) with x^(k-1) in the algebra, so tr(x^k) = 0:
     every power sum of x^2 vanishes, which over Q makes x^2, and so x,
-    nilpotent. That argument needs closure, which is checked first.
+    nilpotent. That argument needs closure, which algebra_closure_check
+    reads first: proven for a centralizer, checked product by product for
+    any other span, and a span that is not closed raises ClosureError.
     Commutativity of the semisimple quotient is decided by testing
     commutators modulo the radical span, up to the first that leaves it; a
     quotient of dimension <= 1 is spanned by at most one class, so it is
@@ -693,7 +708,13 @@ def _longest_chain(cands: list[Subspace]) -> list[Subspace]:
 def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None) -> Flag | None:
     """Search for a chain of subspaces invariant under every generator.
 
-    Strategy: harvest kernels, images, and primary components of commutant
+    When every generator is scalar, every subspace is invariant, and the
+    complete flag span(e_n) < span(e_(n-1), e_n) < ... < span(e_2, ..., e_n)
+    is built directly, with no centralizer and no search; for n = 2..5 it
+    is the flag the search returns on such a group. A space of dimension
+    n <= 1 has no proper nonzero subspace, so there is no flag.
+
+    Otherwise: harvest kernels, images, and primary components of commutant
     elements (and of the generators themselves), close once under pairwise
     intersections and sums, and take the longest containment chain. Each
     generator maps every harvested subspace onto itself (by commutation for
@@ -706,6 +727,11 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
     """
     gens = list(rep.matrices)
     size = rep.matrix_size
+    if all(g.is_scalar() for g in gens):
+        if size <= 1:
+            return None
+        units = RatMatrix.identity(size).num  # e_1, ..., e_n: each tail is a canonical span
+        return Flag(tuple(Subspace(size, units[k:]) for k in range(size - 1, 0, -1)))
     if cent is None:
         cent = matrix_centralizer(gens, size)
     cands = _invariant_candidates(gens, cent.basis, size)

@@ -15,9 +15,13 @@ restriction is restrict_to_subspace as it was before it read coordinates
 at the pivots, the equal-diagonal-block check is the one the
 classifier ran before it was shown to always pass, and the primary-
 decomposition harvest is the flag search's candidate harvest as it was
-before it skipped the subspaces that it rejects, to check that no
-shortcut changes a result. assert_dim3_invariance is the conjugation,
-rescaling and permutation check of acceptance criterion 5.
+before it skipped the subspaces that it rejects, and the harvested flag
+is the flag search's result as it was before a group of scalars got its
+flag by construction, to check that no shortcut changes a result.
+closed_under_products re-checks an algebra's closure pair by pair, with
+Fraction arithmetic and coordinates read at the pivots, never reading the
+verdict that a centralizer carries. assert_dim3_invariance is the
+conjugation, rescaling and permutation check of acceptance criterion 5.
 """
 
 from __future__ import annotations
@@ -32,8 +36,12 @@ from holonomy.commutant import (
     Decomposition,
     DerivedLevel,
     DerivedSeriesReport,
+    Flag,
     RotationalElementCertificate,
+    _FLAG_CANDIDATE_CAP,
     _commutation_rows,
+    _invariant_candidates,
+    _longest_chain,
     verify_certificate,
 )
 from holonomy.linalg import (
@@ -573,3 +581,49 @@ def primary_decomposition_harvest(gens, cent, size: int, cap: int) -> list[Subsp
             for s in kernel_and_image(fm):
                 consider(s, check)
     return list(seen)
+
+
+def harvested_flag(gens, cent, size: int) -> Flag | None:
+    """The flag search on any generators, scalar ones included: the longest
+    chain of the harvest (_invariant_candidates) when it is complete, else
+    the longest chain once the harvest is closed under pairwise sums and
+    intersections, up to twice the candidate cap."""
+    cands = _invariant_candidates(gens, cent, size)
+    chain = _longest_chain(cands)
+    if chain and len(chain) == size - 1:
+        return Flag(tuple(chain))
+    extra = dict.fromkeys(cands)
+    for a, b in itertools.combinations(cands, 2):
+        for s in (a.intersect(b), a.add(b)):
+            if 0 < s.dim < size and s not in extra and len(extra) < 2 * _FLAG_CANDIDATE_CAP:
+                extra[s] = None
+    chain = _longest_chain(list(extra))
+    return Flag(tuple(chain)) if chain else None
+
+
+def closed_under_products(a: AlgebraBasis) -> bool:
+    """True iff the product of every ordered pair of basis elements of a lies
+    in its span. The span's basis is its reduced echelon form, so a vector
+    of the span is the combination of the basis rows with its own entries at
+    the pivot columns as coefficients; each product, formed entry by entry
+    in Fractions, must vanish once that combination is subtracted."""
+    n = a.ambient_dim
+    rows = [list(r) for r in a.span.basis]
+    pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
+    if any(rows[j][p] != (i == j) for i, p in enumerate(pivots) for j in range(len(rows))):
+        raise AssertionError("the span's basis is not in reduced echelon form")
+    mats = [[r[i * n : (i + 1) * n] for i in range(n)] for r in rows]
+    for x in mats:
+        for y in mats:
+            v = [0] * (n * n)
+            for i, l in itertools.product(range(n), repeat=2):
+                if x[i][l]:
+                    for j in range(n):
+                        v[i * n + j] += x[i][l] * y[l][j]
+            for p, r in zip(pivots, rows):
+                c = v[p]
+                if c:
+                    v = [s - c * t for s, t in zip(v, r)]
+            if any(v):
+                return False
+    return True

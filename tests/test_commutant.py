@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy import commutant, linalg
+from holonomy import classify as classify_module
+from holonomy import cli, commutant, linalg
 from holonomy.commutant import (
     AlgebraBasis,
     ClosureError,
@@ -45,9 +48,11 @@ from holonomy.representation import (
 from helpers import (
     CORPUS,
     centralizer_oracle,
+    closed_under_products,
     frac_rows,
     fraction_affine_fields,
     fraction_rref,
+    harvested_flag,
     pair_loop_derived_series,
     passes_trace_screen,
     primary_decomposition_harvest,
@@ -428,11 +433,19 @@ class TestClosureAndRadical:
         assert not witness.residual.is_zero()
 
     def test_centralizer_outputs_closed(self):
-        rng = random.Random(59)
-        gens = [random_invertible(rng, 3) for _ in range(2)]
-        cent = matrix_centralizer(gens, 3)
-        ok, _ = algebra_closure_check(cent)
-        assert ok
+        # every product of two basis elements re-checked without the verdict
+        # the centralizer carries, on the cyclic and the n^2-unknown path
+        paths = {"cyclic": 0, "n^2": 0}
+        for name, gens, size in _harvest_inputs():
+            cent = matrix_centralizer(gens, size)
+            assert closed_under_products(cent), name
+            nonscalar = [g for g in gens if not g.is_scalar()]
+            cyclic = nonscalar and linalg.krylov_powers(nonscalar[0].num, size)[1] is None
+            paths["cyclic" if cyclic else "n^2"] += 1
+        assert min(paths.values()) >= 5, paths
+        # the oracle rejects an open span: E12 E21 = E11 leaves sl_2
+        sl2 = AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0), E_n(2, 0, 0) - E_n(2, 1, 1)], 2)
+        assert not closed_under_products(sl2)
 
     def test_radical_of_upper_triangular_pair(self):
         a = AlgebraBasis.from_span([RatMatrix.identity(2), frac_rows([[0, 1], [0, 0]])], 2)
@@ -627,6 +640,31 @@ class TestAlgebraProducts:
         with pytest.raises(ClosureError):
             dickson_radical(sl2)
 
+    def test_centralizer_closure_is_recorded_not_checked(self, monkeypatch):
+        # a cyclic generator (the companion matrix of x^3 - 2) and a
+        # derogatory one, each conjugated: the centralizer's verdict forms no
+        # product and tests no membership; the same span built by from_span
+        # is equal to it and is checked product by product
+        calls = []
+        contains = Subspace.contains
+        monkeypatch.setattr(Subspace, "contains", lambda s, v: calls.append(1) or contains(s, v))
+        products = self._count_products(monkeypatch)
+        rng = random.Random(89)
+        companion = frac_rows([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+        for g in (companion, _diagonal(1, 1, 2)):
+            p = random_unimodular(rng, 3)
+            cent = matrix_centralizer([p * g * p.inverse()], 3)
+            assert 1 < cent.dim < 9
+            products.clear()
+            calls.clear()
+            assert algebra_closure_check(cent) == (True, None)
+            assert products == [] and calls == []
+            rebuilt = AlgebraBasis.from_span(cent.basis, 3)
+            assert rebuilt == cent
+            products.clear()
+            assert algebra_closure_check(rebuilt) == (True, None)
+            assert len(products) == cent.dim**2
+
     def test_closure_verdict_is_computed_once(self, monkeypatch):
         cent = centralizer_algebra(benzecri_suspend(load_rep_file(CORPUS / "dim3_torus_translations.json")))
         assert cent.dim < 16
@@ -803,11 +841,12 @@ def _diagonal(*entries) -> RatMatrix:
 
 
 def _harvest_inputs() -> list[tuple[str, list[RatMatrix], int]]:
-    """(name, generators, size) of flag-search inputs: the suspension of every
-    corpus and tests/data document; M_n(Q) for n = 2..6, as the centralizer
-    of the suspended trivial group; diagonal and block-diagonal generators
-    conjugated by unimodular matrices; and the analyze-families shapes
-    (unipotent, rotation block, generic pair) in dimensions 3-6."""
+    """(name, generators, size) of flag-search and closure inputs: the
+    suspension of every corpus and tests/data document; M_n(Q) for
+    n = 2..6, as the centralizer of the suspended trivial group; diagonal
+    and block-diagonal generators conjugated by unimodular matrices; and
+    the analyze-families shapes (unipotent, rotation block, generic pair)
+    in dimensions 3-6."""
     rng = random.Random(71)
 
     def conj(mats):
@@ -859,6 +898,69 @@ class TestFlagHarvest:
         else:
             # the cap cuts the harvest of many inputs short
             assert sum(k == cap for k in sizes.values()) >= 15
+
+
+class TestScalarGroupFlag:
+    """A group of scalars leaves every subspace invariant, so
+    invariant_flag_search builds its complete flag: no centralizer and no
+    harvest."""
+
+    @staticmethod
+    def _scalar_rep(n, *scalars):
+        gens = [(f"s{i}", RatMatrix.identity(n).scale(c)) for i, c in enumerate(scalars)]
+        return validate_rep(gens, "linear", n)
+
+    def test_dimension_one_has_no_flag(self):
+        assert invariant_flag_search(self._scalar_rep(1, 2)) is None
+        assert invariant_flag_search(self._scalar_rep(1)) is None
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_the_harvest_on_the_full_matrix_algebra(self, n):
+        full = matrix_centralizer([], n).basis
+        for scalars in ((2,), (1, Fraction(-3, 2)), ()):
+            rep = self._scalar_rep(n, *scalars)
+            flag = invariant_flag_search(rep)
+            assert flag == harvested_flag(list(rep.matrices), full, n)
+            assert flag.complete
+
+    @pytest.mark.parametrize("n", range(6, 9))
+    def test_complete_where_the_harvest_is_capped(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a group of scalars needs no centralizer and no harvest")
+
+        monkeypatch.setattr(commutant, "matrix_centralizer", refuse)
+        monkeypatch.setattr(commutant, "_invariant_candidates", refuse)
+        rep = self._scalar_rep(n, 2, Fraction(1, 3))
+        flag = invariant_flag_search(rep)
+        assert flag.complete and verify_certificate(rep, InvariantFlagCertificate(flag))
+
+    def test_the_capped_harvest_left_dimension_six_incomplete(self):
+        # the defect that the construction fixes: the harvest on M_6(Q) ends
+        # with the incomplete chain of dimensions (1, 2, 4, 5)
+        rep = self._scalar_rep(6, 2)
+        flag = harvested_flag(list(rep.matrices), matrix_centralizer([], 6).basis, 6)
+        assert flag.dims == (1, 2, 4, 5)
+
+    @pytest.mark.parametrize(
+        "argv, harvests",
+        [
+            (["classify", "--dim", "3", str(CORPUS / "dim3_trivial_injective.json")], False),
+            (["analyze", str(CORPUS / "dim2_trivial.json")], False),
+            (["analyze", str(CORPUS / "dim2_translation_torus.json")], True),
+        ],
+    )
+    def test_trivial_holonomy_runs_no_harvest(self, argv, harvests, monkeypatch):
+        searches, candidates = [], []
+        for module in (cli, classify_module):
+            search = module.invariant_flag_search
+            monkeypatch.setattr(
+                module, "invariant_flag_search", lambda *a, f=search: searches.append(1) or f(*a)
+            )
+        harvest = commutant._invariant_candidates
+        monkeypatch.setattr(commutant, "_invariant_candidates", lambda *a: candidates.append(1) or harvest(*a))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--format", "json"]) == 0
+        assert searches and bool(candidates) == harvests
 
 
 class TestDerivedSeries:

@@ -18,7 +18,7 @@ multiplication by e1 and by e2 on the exterior algebra of Q^2) has a radical
 of square-zero elements and reaches the noncommuting-pair flag;
 dim3_mixed_radical (diag(2, 3, 3, 5) and I + E12) reaches the "noncommutative
 only through mixed radical terms" note; dim3_quartic_field (the companion
-matrix of x^4 - 2) reaches the "no rational zero set" note; and
+matrix of x^4 - 2) reaches the "no zero set of dimension 1 to 3" note; and
 dim2_cubic_field (the companion matrix of x^3 - 2, declared compact,
 connected and oriented) reaches the dimension-2 "found no witness" branch.
 The corpus JSON reports and the text classify reports were captured
@@ -29,8 +29,9 @@ polynomials moved to integer coefficients, the dim3_zero_set_* reports
 (other than dim3_zero_set_line) before the zero-set stage dropped its shift
 lattice and its equal-diagonal-block check, and the reports of the four
 documents above before the case analysis dropped its unreachable
-fallbacks, and the suspend documents before the suspension dropped its
-sphere-lift sign option. An output change shows up here as a byte difference; an intended
+fallbacks (the dim3_quartic_field classify reports again when that note
+stopped naming the deleted shift bounds), and the suspend documents before
+the suspension dropped its sphere-lift sign option. An output change shows up here as a byte difference; an intended
 one replaces the snapshot in the same change.
 """
 
