@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .commutant import (
     AlgebraBasis,
@@ -400,10 +400,8 @@ def _flag_from_noncommutative_radical(radical: AlgebraBasis) -> tuple[Flag, list
     would force xy = yx = 0, so the pair construction applies.
     """
     basis = list(radical.basis)
-    candidates = list(basis)
-    for x, y in combinations(basis, 2):
-        candidates.extend([x + y, x - y])
-    for a in candidates:
+    pairs = (s for x, y in combinations(basis, 2) for s in (x + y, x - y))
+    for a in chain(basis, pairs):
         sq = a * a
         if not sq.is_zero():
             return _element_flag(a, sq), [

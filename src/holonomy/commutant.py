@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -353,13 +353,11 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     candidate has a minimal polynomial with one factor, so it would find
     nothing.
     """
-    candidates = list(a.basis)
-    for x, y in combinations(a.basis, 2):
-        candidates.append(x + y)
+    sums = (x + y for x, y in combinations(a.basis, 2))
     witnesses: list[RatMatrix] = []
     seen: set[RatMatrix] = set()
     span = a.span
-    for m in candidates[:_MAX_CANDIDATES]:
+    for m in islice(chain(a.basis, sums), _MAX_CANDIDATES):
         if len(witnesses) >= _MAX_WITNESSES:
             break
         minp = minimal_polynomial(m)
@@ -630,58 +628,47 @@ def find_rotational_element(
 
 
 def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], size: int) -> list[Subspace]:
-    """Harvest kernels, images, and primary components of the centralizer
-    elements cent, then of the generators.
+    """Harvest the kernel chains and images of f(m) for the centralizer
+    elements cent, then for the generators.
 
-    One taken from a generator is kept only when every generator maps it
-    onto itself. One taken from an element m of cent needs no check: each
-    generator g commutes with m, so g maps Ker f(m), Im f(m) and every
-    primary component of m into itself, and onto itself as g is invertible.
+    For each non-scalar m and each irreducible factor f, of multiplicity k,
+    of the characteristic polynomial (in factor_polynomial's order): Ker f(m)
+    and Im f(m), both from one kernel_and_image, then Ker f(m)^j for
+    j = 2, 3, ... The kernel chain grows strictly until it reaches the
+    primary component Ker f(m)^k, of dimension k * deg f, and is constant
+    from there on, so the chain stops at that dimension. The factor f = x
+    gives Ker m and Im m, and the last kernel of each chain is its
+    component.
 
-    For each non-scalar m, in this order: Ker m and Im m; then, for each
-    irreducible factor f of multiplicity k of the characteristic polynomial
-    (in factor_polynomial's order), the primary component Ker f(m)^k, then
-    Ker f(m) and Im f(m). f(m) is evaluated once, and one kernel_and_image
-    reads its kernel and image; with k = 1 that kernel is the component.
-    Subspaces that consider would reject are not formed: Ker m = 0 and
-    Im m = Q^n when the constant term shows m invertible (every generator
-    is); the component of a lone factor, which is Q^n, and its Im f(m) = 0
-    when k = 1, since then f(m) = 0 (Cayley-Hamilton); and a second Ker m
-    and Im m when f = x. So the list, its order and the cap's cut are those
-    of the full harvest.
+    One taken from a generator is kept only when every generator maps each
+    of its basis vectors into it; as every generator is invertible, it then
+    maps the subspace onto itself. One taken from an element m of cent
+    needs no check: each generator g commutes with m, so g maps every
+    Ker f(m)^j and Im f(m) into itself, and onto itself. Proper nonzero
+    subspaces not seen before are kept, in the order offered, while fewer
+    than _FLAG_CANDIDATE_CAP are.
     """
     seen: dict[Subspace, None] = {}
 
     def consider(s: Subspace, check: bool):
         if not 0 < s.dim < size or s in seen or len(seen) >= _FLAG_CANDIDATE_CAP:
             return
-        if not check or all(s.apply(g) == s for g in gens):
+        if not check or all(s.contains([sum(map(mul, r, b)) for r in g.num]) for g in gens for b in s.num):
             seen[s] = None
 
     for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:
         if m.is_scalar():
             continue
-        char = characteristic_polynomial(m)
-        if not char.num[0]:  # m is singular
-            for s in kernel_and_image(m):  # kernel first: seen keeps the order and the cap counts it
-                consider(s, check)
-        factors = factor_polynomial(char)
-        lone = len(factors) == 1
-        for f in factors:
-            k = f.multiplicity
-            component = k > 1 and not lone
-            kernel_image = f.poly.num != (0, 1) and (k > 1 or not lone)
-            if not (component or kernel_image):
-                continue
+        for f in factor_polynomial(characteristic_polynomial(m)):
             fm = f.poly.eval_matrix(m)
-            if component:
-                power = fm.num
-                for _ in range(k - 1):
-                    power = integer_matmul(power, fm.num)
-                consider(nullspace(*rref(power), size), check)
-            if kernel_image:
-                for s in kernel_and_image(fm):  # with k = 1 the kernel is the component
-                    consider(s, check)
+            kernel, image = kernel_and_image(fm)
+            consider(kernel, check)
+            consider(image, check)
+            power = fm.num
+            while kernel.dim < f.multiplicity * f.poly.degree:
+                power = integer_matmul(power, fm.num)
+                kernel = nullspace(*rref(power), size)
+                consider(kernel, check)
     return list(seen)
 
 
@@ -710,20 +697,23 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
 
     When every generator is scalar, every subspace is invariant, and the
     complete flag span(e_n) < span(e_(n-1), e_n) < ... < span(e_2, ..., e_n)
-    is built directly, with no centralizer and no search; for n = 2..5 it
-    is the flag the search returns on such a group. A space of dimension
-    n <= 1 has no proper nonzero subspace, so there is no flag.
+    is built directly, with no centralizer and no search. A space of
+    dimension n <= 1 has no proper nonzero subspace, so there is no flag.
 
-    Otherwise: harvest kernels, images, and primary components of commutant
-    elements (and of the generators themselves), close once under pairwise
-    intersections and sums, and take the longest containment chain. Each
-    generator maps every harvested subspace onto itself (by commutation for
-    those of commutant elements, checked for those of the generators), and
-    an invertible generator maps sums and intersections of
-    such subspaces onto themselves too, so the returned flag is invariant
-    by construction. Absence of a find is not a nonexistence claim. cent
-    is the centralizer of rep when the caller already holds it; it is
-    computed here otherwise.
+    Otherwise: harvest the kernel chains and images of f(m) for the
+    centralizer elements and the generators (_invariant_candidates), and
+    take the longest containment chain. When it is not complete, close the
+    harvest once under pairwise intersections and sums, up to twice the
+    candidate cap, and take the longest chain again. Two kinds of pair add
+    nothing to the closure, so neither is formed: a pair in which one
+    member contains the other, whose sum and intersection are the pair
+    itself; and the intersection of a pair with dim(a + b) = dim a + dim b,
+    which is 0. Each generator maps every harvested subspace onto itself,
+    and an invertible generator maps sums and intersections of such
+    subspaces onto themselves too, so the returned flag is invariant by
+    construction. Absence of a find is not a nonexistence claim. cent is
+    the centralizer of rep when the caller already holds it; it is computed
+    here otherwise.
     """
     gens = list(rep.matrices)
     size = rep.matrix_size
@@ -739,8 +729,12 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
     if chain and len(chain) == size - 1:  # a strictly increasing chain this long is complete
         return Flag(tuple(chain))
     extra: dict[Subspace, None] = {s: None for s in cands}
-    for a, b in combinations(list(cands), 2):
-        for s in (a.intersect(b), a.add(b)):
+    for a, b in combinations(cands, 2):
+        low, high = (a, b) if a.dim <= b.dim else (b, a)
+        if low.is_subspace_of(high):
+            continue
+        total = a.add(b)
+        for s in (total,) if total.dim == a.dim + b.dim else (a.intersect(b), total):
             if 0 < s.dim < size and s not in extra and len(extra) < 2 * _FLAG_CANDIDATE_CAP:
                 extra[s] = None
     chain = _longest_chain(list(extra))

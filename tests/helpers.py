@@ -48,7 +48,6 @@ from holonomy.linalg import (
     RatMatrix,
     Subspace,
     image_of,
-    kernel_and_image,
     kernel_of,
     matrix_from_vec,
     solve_linear,
@@ -553,12 +552,13 @@ def equal_diagonal_blocks(xt: RatMatrix, u: Subspace, mats) -> bool:
 
 def primary_decomposition_harvest(gens, cent, size: int, cap: int) -> list[Subspace]:
     """Reference candidate harvest of the flag search: for each non-scalar
-    element of cent, then each generator, Ker m and Im m, then for each
-    component of primary_decomposition(m) the component, and Ker f(m) and
-    Im f(m) with f(m) evaluated afresh. Every subspace is formed and offered;
-    proper nonzero ones not seen before are kept while fewer than cap are,
-    those of a generator only when every generator maps them onto
-    themselves."""
+    element m of cent, then each generator, and each component f^k of
+    primary_decomposition(m), Ker f(m) and Im f(m), then Ker f(m)^j for
+    every j = 2..k, with f(m)^j formed afresh by matrix products and no
+    early stop; the last kernel must be the component. Every subspace is
+    formed and offered; proper nonzero ones not seen before are kept while
+    fewer than cap are, those of a generator only when every generator maps
+    them onto themselves."""
     seen: dict[Subspace, None] = {}
 
     def consider(s: Subspace, check: bool):
@@ -570,16 +570,16 @@ def primary_decomposition_harvest(gens, cent, size: int, cap: int) -> list[Subsp
     for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:
         if m.is_scalar():
             continue
-        for s in kernel_and_image(m):
-            consider(s, check)
         for comp in primary_decomposition(m):
-            consider(comp.subspace, check)
             fm = comp.factor.eval_matrix(m)
-            if comp.multiplicity == 1:  # Ker f(m) is the component itself
-                consider(image_of(fm), check)
-                continue
-            for s in kernel_and_image(fm):
-                consider(s, check)
+            consider(kernel_of(fm), check)
+            consider(image_of(fm), check)
+            power = fm
+            for _ in range(comp.multiplicity - 1):
+                power = power * fm
+                consider(kernel_of(power), check)
+            if kernel_of(power) != comp.subspace:
+                raise AssertionError("the kernel chain does not end at the primary component")
     return list(seen)
 
 

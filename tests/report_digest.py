@@ -3,6 +3,7 @@
 Usage:
 
     python tests/report_digest.py
+    python tests/report_digest.py --list
 
 For seeds 1-3 of the corpus-cli, conjugates and analyze-families
 workloads of bench/inputs.py, every case is turned into the JSON report
@@ -12,6 +13,11 @@ that the CLI would write for it: `_classify_one` for the classify cases,
 in order. Two trees that print the same line produce byte-identical
 reports on all of these inputs. The cases are read from bench.inputs,
 which is left unchanged.
+
+With --list, one line per report is printed instead:
+`<workload>/<seed>/<case key> <first 16 hex digits of the report's sha256>`.
+Diffing the listings of two trees names the reports that a change of the
+digest moves.
 """
 
 from __future__ import annotations
@@ -52,18 +58,26 @@ def report(case) -> dict:
     return cli._classify_one(rep, dict(OPTIONS, dim=case.dim))
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    listing = argv == ["--list"]
+    if argv and not listing:
+        print("usage: python tests/report_digest.py [--list]", file=sys.stderr)
+        return 2
     h = hashlib.sha256()
     count = 0
     for workload in WORKLOADS:
         for seed in SEEDS:
             for cycle in inputs.make_cycles(workload, seed, ROOT):
                 for case in cycle:
-                    h.update(fileio.dumps_canonical(report(case)).encode("utf-8"))
+                    data = fileio.dumps_canonical(report(case)).encode("utf-8")
+                    h.update(data)
                     count += 1
-    print(f"{count} reports sha256:{h.hexdigest()}")
+                    if listing:
+                        print(f"{workload}/{seed}/{case.key} {hashlib.sha256(data).hexdigest()[:16]}")
+    if not listing:
+        print(f"{count} reports sha256:{h.hexdigest()}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

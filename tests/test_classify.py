@@ -457,16 +457,7 @@ class TestOutcomeInvariance:
 
 
 def _dim3_documents():
-    for path in sorted(DATA.glob("dim3_*.json")):
-        marks = ()
-        if path.stem == "dim3_zero_set_equals_image":
-            # Ker f(m)^j for 1 < j < multiplicity is not an invariant
-            # candidate, so some conjugates lose the flag that certifies
-            # solvability and come out Undetermined.
-            marks = pytest.mark.xfail(
-                strict=True, reason="primary-component candidates miss Ker f(m)^j"
-            )
-        yield pytest.param(path, id=path.stem, marks=marks)
+    return [pytest.param(path, id=path.stem) for path in sorted(DATA.glob("dim3_*.json"))]
 
 
 @pytest.mark.parametrize("path", _dim3_documents())

@@ -23,6 +23,7 @@ from holonomy.commutant import (
     InvariantSubspaceCertificate,
     _commutation_rows,
     _invariant_candidates,
+    _longest_chain,
     _pairwise_commute,
     algebra_closure_check,
     centralizer_algebra,
@@ -898,6 +899,41 @@ class TestFlagHarvest:
         else:
             # the cap cuts the harvest of many inputs short
             assert sum(k == cap for k in sizes.values()) >= 15
+
+    def test_closure_skips_are_exact(self):
+        # invariant_flag_search forms no sum or intersection of a nested
+        # pair and no intersection of a direct sum; helpers.harvested_flag
+        # forms them all. A group of scalars takes the coordinate flag
+        # instead (TestScalarGroupFlag).
+        closed = []
+        for name, gens, size in _harvest_inputs():
+            if all(g.is_scalar() for g in gens):
+                continue
+            cent = matrix_centralizer(gens, size)
+            rep = validate_rep([(f"g{i}", g) for i, g in enumerate(gens)], "linear", size)
+            assert invariant_flag_search(rep, cent) == harvested_flag(gens, cent.basis, size), name
+            if len(_longest_chain(_invariant_candidates(gens, cent.basis, size))) < size - 1:
+                closed.append(name)
+        assert {"rotation-4", "rotation-5", "rotation-6"} <= set(closed)
+
+
+class TestKernelChainFlag:
+    """Ker f(m)^j for 1 < j < k is a candidate, so a regular unipotent
+    block, whose only invariant subspaces are span(e_1, ..., e_j), gets
+    that complete flag and not just its kernel and image."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_unipotent_pair_and_a_conjugate_get_the_complete_flag(self, n):
+        a, b = _unipotent_pair(n)
+        p = random_unimodular(random.Random(n), n)
+        pinv = p.inverse()
+        coordinate = [Subspace.span(RatMatrix.identity(n).num[:j], n) for j in range(1, n)]
+        conjugated = [s.apply(p) for s in coordinate]
+        for gens, expected in (([a, b], coordinate), ([p * a * pinv, p * b * pinv], conjugated)):
+            rep = validate_rep([("a", gens[0]), ("b", gens[1])], "linear", n)
+            flag = invariant_flag_search(rep)
+            assert flag == Flag(tuple(expected))
+            assert verify_certificate(rep, InvariantFlagCertificate(flag))
 
 
 class TestScalarGroupFlag:
