@@ -144,15 +144,23 @@ class AlgebraBasis:
         return p
 
     @cached_property
+    def _common_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den) with basis[i] = rows[i] / den, rows[i] its row-major
+        integer entries and den the lcm of the basis denominators; the
+        trace form and the Dickson radical read the basis here."""
+        den = lcm(*[b.den for b in self.basis])
+        return [[x * (den // b.den) for r in b.num for x in r] for b in self.basis], den
+
+    @cached_property
     def trace_form(self) -> RatMatrix:
         """Gram matrix of the trace form: trace_form[i][j] = tr(basis[i] *
         basis[j]) = sum over r, c of basis[i][r][c] * basis[j][c][r], read
         off the integer entries once per unordered pair; no product is
         formed. Computed once per algebra; it is not a field, so it takes
         no part in == or hash."""
-        den = lcm(*[b.den for b in self.basis])
-        rows = [[x * (den // b.den) for r in b.num for x in r] for b in self.basis]
-        cols = [[x * (den // b.den) for c in zip(*b.num) for x in c] for b in self.basis]
+        rows, den = self._common_rows
+        n = self.ambient_dim
+        cols = [[x for c in range(n) for x in v[c::n]] for v in rows]  # the transposes
         k = self.dim
         gram = [[0] * k for _ in range(k)]
         for i in range(k):
@@ -186,8 +194,6 @@ def _commutation_rows(mats: Sequence[RatMatrix], size: int) -> list[list[int]]:
     one block per generator g, each scaled by g's common denominator."""
     rows: list[list[int]] = []
     for g in mats:
-        if g.nrows != size or g.ncols != size:
-            raise ValueError("generator size mismatch")
         num, _ = g.integer_form
         for i in range(size):
             for j in range(size):
@@ -279,24 +285,23 @@ def invariant_affine_fields(rep: Representation) -> list[AffineField]:
     homogeneous affine representation.
 
     Invariance of the field under g(x) = Ax + b means AL = LA and
-    Ac = Lb + c, which is one joint linear system in homogeneous form: the
-    field matrix [[L, c], [0, 0]] must commute with every generator. For a
-    linear (radiant) representation embedded as affine, the radial field
-    (I, 0) is always present.
+    Ac = Lb + c, that is: the field matrix [[L, c], [0, 0]] commutes with
+    every generator. So the fields are the elements of the centralizer
+    whose last row is zero: the kernel vectors of the centralizer basis's
+    last rows, combined with its basis and spanned once. For a linear
+    (radiant) representation embedded as affine, the radial field (I, 0)
+    is always present.
     """
     if rep.kind != KIND_AFFINE:
         raise ValidationError("kind must be affine (homogeneous form)")
     size = rep.dimension + 1
-    rows = _commutation_rows(rep.matrices, size)
-    # force the last row of the field matrix to zero
-    for j in range(size):
-        row = [0] * (size * size)
-        row[(size - 1) * size + j] = 1
-        rows.append(row)
+    basis = centralizer_algebra(rep).span.num
+    last_rows = list(zip(*[v[-size:] for v in basis]))  # one equation per entry of the last row
+    ker = kernel_vectors(*rref(last_rows), len(basis))
     n = rep.dimension
     fields = []
-    # each kernel row over its pivot entry is a field matrix [[L, c], [0, 0]]
-    for v in nullspace(*rref(rows), size * size).num:
+    # each canonical row over its pivot entry is a field matrix [[L, c], [0, 0]]
+    for v in Subspace.span(integer_matmul(ker, basis), size * size).num:
         piv = next(x for x in v if x)
         lin = RatMatrix.from_integer_form([v[i * size : i * size + n] for i in range(n)], piv)
         const = tuple(Fraction(v[i * size + n], piv) for i in range(n))
@@ -412,16 +417,9 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
         raise ClosureError(
             f"basis pair ({witness.left_index}, {witness.right_index}) leaves the span"
         )
-    k = a.dim
-    ker = nullspace(*rref(a.trace_form.num), k)
-    rad_mats = []
-    for coeffs in ker.basis:
-        m = RatMatrix.zeros(a.ambient_dim, a.ambient_dim)
-        for c, b in zip(coeffs, a.basis):
-            if c:
-                m = m + b.scale(c)
-        rad_mats.append(m)
-    radical = AlgebraBasis.from_span(rad_mats, a.ambient_dim)
+    k, n = a.dim, a.ambient_dim
+    ker = kernel_vectors(*rref(a.trace_form.num), k)
+    radical = AlgebraBasis(n, Subspace.span(integer_matmul(ker, a._common_rows[0]), n * n))
     quotient_dim = k - radical.dim
     rad_span = radical.span
     quotient_commutative = quotient_dim <= 1 or all(
@@ -638,7 +636,10 @@ def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], 
     primary component Ker f(m)^k, of dimension k * deg f, and is constant
     from there on, so the chain stops at that dimension. The factor f = x
     gives Ker m and Im m, and the last kernel of each chain is its
-    component.
+    component. Nothing is formed that would be rejected as Q^n: a factor
+    of degree n has f(m) = 0, so it is skipped; and each step of the chain
+    adds a multiple of deg f to the kernel's dimension, so the chain also
+    stops once that dimension reaches n - deg f.
 
     One taken from a generator is kept only when every generator maps each
     of its basis vectors into it; as every generator is invertible, it then
@@ -660,12 +661,15 @@ def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], 
         if m.is_scalar():
             continue
         for f in factor_polynomial(characteristic_polynomial(m)):
+            d = f.poly.degree
+            if d == size:  # f(m) = 0: its kernel is Q^n and its image 0
+                continue
             fm = f.poly.eval_matrix(m)
             kernel, image = kernel_and_image(fm)
             consider(kernel, check)
             consider(image, check)
             power = fm.num
-            while kernel.dim < f.multiplicity * f.poly.degree:
+            while kernel.dim < min(f.multiplicity * d, size - d):
                 power = integer_matmul(power, fm.num)
                 kernel = nullspace(*rref(power), size)
                 consider(kernel, check)

@@ -272,11 +272,9 @@ def render_text(report: dict) -> str:
             lines.append(
                 "  - fixed-projective-point [" + " ".join(_fmt_scalar(x) for x in cert["point"]) + "]"
             )
-        elif kind == "invariant-subspace":
+        else:  # invariant-subspace, the last kind certificate_to_json writes
             lines.append(f"  - invariant-subspace dim={cert['subspace']['dim']}")
             lines.extend(_render_matrix_rows(cert["subspace"]["basis"], "      "))
-        else:
-            lines.append(f"  - {kind}")
     outcome = report["outcome"]
     if outcome is None:
         lines.append("outcome: (analysis only)")

@@ -259,9 +259,6 @@ class RatMatrix:
         c = self.num[0][0] if self.num else 0
         return all(x == (c if i == j else 0) for i, r in enumerate(self.num) for j, x in enumerate(r))
 
-    def __str__(self) -> str:
-        return "\n".join("[" + " ".join(str(x) for x in r) + "]" for r in self.rows)
-
 
 def vectorize(m: RatMatrix) -> Vec:
     """Row-major flattening."""
@@ -395,12 +392,10 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         # Kernel of [A | -B] with the rows of both as columns: a kernel
-        # element (x, y) encodes the intersection vector sum_i x_i a_i.
+        # vector (x, y) gives the intersection vector x A.
         cols = self.num + tuple(tuple(-x for x in b) for b in other.num)
-        reduced, pivots = rref(list(zip(*cols)))
-        ker = nullspace(reduced, pivots, len(cols))
-        own = list(zip(*self.num))  # columns of A; _dot stops at the end of x
-        return Subspace.span([[_dot(c, col) for col in own] for c in ker.num], self.ambient_dim)
+        ker = kernel_vectors(*rref(list(zip(*cols))), len(cols))
+        return Subspace.span(integer_matmul([v[: self.dim] for v in ker], self.num), self.ambient_dim)
 
     def apply(self, m: RatMatrix) -> "Subspace":
         """Image of this subspace under m."""
@@ -424,9 +419,10 @@ def nullspace(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: in
     """Kernel of a matrix whose integer RREF (as rref returns it) occupies
     the first ncols columns of reduced: the kernel_vectors, spanned once.
     `nullspace(*rref(rows), ncols)` is the kernel of rows alone, with no
-    image; solve_linear, Subspace.intersect, kernel_and_image, the
-    centralizer, the invariant affine fields, the Dickson radical and the
-    primary components read their kernels this way."""
+    image. A kernel that is only combined with known rows before it is
+    spanned (Subspace.intersect, the polynomial centralizer, the invariant
+    affine fields, the Dickson radical) takes kernel_vectors instead, so
+    only the combination is spanned."""
     return Subspace.span(kernel_vectors(reduced, pivots, ncols), ncols)
 
 

@@ -153,21 +153,6 @@ class Polynomial:
                 acc[r][r] += a
         return RatMatrix.from_integer_form(acc, self.den * d ** max(self.degree, 0))
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts))
-
 
 def poly_egcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """g, s, t with s*a + t*b = g and g monic."""

@@ -128,7 +128,7 @@ def validate_rep(
     dimension: int,
     assumptions: AssumptionSet | None = None,
 ) -> Representation:
-    """Validate raw (label, matrix) generator data into a Representation.
+    """Validate (label, RatMatrix) generator pairs into a Representation.
 
     Projective-class generators are stored in canonical scale. Errors name
     the offending generator.
@@ -139,15 +139,7 @@ def validate_rep(
         raise ValidationError("dimension must be >= 1")
     size = dimension if kind == KIND_LINEAR else dimension + 1
     gens = []
-    for idx, item in enumerate(raw_generators):
-        if isinstance(item, Generator):
-            label, matrix = item.label, item.matrix
-        elif isinstance(item, RatMatrix):
-            label, matrix = f"g{idx}", item
-        else:
-            label, matrix = item
-            if not isinstance(matrix, RatMatrix):
-                matrix = RatMatrix.from_rows(matrix)
+    for label, matrix in raw_generators:
         if matrix.nrows != size or matrix.ncols != size:
             raise ValidationError(
                 f"generator {label!r}: expected {size}x{size}, got {matrix.nrows}x{matrix.ncols}"

@@ -14,10 +14,12 @@ in order. Two trees that print the same line produce byte-identical
 reports on all of these inputs. The cases are read from bench.inputs,
 which is left unchanged.
 
-With --list, one line per report is printed instead:
-`<workload>/<seed>/<case key> <first 16 hex digits of the report's sha256>`.
-Diffing the listings of two trees names the reports that a change of the
-digest moves.
+With --list, one line per report is printed first:
+`<workload>/<seed>/<case key> <first 16 hex digits of the report's sha256>`,
+then the same summary line. tests/report_digest.expected holds that
+listing, so diffing it against a tree's listing names each report that a
+change of the digest moves; tests/test_golden.py compares its seed-1
+lines.
 """
 
 from __future__ import annotations
@@ -58,24 +60,30 @@ def report(case) -> dict:
     return cli._classify_one(rep, dict(OPTIONS, dim=case.dim))
 
 
+def listing(seeds=SEEDS):
+    """(listing line, canonical report bytes) of every case of the seeds,
+    in digest order."""
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for cycle in inputs.make_cycles(workload, seed, ROOT):
+                for case in cycle:
+                    data = fileio.dumps_canonical(report(case)).encode("utf-8")
+                    yield f"{workload}/{seed}/{case.key} {hashlib.sha256(data).hexdigest()[:16]}", data
+
+
 def main(argv: list[str]) -> int:
-    listing = argv == ["--list"]
-    if argv and not listing:
+    listed = argv == ["--list"]
+    if argv and not listed:
         print("usage: python tests/report_digest.py [--list]", file=sys.stderr)
         return 2
     h = hashlib.sha256()
     count = 0
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            for cycle in inputs.make_cycles(workload, seed, ROOT):
-                for case in cycle:
-                    data = fileio.dumps_canonical(report(case)).encode("utf-8")
-                    h.update(data)
-                    count += 1
-                    if listing:
-                        print(f"{workload}/{seed}/{case.key} {hashlib.sha256(data).hexdigest()[:16]}")
-    if not listing:
-        print(f"{count} reports sha256:{h.hexdigest()}")
+    for line, data in listing():
+        h.update(data)
+        count += 1
+        if listed:
+            print(line)
+    print(f"{count} reports sha256:{h.hexdigest()}")
     return 0
 
 

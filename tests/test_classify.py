@@ -405,9 +405,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     "name, classify_fn, expected",
     [
         ("conj_dim3_torus_translations_1", classify_dim3,
-         dict(minimal_polynomial=0, factor_polynomial=1, eliminate=173, rref_rows=103)),
+         dict(minimal_polynomial=0, factor_polynomial=1, eliminate=173, rref_rows=100)),
         ("conj_dim2_translation_torus_2", classify_dim2,
-         dict(minimal_polynomial=0, factor_polynomial=0, eliminate=64, rref_rows=35)),
+         dict(minimal_polynomial=0, factor_polynomial=0, eliminate=64, rref_rows=33)),
     ],
 )
 def test_work_counts_of_conjugated_translation_groups(name, classify_fn, expected, monkeypatch):
@@ -419,8 +419,10 @@ def test_work_counts_of_conjugated_translation_groups(name, classify_fn, expecte
     centralizer's Krylov pass stops at its square, after 0 + 1 + 2 = 3
     eliminations, and the commutation system is solved as before. The
     centralizer's closure is proven when it is built, so no product of its
-    basis is reduced along its span (13 and 9 eliminations). The counts are
-    deterministic; a search, zero rows or a closure check brought back
+    basis is reduced along its span (13 and 9 eliminations). The radical's
+    trace-form kernel vectors are combined with the basis before they are
+    spanned, so no canonical kernel is spanned (3 and 2 rows). The counts
+    are deterministic; a search, zero rows or a closure check brought back
     raise them."""
     rep = load_rep_file(DATA / f"{name}.json")
     counts = _count_work(monkeypatch)
@@ -454,6 +456,62 @@ class TestOutcomeInvariance:
             )
             out = classify_dim3(scaled)
             assert (out.branch, out.conclusion) == (base.branch, base.conclusion)
+
+
+def _rotation_block(*blocks) -> RatMatrix:
+    """diag of the blocks: R = [[3/5, -4/5], [4/5, 3/5]] for "R", the
+    number itself otherwise."""
+    rot = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    parts = [rot if b == "R" else [[b]] for b in blocks]
+    n = sum(len(p) for p in parts)
+    rows = [[0] * n for _ in range(n)]
+    k = 0
+    for p in parts:
+        for i, row in enumerate(p):
+            rows[k + i][k : k + len(row)] = row
+        k += len(p)
+    return frac_rows(rows)
+
+
+# each rotation block, and how many of its 12 conjugates leave its verdict today
+ROTATION_LEDGER = ((("R", 1, 2), 10), (("R", 1, 1), 11), (("R", "R"), 12))
+ROTATION_ASSUMPTIONS = AssumptionSet(compact=True, developing_image_avoids_fixed_space=True, connected=True)
+
+
+def _rotation_id(blocks) -> str:
+    return ",".join(map(str, blocks))
+
+
+@pytest.mark.parametrize("blocks", [b for b, _ in ROTATION_LEDGER], ids=_rotation_id)
+def test_rotation_blocks_base_verdict(blocks):
+    rep = validate_rep([("g", _rotation_block(*blocks))], "projective-class", 3, ROTATION_ASSUMPTIONS)
+    out = classify_dim3(rep)
+    assert (out.branch, out.conclusion) == (BRANCH_NOT_SOLVABLE, CONCLUSION_T2_BUNDLE)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        pytest.param(b, id=_rotation_id(b), marks=pytest.mark.xfail(
+            strict=True, reason=f"{failing}/12 conjugates leave NotSolvableAut/T2BundleOverS1 (ROADMAP item 4)"))
+        for b, failing in ROTATION_LEDGER
+    ],
+)
+def test_rotation_blocks_keep_their_verdict_under_conjugation(blocks):
+    """The rotation blocks, declared compact, connected and with a
+    developing image that avoids the fixed space, under 12 seeded
+    unimodular conjugations. Most conjugates leave the base verdict today:
+    (R, 1, 2) drops to CommutativeAut/Undetermined with no rotational
+    certificate, (R, 1, 1) and (R, R) to NotSolvableAut/Undetermined.
+    ROADMAP item 4 replaces the basis walks that make this depend on the
+    basis."""
+    rep = validate_rep([("g", _rotation_block(*blocks))], "projective-class", 3, ROTATION_ASSUMPTIONS)
+    moved = []
+    for seed in range(12):
+        out = classify_dim3(conjugate_representation(rep, random_unimodular(random.Random(seed), 4, ops=12)))
+        if (out.branch, out.conclusion) != (BRANCH_NOT_SOLVABLE, CONCLUSION_T2_BUNDLE):
+            moved.append(seed)
+    assert moved == []
 
 
 def _dim3_documents():

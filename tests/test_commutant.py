@@ -21,6 +21,7 @@ from holonomy.commutant import (
     Flag,
     InvariantFlagCertificate,
     InvariantSubspaceCertificate,
+    RotationalElementCertificate,
     _commutation_rows,
     _invariant_candidates,
     _longest_chain,
@@ -40,6 +41,8 @@ from holonomy.commutant import (
 from holonomy.fileio import load_rep_file
 from holonomy.linalg import RatMatrix, Subspace, kernel_of, vectorize
 from holonomy.representation import (
+    Generator,
+    Representation,
     benzecri_suspend,
     conjugate_representation,
     embed_linear_as_affine,
@@ -394,6 +397,15 @@ class TestInvariantAffineFields:
                 gens.append(frac_rows(rows))
             rep = validate_rep([(f"g{i}", g) for i, g in enumerate(gens)], "affine", n)
             assert invariant_affine_fields(rep) == fraction_affine_fields(rep)
+
+    def test_fields_are_a_slice_of_the_centralizer_not_basis_members(self):
+        # g(x) = 2x + 1 keeps the field x -> x + 1 (the matrix g - I), but
+        # neither canonical basis member of its centralizer span{I, g} has a
+        # zero last row
+        rep = validate_rep([("g", frac_rows([[2, 1], [0, 1]]))], "affine", 1)
+        assert all(any(v[-2:]) for v in centralizer_algebra(rep).span.num)
+        fields = invariant_affine_fields(rep)
+        assert fields == fraction_affine_fields(rep) and len(fields) == 1
 
     def test_suspension_contains_radial_field(self):
         susp = benzecri_suspend(validate_rep([], "projective-class", 3))
@@ -847,7 +859,7 @@ def _harvest_inputs() -> list[tuple[str, list[RatMatrix], int]]:
     n = 2..6, as the centralizer of the suspended trivial group; diagonal
     and block-diagonal generators conjugated by unimodular matrices; and
     the analyze-families shapes (unipotent, rotation block, generic pair)
-    in dimensions 3-6."""
+    in dimensions 3-6; and conjugated unequal Jordan blocks."""
     rng = random.Random(71)
 
     def conj(mats):
@@ -874,6 +886,13 @@ def _harvest_inputs() -> list[tuple[str, list[RatMatrix], int]]:
         families = (("unipotent", _unipotent_pair(n)), ("rotation", _rotation_pair(n)), ("generic", generic))
         for family, pair in families:
             inputs.append((f"{family}-{n}", conj(list(pair)), n))
+    # unequal Jordan blocks of one eigenvalue: the chain's last kernel,
+    # of dimension n - 1, is not found elsewhere on these conjugates
+    j3 = _jordan(3, 1, 3)
+    inputs += [
+        ("blocks(J3,1)", conj([_block_diagonal(j3, _diagonal(1))]), 4),
+        ("blocks(J3,J2)", conj([_block_diagonal(j3, _jordan(2, 1, 2))]), 5),
+    ]
     return inputs
 
 
@@ -1301,6 +1320,45 @@ class TestCertificates:
         assert not verify_certificate(
             rep, InvariantSubspaceCertificate(Subspace.span([[1, 0]], 2))
         )
+
+    def test_zero_fixed_point_is_rejected(self):
+        # with no generator, only the zero test rejects the zero vector
+        assert not verify_certificate(validate_rep([], "linear", 2), FixedProjectivePointCertificate((0, 0)))
+
+    # j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]: x(x^2 + 1), rotation plane
+    # span(e1, e2), fixed line span(e3)
+    J3 = frac_rows([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    PLANE = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
+    LINE = Subspace.span([[0, 0, 1]], 3)
+
+    def test_rotational_certificate_checks(self):
+        rep = validate_rep([("g", frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))], "linear", 3)
+        assert verify_certificate(rep, RotationalElementCertificate(self.J3, self.PLANE, self.LINE))
+        # a projection with the same image and kernel as j: minimal
+        # polynomial x(x - 1), not x^2 + c or x(x^2 + c)
+        not_rotational = frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert not verify_certificate(rep, RotationalElementCertificate(not_rotational, self.PLANE, self.LINE))
+        # spaces that are not Im j and Ker j
+        assert not verify_certificate(rep, RotationalElementCertificate(self.J3, Subspace.full(3), self.LINE))
+        assert not verify_certificate(rep, RotationalElementCertificate(self.J3, self.PLANE, Subspace.zero(3)))
+
+    @pytest.mark.parametrize("g", [[[0, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]],
+                             ids=["E33", "diag110"])
+    def test_rotational_spaces_must_be_kept(self, g):
+        # a singular g commutes with j but does not keep the plane (E33) or
+        # the line (diag(1, 1, 0)); validate_rep refuses singular matrices,
+        # so the representation is built directly
+        g = frac_rows(g)
+        assert g * self.J3 == self.J3 * g
+        rep = Representation(3, "linear", (Generator("g", g),))
+        assert not verify_certificate(rep, RotationalElementCertificate(self.J3, self.PLANE, self.LINE))
+
+    def test_rotational_search_drops_what_rep_rejects(self):
+        # span{I, j} holds the rotation j, but j does not commute with diag(2, 3)
+        a = AlgebraBasis.from_span([RatMatrix.identity(2), ROT90], 2)
+        assert find_rotational_element(a) is not None
+        rep = validate_rep([("d", frac_rows([[2, 0], [0, 3]]))], "linear", 2)
+        assert find_rotational_element(a, rep=rep) is None
 
     def test_flag_certificate_roundtrip(self):
         gens = [frac_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])]

@@ -33,6 +33,10 @@ fallbacks (the dim3_quartic_field classify reports again when that note
 stopped naming the deleted shift bounds), and the suspend documents before
 the suspension dropped its sphere-lift sign option. An output change shows up here as a byte difference; an intended
 one replaces the snapshot in the same change.
+
+The reports of the seed-1 benchmark cases are checked the same way, by
+their lines in tests/report_digest.expected (see tests/report_digest.py);
+a failure names each report that moved.
 """
 
 import contextlib
@@ -44,6 +48,7 @@ import pytest
 
 from holonomy import cli
 
+import report_digest
 from helpers import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -70,3 +75,10 @@ def test_report_bytes(name, argv):
 
 def test_every_snapshot_is_checked():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(name for name, _ in _invocations())
+
+
+def test_seed_one_reports_keep_their_digest_lines():
+    expected = (Path(__file__).resolve().parent / "report_digest.expected").read_text(encoding="utf-8")
+    seed_one = [line for line in expected.splitlines() if line.split("/")[1:2] == ["1"]]
+    assert len(seed_one) == 226
+    assert [line for line, _ in report_digest.listing(seeds=(1,))] == seed_one
