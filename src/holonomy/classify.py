@@ -586,10 +586,10 @@ def classify_dim3(rep: Representation, suspension_factor=2, search_bound: int = 
     assumed: _BranchResult | None = None
 
     # the centralizer's test reads the products that the radical's quotient
-    # test left in its memo (its closure is proven, so that check formed
-    # none); a commutative centralizer has a commutative radical, so the
-    # radical is tested only when the centralizer is not commutative, and a
-    # zero radical forms no product
+    # test left in its memo (a centralizer is built without a closure
+    # check, so only that test formed any); a commutative centralizer has a
+    # commutative radical, so the radical is tested only when the
+    # centralizer is not commutative, and a zero radical forms no product
     cent_commutative = cent.is_commutative()
     if not cent_commutative and not decomp.radical.is_commutative():
         branch = BRANCH_SOLVABLE_NONCOMMUTATIVE

@@ -30,13 +30,11 @@ from .linalg import (
     kernel_and_image,
     kernel_vectors,
     krylov_powers,
-    matrix_from_vec,
     nullspace,
     numerator_vector,
     primitive_part,
     rref,
     vector,
-    vectorize,
 )
 from .polys import (
     Polynomial,
@@ -72,7 +70,8 @@ _FLAG_CANDIDATE_CAP = 48
 
 
 class ClosureError(ValueError):
-    """Raised when an operation requires a product-closed algebra span."""
+    """Raised by AlgebraBasis.from_span on a span that is not closed under
+    the matrix product."""
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,13 @@ class AlgebraBasis:
     views of span: each basis matrix is one primitive integer row over its
     pivot entry, which is already the matrix's normalized integer form, so
     the basis is one-to-one with the span and nothing else is stored.
-    Closure under the matrix product is a property of the span, read by
-    algebra_closure_check. matrix_centralizer records it as proven, since a
-    centralizer is closed by construction; a span built any other way, as
-    by from_span, is checked product by product on first request. The
-    basis products are formed on demand by product(i, j) and memoized, so
-    every consumer (the closure check, the commutativity tests) shares each
-    one and pays only for the pairs it reads.
+    The span is closed under the matrix product; the constructor takes that
+    as given. matrix_centralizer and dickson_radical build their algebras
+    with it, since a centralizer and a radical are closed by construction;
+    from_span, which takes arbitrary matrices, checks it. The basis
+    products are formed on demand by product(i, j) and memoized, so every
+    consumer (from_span's check, the commutativity tests) shares each one
+    and pays only for the pairs it reads.
     """
 
     ambient_dim: int
@@ -103,12 +102,23 @@ class AlgebraBasis:
 
     @staticmethod
     def from_span(mats: Sequence[RatMatrix], ambient_dim: int) -> "AlgebraBasis":
+        """The algebra spanned by mats, checked for closure: every product of
+        two basis elements, formed through the product memo, must lie in the
+        span, and the first pair in row-major order that leaves it raises
+        ClosureError. A span of dimension n^2 is M_n(Q) itself and forms no
+        product."""
         for m in mats:
             if m.nrows != ambient_dim or m.ncols != ambient_dim:
                 raise ValueError("algebra elements must be square of the ambient size")
-        return AlgebraBasis(
+        a = AlgebraBasis(
             ambient_dim, Subspace.span([numerator_vector(m) for m in mats], ambient_dim * ambient_dim)
         )
+        if a.dim < ambient_dim * ambient_dim:
+            for i in range(a.dim):
+                for j in range(a.dim):
+                    if not a.contains(a.product(i, j)):
+                        raise ClosureError(f"basis pair ({i}, {j}) leaves the span")
+        return a
 
     @cached_property
     def basis(self) -> tuple[RatMatrix, ...]:
@@ -173,21 +183,6 @@ class AlgebraBasis:
         through the product memo up to the first that does not commute."""
         return all(self.product(i, j) == self.product(j, i) for i, j in combinations(range(self.dim), 2))
 
-    @cached_property
-    def _closure(self) -> tuple[bool, ClosureWitness | None]:
-        """The verdict of algebra_closure_check, computed once per algebra;
-        matrix_centralizer records it without computing it."""
-        n = self.ambient_dim
-        if self.dim == n * n:  # the span is M_n(Q) itself
-            return True, None
-        span = self.span
-        for i in range(self.dim):
-            for j in range(self.dim):
-                p = self.product(i, j)
-                if not span.contains(numerator_vector(p)):
-                    return False, ClosureWitness(i, j, p, matrix_from_vec(span.reduce(vectorize(p)), n, n))
-        return True, None
-
 
 def _commutation_rows(mats: Sequence[RatMatrix], size: int) -> list[list[int]]:
     """Rows of the linear system Xg - gX = 0 in the row-major entries of X,
@@ -231,8 +226,8 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
 
     The span is canonical, so both paths give the same AlgebraBasis. On
     either path it is closed under the product, since XY commutes with g
-    whenever X and Y do; the result carries that verdict as proven, so
-    algebra_closure_check and dickson_radical form no product to confirm it.
+    whenever X and Y do, so it is built with the plain constructor, which
+    forms no product to confirm it.
     """
     for g in mats:
         if g.nrows != size or g.ncols != size:
@@ -245,10 +240,7 @@ def matrix_centralizer(mats: Sequence[RatMatrix], size: int) -> AlgebraBasis:
             span = _polynomial_centralizer(powers, nonscalar[1:], size)
     if span is None:
         span = nullspace(*rref(_commutation_rows(nonscalar, size)), size * size)
-    algebra = AlgebraBasis(size, span)
-    # seed the frozen instance's cached verdict; the docstring proves it
-    algebra.__dict__["_closure"] = (True, None)
-    return algebra
+    return AlgebraBasis(size, span)
 
 
 def _polynomial_centralizer(
@@ -309,26 +301,11 @@ def invariant_affine_fields(rep: Representation) -> list[AffineField]:
     return fields
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
-    left_index: int
-    right_index: int
-    product: RatMatrix
-    residual: RatMatrix
-
-
-def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, ClosureWitness | None]:
-    """True iff every pairwise product of basis elements stays in the span;
-    otherwise the offending pair, the first in row-major order, and the
-    component outside the span.
-
-    A centralizer from matrix_centralizer carries this verdict as proven,
-    and a span of dimension n^2 is M_n(Q) itself, so neither forms a
-    product. Every other span, such as one built by from_span, is checked
-    product by product. The verdict is computed once per algebra and cached
-    on it, so dickson_radical and a caller that checked first share one
-    pass."""
-    return a._closure
+def algebra_closure_check(a: AlgebraBasis) -> tuple[bool, None]:
+    """Always (True, None): every AlgebraBasis is closed under the product,
+    by construction or by from_span's check, so there is nothing left to
+    test and no product is formed."""
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -393,13 +370,12 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
     elements are not re-checked for nilpotency. For x in the kernel and
     k >= 2, x^k = x * x^(k-1) with x^(k-1) in the algebra, so tr(x^k) = 0:
     every power sum of x^2 vanishes, which over Q makes x^2, and so x,
-    nilpotent. That argument needs closure, which algebra_closure_check
-    reads first: proven for a centralizer, checked product by product for
-    any other span, and a span that is not closed raises ClosureError.
-    Commutativity of the semisimple quotient is decided by testing
-    commutators modulo the radical span, up to the first that leaves it; a
-    quotient of dimension <= 1 is spanned by at most one class, so it is
-    commutative without a test.
+    nilpotent. That argument needs closure, which every AlgebraBasis has.
+    The radical is an ideal, so it is closed too and is built with the
+    plain constructor. Commutativity of the semisimple quotient is decided
+    by testing commutators modulo the radical span, up to the first that
+    leaves it; a quotient of dimension <= 1 is spanned by at most one
+    class, so it is commutative without a test.
 
     The idempotent search (_idempotent_witnesses) runs only when the
     quotient has dimension >= 2 or the algebra lacks I. Otherwise the
@@ -412,11 +388,6 @@ def dickson_radical(a: AlgebraBasis) -> Decomposition:
     path to a zero radical, a commutative quotient of dimension 0 and no
     witnesses.
     """
-    ok, witness = algebra_closure_check(a)
-    if not ok:
-        raise ClosureError(
-            f"basis pair ({witness.left_index}, {witness.right_index}) leaves the span"
-        )
     k, n = a.dim, a.ambient_dim
     ker = kernel_vectors(*rref(a.trace_form.num), k)
     radical = AlgebraBasis(n, Subspace.span(integer_matmul(ker, a._common_rows[0]), n * n))

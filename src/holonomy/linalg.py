@@ -260,21 +260,11 @@ class RatMatrix:
         return all(x == (c if i == j else 0) for i, r in enumerate(self.num) for j, x in enumerate(r))
 
 
-def vectorize(m: RatMatrix) -> Vec:
-    """Row-major flattening."""
-    return tuple(x for row in m.rows for x in row)
-
-
 def numerator_vector(m: RatMatrix) -> tuple[int, ...]:
-    """Row-major flattening of the numerators: m.den * vectorize(m), which
-    spans the same line, for spans and membership tests."""
+    """Row-major flattening of the numerators: m.den times the row-major
+    entries of m, which spans the same line, for spans and membership
+    tests."""
     return tuple(x for row in m.num for x in row)
-
-
-def matrix_from_vec(v: Sequence[Fraction], nrows: int, ncols: int) -> RatMatrix:
-    if len(v) != nrows * ncols:
-        raise ValueError("vector length does not match shape")
-    return RatMatrix.from_rows(v[i * ncols : (i + 1) * ncols] for i in range(nrows))
 
 
 def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
@@ -369,11 +359,6 @@ class Subspace:
                     w = [x // g for x in w]
                     den //= g
         return w, den
-
-    def reduce(self, v: Sequence) -> Vec:
-        """Residual of v after eliminating along the canonical basis."""
-        w, den = self._residual(v)
-        return tuple(Fraction(x, den) for x in w)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self._residual(v)[0])

@@ -11,13 +11,13 @@ The module also provides the constructions relating them: the scale-canonical
 representative of a projective class, the view of linear data as affine with
 zero translations, the suspension that turns an n-dimensional
 projective-class representation into a radiant linear one in dimension n+1
-(new central generator 2*I), common fixed points of affine representations,
-and conjugation by a fixed matrix.
+(new central generator 2*I) and common fixed points of affine
+representations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -245,15 +245,3 @@ def radiant_fixed_point(rep: Representation) -> tuple[Vec, Vec] | None:
         return None
     point = res[0]
     return point, point
-
-
-def conjugate_representation(rep: Representation, p: RatMatrix) -> Representation:
-    """Replace every generator g by p g p^-1 (re-canonicalizing classes)."""
-    pinv = p.inverse()
-    gens = []
-    for g in rep.generators:
-        m = p * g.matrix * pinv
-        if rep.kind == KIND_PROJECTIVE:
-            m = canonicalize_projective_class(m)
-        gens.append(Generator(g.label, m))
-    return replace(rep, generators=tuple(gens))

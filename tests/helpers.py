@@ -19,16 +19,20 @@ before it skipped the subspaces that it rejects, and the harvested flag
 is the flag search's result as it was before a group of scalars got its
 flag by construction, to check that no shortcut changes a result.
 closed_under_products re-checks an algebra's closure pair by pair, with
-Fraction arithmetic and coordinates read at the pivots, never reading the
-verdict that a centralizer carries. assert_dim3_invariance is the
+Fraction arithmetic and coordinates read at the pivots, independently of
+AlgebraBasis.from_span's check. assert_dim3_invariance is the
 conjugation, rescaling and permutation check of acceptance criterion 5.
+vectorize, matrix_from_vec and conjugate_representation are the tests'
+own conversions and conjugation; no library path needs them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from holonomy.classify import classify_dim3
 from holonomy.commutant import (
@@ -49,11 +53,16 @@ from holonomy.linalg import (
     Subspace,
     image_of,
     kernel_of,
-    matrix_from_vec,
     solve_linear,
-    vectorize,
 )
-from holonomy.representation import AffineField, conjugate_representation, validate_rep
+from holonomy.representation import (
+    KIND_PROJECTIVE,
+    AffineField,
+    Generator,
+    Representation,
+    canonicalize_projective_class,
+    validate_rep,
+)
 from holonomy.polys import Polynomial, minimal_polynomial, primary_decomposition
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -63,6 +72,29 @@ INVARIANCE_SCALES = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1, 2), Fra
 
 def frac_rows(rows):
     return RatMatrix.from_rows(rows)
+
+
+def vectorize(m: RatMatrix) -> tuple[Fraction, ...]:
+    """Row-major flattening."""
+    return tuple(x for row in m.rows for x in row)
+
+
+def matrix_from_vec(v: Sequence[Fraction], nrows: int, ncols: int) -> RatMatrix:
+    if len(v) != nrows * ncols:
+        raise ValueError("vector length does not match shape")
+    return RatMatrix.from_rows(v[i * ncols : (i + 1) * ncols] for i in range(nrows))
+
+
+def conjugate_representation(rep: Representation, p: RatMatrix) -> Representation:
+    """Replace every generator g by p g p^-1 (re-canonicalizing classes)."""
+    pinv = p.inverse()
+    gens = []
+    for g in rep.generators:
+        m = p * g.matrix * pinv
+        if rep.kind == KIND_PROJECTIVE:
+            m = canonicalize_projective_class(m)
+        gens.append(Generator(g.label, m))
+    return replace(rep, generators=tuple(gens))
 
 
 def random_int_matrix(rng, n, lo=-3, hi=3) -> RatMatrix:
@@ -314,8 +346,6 @@ def algebra_closure_of(mats: list[RatMatrix], size: int, include_identity: bool)
 
 
 def _unvec_all(span: Subspace, size: int):
-    from holonomy.linalg import matrix_from_vec
-
     return [matrix_from_vec(v, size, size) for v in span.basis]
 
 

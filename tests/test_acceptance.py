@@ -30,7 +30,7 @@ from holonomy.classify import (
     flag_from_nilpotent_pair,
 )
 from holonomy.fileio import dumps_canonical, load_rep_file, rep_to_document, save_rep_file
-from holonomy.linalg import RatMatrix, vectorize
+from holonomy.linalg import RatMatrix
 from holonomy.representation import (
     benzecri_suspend,
     canonicalize_projective_class,
@@ -49,6 +49,7 @@ from helpers import (
     random_int_matrix,
     random_invertible,
     random_unimodular,
+    vectorize,
 )
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from holonomy import classify as classify_module
-from holonomy import commutant, linalg, polys
+from holonomy import cli, commutant, linalg, polys
 from holonomy.classify import (
     BRANCH_AUT_TOO_SMALL,
     BRANCH_COMMUTATIVE,
@@ -42,13 +45,13 @@ from holonomy.representation import (
     AssumptionSet,
     ValidationError,
     benzecri_suspend,
-    conjugate_representation,
     validate_rep,
 )
 
 from helpers import (
     CORPUS,
     assert_dim3_invariance,
+    conjugate_representation,
     equal_diagonal_blocks,
     frac_rows,
     random_unimodular,
@@ -374,11 +377,6 @@ class TestClassifyDim3:
         assert out.assumptions_used == ("compact", "developing_map_injective")
         assert "solvability concluded from the declared geometric hypotheses" in out.notes
 
-    def test_suspension_factor_configurable(self):
-        rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
-        out = classify_dim3(rep, suspension_factor=Fraction(3))
-        assert out.conclusion == CONCLUSION_SOLVABLE_PI1
-
 
 def _count_work(monkeypatch) -> dict[str, int]:
     """Count minimal_polynomial, factor_polynomial and eliminate calls, and
@@ -431,6 +429,26 @@ def test_work_counts_of_conjugated_translation_groups(name, classify_fn, expecte
 
 
 class TestOutcomeInvariance:
+    @pytest.mark.parametrize(
+        "path", [pytest.param(p, id=p.stem) for p in sorted(CORPUS.glob("*.json")) + sorted(DATA.glob("*.json"))]
+    )
+    def test_suspension_factor_configurable(self, path):
+        # the deck generator is the central scalar factor * I, so no factor
+        # changes a verdict: the JSON classify reports at 2, 3 and 7/3 differ
+        # only in the echoed option
+        dim = str(json.loads(path.read_text(encoding="utf-8"))["dimension"])
+        reports, echoed = [], []
+        for factor in ("2", "3", "7/3"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                argv = ["classify", "--dim", dim, "--format", "json", "--suspension-factor", factor, str(path)]
+                assert cli.main(argv) == 0
+            report = json.loads(out.getvalue())
+            echoed.append(report["options"].pop("suspension_factor"))
+            reports.append(report)
+        assert len(set(map(str, echoed))) == 3
+        assert reports[0] == reports[1] == reports[2]
+
     def test_permutation_invariance_quick(self):
         rep = load_rep_file(CORPUS / "dim3_torus_translations.json")
         base = classify_dim3(rep)

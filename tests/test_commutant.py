@@ -39,12 +39,11 @@ from holonomy.commutant import (
     verify_flag_invariant,
 )
 from holonomy.fileio import load_rep_file
-from holonomy.linalg import RatMatrix, Subspace, kernel_of, vectorize
+from holonomy.linalg import RatMatrix, Subspace, kernel_of
 from holonomy.representation import (
     Generator,
     Representation,
     benzecri_suspend,
-    conjugate_representation,
     embed_linear_as_affine,
     validate_rep,
 )
@@ -53,6 +52,7 @@ from helpers import (
     CORPUS,
     centralizer_oracle,
     closed_under_products,
+    conjugate_representation,
     frac_rows,
     fraction_affine_fields,
     fraction_rref,
@@ -64,6 +64,7 @@ from helpers import (
     random_invertible,
     random_unimodular,
     unscreened_rotational_element,
+    vectorize,
 )
 
 E = {}
@@ -438,16 +439,15 @@ class TestClosureAndRadical:
         ok, witness = algebra_closure_check(a)
         assert ok and witness is None
 
-    def test_open_span_with_witness(self):
-        a = AlgebraBasis.from_span([frac_rows([[0, 1], [0, 0]]), frac_rows([[0, 0], [1, 0]])], 2)
-        ok, witness = algebra_closure_check(a)
-        assert not ok
-        assert witness.product == frac_rows([[1, 0], [0, 0]])
-        assert not witness.residual.is_zero()
+    def test_open_span_is_refused_naming_the_pair(self):
+        # the canonical basis is (E12, E21): E12 E12 = 0 stays, E12 E21 = E11
+        # leaves
+        with pytest.raises(ClosureError, match=r"^basis pair \(0, 1\) leaves the span$"):
+            AlgebraBasis.from_span([frac_rows([[0, 1], [0, 0]]), frac_rows([[0, 0], [1, 0]])], 2)
 
     def test_centralizer_outputs_closed(self):
-        # every product of two basis elements re-checked without the verdict
-        # the centralizer carries, on the cyclic and the n^2-unknown path
+        # matrix_centralizer checks nothing, so the oracle re-checks every
+        # product of two basis elements, on the cyclic and the n^2-unknown path
         paths = {"cyclic": 0, "n^2": 0}
         for name, gens, size in _harvest_inputs():
             cent = matrix_centralizer(gens, size)
@@ -456,8 +456,9 @@ class TestClosureAndRadical:
             cyclic = nonscalar and linalg.krylov_powers(nonscalar[0].num, size)[1] is None
             paths["cyclic" if cyclic else "n^2"] += 1
         assert min(paths.values()) >= 5, paths
-        # the oracle rejects an open span: E12 E21 = E11 leaves sl_2
-        sl2 = AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0), E_n(2, 0, 0) - E_n(2, 1, 1)], 2)
+        # the oracle rejects an open span, built here without from_span's
+        # check: E12 E21 = E11 leaves sl_2
+        sl2 = AlgebraBasis(2, Subspace.span([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]], 4))
         assert not closed_under_products(sl2)
 
     def test_radical_of_upper_triangular_pair(self):
@@ -540,10 +541,14 @@ class TestClosureAndRadical:
         assert d.radical == strict and d.quotient_dim == 0 and d.quotient_commutative
         assert d.idempotent_witnesses == () == commutant._idempotent_witnesses(strict)
 
-    def test_radical_requires_closure(self):
-        a = AlgebraBasis.from_span([frac_rows([[0, 1], [0, 0]]), frac_rows([[0, 0], [1, 0]])], 2)
+    def test_radical_input_is_checked_by_from_span(self):
+        # an open span never reaches dickson_radical: from_span refuses it,
+        # and the algebra it generates, M_2(Q), is accepted and semisimple
+        e12, e21 = frac_rows([[0, 1], [0, 0]]), frac_rows([[0, 0], [1, 0]])
         with pytest.raises(ClosureError):
-            dickson_radical(a)
+            AlgebraBasis.from_span([e12, e21], 2)
+        d = dickson_radical(AlgebraBasis.from_span([e12, e21, e12 * e21, e21 * e12], 2))
+        assert (d.radical.dim, d.quotient_dim, d.quotient_commutative) == (0, 4, False)
 
     def test_idempotent_witnesses_are_idempotent(self):
         rep = validate_rep([], "projective-class", 2)
@@ -639,65 +644,72 @@ class TestAlgebraProducts:
                 assert gram == RatMatrix.from_rows(traces)
         assert fractional >= 4
 
-    def test_closure_checks_every_product_below_full_dimension(self, monkeypatch):
+    def test_from_span_checks_every_product_below_full_dimension(self, monkeypatch):
         # the diagonal algebra of M_3 is closed, with all 9 products checked;
         # the trace-zero 2 x 2 matrices span 3 < 4 dimensions and are not
-        # closed: E12 E21 = E11 leaves them
-        diag = AlgebraBasis.from_span([E_n(3, i, i) for i in range(3)], 3)
+        # closed: in the canonical basis (E11 - E22, E12, E21) the first
+        # pair already leaves, (E11 - E22)^2 = I; M_n(Q) forms no product
         products = self._count_products(monkeypatch)
-        assert algebra_closure_check(diag) == (True, None)
-        assert len(products) == 9
-        sl2 = AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0), E_n(2, 0, 0) - E_n(2, 1, 1)], 2)
-        ok, witness = algebra_closure_check(sl2)
-        assert not ok and not sl2.span.contains(vectorize(witness.product))
-        with pytest.raises(ClosureError):
-            dickson_radical(sl2)
+        diag = AlgebraBasis.from_span([E_n(3, i, i) for i in range(3)], 3)
+        assert len(products) == 9 and len(diag._products) == 9
+        products.clear()
+        with pytest.raises(ClosureError, match=r"^basis pair \(0, 0\) leaves the span$"):
+            AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0), E_n(2, 0, 0) - E_n(2, 1, 1)], 2)
+        assert len(products) == 1
+        products.clear()
+        full = AlgebraBasis.from_span([E_n(3, i, j) for i in range(3) for j in range(3)], 3)
+        assert full.dim == 9 and products == []
 
-    def test_centralizer_closure_is_recorded_not_checked(self, monkeypatch):
-        # a cyclic generator (the companion matrix of x^3 - 2) and a
-        # derogatory one, each conjugated: the centralizer's verdict forms no
-        # product and tests no membership; the same span built by from_span
-        # is equal to it and is checked product by product
+    def test_centralizer_and_radical_form_no_product_for_closure(self, monkeypatch):
+        # a conjugated Jordan block (cyclic path) and a conjugated pair of
+        # transvections (n^2-unknown path): both centralizers are local, so
+        # dickson_radical needs no quotient test and no idempotent search.
+        # Neither it nor matrix_centralizer forms a product or tests a
+        # membership; the same span built by from_span is equal to it and is
+        # checked product by product
         calls = []
         contains = Subspace.contains
         monkeypatch.setattr(Subspace, "contains", lambda s, v: calls.append(1) or contains(s, v))
         products = self._count_products(monkeypatch)
         rng = random.Random(89)
-        companion = frac_rows([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
-        for g in (companion, _diagonal(1, 1, 2)):
+        translations = [RatMatrix.identity(3) + E_n(3, 0, 2), RatMatrix.identity(3) + E_n(3, 1, 2)]
+        paths = []
+        for gens in ([_jordan(3, Fraction(-2, 3), 3)], translations):
             p = random_unimodular(rng, 3)
-            cent = matrix_centralizer([p * g * p.inverse()], 3)
-            assert 1 < cent.dim < 9
+            conj = [p * g * p.inverse() for g in gens]
+            paths.append(linalg.krylov_powers(conj[0].num, 3)[1] is None)
             products.clear()
             calls.clear()
-            assert algebra_closure_check(cent) == (True, None)
+            cent = matrix_centralizer(conj, 3)
             assert products == [] and calls == []
+            assert 1 < cent.dim < 9 and cent.contains_identity
+            calls.clear()
+            d = dickson_radical(cent)
+            assert d.quotient_dim == 1 and products == [] and calls == []
             rebuilt = AlgebraBasis.from_span(cent.basis, 3)
             assert rebuilt == cent
-            products.clear()
-            assert algebra_closure_check(rebuilt) == (True, None)
             assert len(products) == cent.dim**2
+        assert paths == [True, False]
 
-    def test_closure_verdict_is_computed_once(self, monkeypatch):
+    def test_closure_check_forms_no_product(self, monkeypatch):
+        # every AlgebraBasis is closed, so the check reads nothing: not on a
+        # centralizer, and not on a span that from_span has already checked
         cent = centralizer_algebra(benzecri_suspend(load_rep_file(CORPUS / "dim3_torus_translations.json")))
+        corner = AlgebraBasis.from_span([E_n(2, 0, 0), E_n(2, 0, 1)], 2)
         assert cent.dim < 16
-        verdict = algebra_closure_check(cent)
         calls = []
         contains = Subspace.contains
         monkeypatch.setattr(Subspace, "contains", lambda s, v: calls.append(1) or contains(s, v))
-        assert algebra_closure_check(cent) is verdict == (True, None)
-        assert calls == []
-        open_span = AlgebraBasis.from_span([E_n(2, 0, 1), E_n(2, 1, 0)], 2)
-        first = algebra_closure_check(open_span)
-        calls.clear()
-        assert algebra_closure_check(open_span) is first and not first[0]
-        assert calls == []
+        products = self._count_products(monkeypatch)
+        assert algebra_closure_check(cent) == algebra_closure_check(corner) == (True, None)
+        assert products == [] and calls == []
 
 
 class TestRotationalElement:
     def test_rotation_block_found(self):
+        # span{I, j} is not closed, j^2 = -diag(1, 1, 0, 0); span{I, j, j^2} is
         j = frac_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        a = AlgebraBasis.from_span([RatMatrix.identity(4), j], 4)
+        a = AlgebraBasis.from_span([RatMatrix.identity(4), j, j * j], 4)
         found = find_rotational_element(a)
         assert found is not None
         assert found.rotation_space == Subspace.span([[1, 0, 0, 0], [0, 1, 0, 0]], 4)

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
-module-level definition is left without a reference, and no exported name is
-left without a user.
+module-level definition is left without a reference, no exported name is
+left without a user, and no public unexported definition is reached only
+from the tests.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's public surface. `from __future__ import ...` binds no name. A
@@ -19,6 +20,12 @@ access or by a `(module, name)` entry of a `TARGETS` tuple (as in
 `bench/tracer.py`), or when it is on ACCEPTANCE_ONLY, which names the
 acceptance criterion that needs it. bench is read as source with `ast`,
 never imported.
+
+A public unexported definition is a module-level one whose name has no
+leading underscore and is not in `holonomy.__all__`. It counts as used by
+the same rule as an exported name, without an allowlist: a package module
+other than `__init__.py` or the bench must refer to it. A helper that only
+tests need lives in `tests/helpers.py`.
 """
 
 import ast
@@ -127,6 +134,18 @@ def orphaned_exports(sources: dict[str, str], bench: dict[str, str], allowed) ->
     return unreferenced_definitions(modules, lambda name: name in exported and name not in reached)
 
 
+def unexported_orphans(sources: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """`module:line: name` for each public module-level definition of sources
+    outside the `__init__` source's `__all__` that no other module of sources
+    and no bench source uses."""
+    exported = exported_names(sources["__init__"])
+    modules = {module: source for module, source in sources.items() if module != "__init__"}
+    reached = bench_references(bench)
+    return unreferenced_definitions(
+        modules, lambda name: not name.startswith("_") and name not in exported and name not in reached
+    )
+
+
 def test_the_check_sees_an_unused_name():
     source = "from math import gcd, lcm\nimport os.path\nimport sys as system\nprint(lcm(2, 3), system)\n"
     assert unused_imports(source) == ["line 1: gcd", "line 2: os"]
@@ -186,3 +205,21 @@ def test_every_allowlisted_export_is_needed():
     package, bench = _tree_sources()
     orphans = orphaned_exports(package, bench, {})
     assert sorted(line.rsplit(" ", 1)[1] for line in orphans) == sorted(ACCEPTANCE_ONLY)
+
+
+def test_the_unexported_check_sees_a_planted_orphan():
+    sources = {
+        "__init__": '__all__ = ["exported"]\n',
+        "a": "def exported():\n    pass\ndef helper():\n    return 1\ndef orphan():\n    pass\n"
+        "def _private():\n    pass\ndef traced():\n    pass\nLIMIT = 3\nUNUSED = 4\n",
+        "b": "from .a import helper\nprint(helper(), LIMIT)\n",
+    }
+    bench = {"tracer": 'TARGETS = (("a", "traced"),)\n'}
+    assert unexported_orphans(sources, bench) == ["a:5: orphan", "a:12: UNUSED"]
+    del bench["tracer"]
+    assert unexported_orphans(sources, bench) == ["a:5: orphan", "a:9: traced", "a:12: UNUSED"]
+
+
+def test_no_public_definition_is_reached_only_from_tests():
+    package, bench = _tree_sources()
+    assert unexported_orphans(package, bench) == []

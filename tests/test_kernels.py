@@ -1,6 +1,6 @@
 """The integer-row kernels against independent Fraction oracles.
 
-rref, det, matmul, apply, add/scale, Subspace.reduce, minimal_polynomial,
+rref, det, matmul, apply, add/scale, Subspace._residual, minimal_polynomial,
 characteristic_polynomial and Polynomial's arithmetic run on integer
 numerators over common denominators, and Subspace stores integer RREF
 rows; each is checked here against a plain Fraction computation or one of the
@@ -217,10 +217,10 @@ class TestMatrixArithmetic:
         assert m.det() == leibniz_det(m)
 
 
-class TestSubspaceReduce:
+class TestSubspaceResidual:
     @given(row_lists(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_reduce_matches_fraction_elimination(self, rows, data):
+    def test_residual_matches_fraction_elimination(self, rows, data):
         if not rows:
             return
         n = len(rows[0])
@@ -230,7 +230,8 @@ class TestSubspaceReduce:
         for row in s.basis:
             piv = next(i for i, x in enumerate(row) if x != 0)
             w = [a - w[piv] * b for a, b in zip(w, row)]
-        assert s.reduce(v) == tuple(w)
+        num, den = s._residual(v)
+        assert [Fraction(x, den) for x in num] == w
         assert s.contains(v) == all(x == 0 for x in w)
         assert all(s.contains(r) for r in rows)
 
