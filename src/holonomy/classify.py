@@ -5,11 +5,14 @@ compute the commutant model of the automorphism algebra, and walk a case
 analysis: a non-solvability probe through rotational elements, flag
 constructions from a noncommutative nilpotent radical, and a zero-set
 dimension analysis in the commutative case. The invariant fields of the
-suspension are linear, so each zero set there is an eigenspace Ker(x + c I)
-of a centralizer element x, for c = 0 or c = -lam over the nonzero rational
-eigenvalues lam of x. Every verdict carries re-verifiable certificates and
-the list of declared geometric assumptions it consumed; Undetermined is
-always a legal outcome and is preferred to an unverified claim.
+suspension commute with the radial field, so they are the linear fields
+(x, 0) with x in the centralizer, and each zero set there is an eigenspace
+Ker(x + c I), for c = 0 when x is singular or c = -lam over the nonzero
+rational eigenvalues lam of x; its kernel and image come from one exact
+RREF, and restrictions to it are tested on integer rows. Every verdict
+carries re-verifiable certificates and the list of declared geometric
+assumptions it consumed; Undetermined is always a legal outcome and is
+preferred to an unverified claim.
 """
 
 from __future__ import annotations
@@ -35,19 +38,15 @@ from .commutant import (
 from .linalg import (
     RatMatrix,
     Subspace,
-    Vec,
     image_of,
+    integer_matmul,
     kernel_and_image,
     kernel_of,
     numerator_vector,
-    restrict_to_subspace,
-    solve_linear,
-    zero_vec,
 )
 from .polys import characteristic_polynomial, factor_polynomial
 from .representation import (
     KIND_PROJECTIVE,
-    AffineField,
     AssumptionSet,
     Representation,
     ValidationError,
@@ -97,55 +96,25 @@ class Outcome:
     decomposition: Decomposition = field(compare=False)
 
 
-@dataclass(frozen=True)
-class ZeroSet:
-    """Solution set of L x + c = 0: affine dimension (None when empty), a
-    particular point, and the direction space Ker L."""
+def zero_set_of_affine_field(x: RatMatrix) -> list[Fraction]:
+    """The shifts c for which the zero set Ker(x + c I) of the linear field
+    x, radially shifted by c, is more than the origin: c = 0 first when 0 is
+    an eigenvalue of x, then c = -lam over the nonzero rational eigenvalues
+    lam of x, in increasing order. These are the constant terms of the
+    monic linear factors of x's characteristic polynomial; for any other c,
+    x + c I is invertible.
 
-    dim: int | None
-    point: Vec | None
-    direction_space: Subspace
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dim is None
-
-
-@dataclass(frozen=True)
-class ZeroSetAnalysis:
-    base: ZeroSet
-    shifts: tuple[tuple[Fraction, ZeroSet], ...]
-
-
-def _solve_zero_set(f: AffineField) -> ZeroSet:
-    res = solve_linear(f.linear_part, tuple(-c for c in f.constant_part))
-    if res is None:
-        return ZeroSet(None, None, kernel_of(f.linear_part))
-    point, null = res
-    return ZeroSet(null.dim, point, null)
-
-
-def zero_set_of_affine_field(f: AffineField) -> ZeroSetAnalysis:
-    """Zero set of an affine field, plus its radial-shift variants.
-
-    The shifts f + c * (I, 0) are tried, in increasing order, for c = -lam
-    over the nonzero rational eigenvalues lam of the linear part L: the
-    constant terms of the monic linear factors of its characteristic
-    polynomial. These are the shifts that give a positive-dimensional zero
-    set; for any other c, L + c I is invertible, so the zero set of a
-    linear field (constant part 0) shifted by c is the origin alone.
+    The invariant fields of the suspension are linear, so this is the whole
+    zero-set analysis of an affine field there. It returns a list, not a
+    generator, so the factorization runs inside the call, where a tracer
+    that wraps the call times it.
     """
-    base = _solve_zero_set(f)
-    shift_values = sorted(
-        {
-            fac.poly.coeffs[0]
-            for fac in factor_polynomial(characteristic_polynomial(f.linear_part))
-            if fac.poly.degree == 1
-        }
-        - {0}
-    )
-    shifts = tuple((c, _solve_zero_set(f.shifted(c))) for c in shift_values)
-    return ZeroSetAnalysis(base, shifts)
+    shifts = {
+        fac.poly.coeffs[0]
+        for fac in factor_polynomial(characteristic_polynomial(x))
+        if fac.poly.degree == 1
+    }
+    return sorted(shifts, key=lambda c: (c != 0, c))
 
 
 def _require_m4(m: RatMatrix, name: str) -> None:
@@ -204,10 +173,9 @@ def _element_flag(a: RatMatrix, sq: RatMatrix) -> Flag:
     """flag_from_nilpotent_element's chain for a nilpotent 4x4 a with
     nonzero square sq = a * a, taken as given: a radical element is
     nilpotent, and its caller has formed sq already."""
-    ka = kernel_of(a)
+    ka, ia = kernel_and_image(a)
     if ka.dim == 1:
-        return Flag((ka, kernel_of(sq), image_of(a)))
-    ia = image_of(a)
+        return Flag((ka, kernel_of(sq), ia))
     return Flag((ka.intersect(ia), ka, ka.add(ia)))
 
 
@@ -229,26 +197,43 @@ def _square_zero_element(radical: AlgebraBasis) -> RatMatrix:
     return n if sq.is_zero() else sq
 
 
-def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult:
-    """u = Ker xt has dimension 3, so xt = v phi with Ker phi = u. A y
-    outside span(I, xt) with y|u = c id gives y - cI = w phi, w not parallel
-    to v; commuting with xt forces phi(w) v = phi(v) w, so phi(v) = phi(w) =
-    0 and Im xt, Im(y - cI) are distinct lines in u: the flag needs no test.
-    Without such a y, some y outside span(I, xt) restricts non-scalar."""
-    ident = RatMatrix.identity(4)
-    plane = Subspace.span([numerator_vector(ident), numerator_vector(xt)], 16)
-    for y in lin_parts:
-        if plane.contains(numerator_vector(y)):
-            continue
+def _outside_plane(xt: RatMatrix, lin_parts: list[RatMatrix]) -> list[RatMatrix]:
+    """The elements of lin_parts outside span(I, xt), which is span(I, xt +
+    cI) for every shift c."""
+    plane = Subspace.span([numerator_vector(RatMatrix.identity(4)), numerator_vector(xt)], 16)
+    return [y for y in lin_parts if not plane.contains(numerator_vector(y))]
+
+
+def _scalar_on(y: RatMatrix, u: Subspace) -> Fraction | None:
+    """The scalar by which y acts on the nonzero subspace u, or None when it
+    acts otherwise. With N = y.num, b0 the first canonical row of u and p
+    its pivot, y acts as a scalar iff (N b) b0[p] = (N b0)[p] b for every
+    canonical row b: a check in integers."""
+    images = integer_matmul(u.num, y.transpose().num)  # row i is N times row i of u
+    b0 = u.num[0]
+    p = next(i for i, x in enumerate(b0) if x)
+    top, lam = b0[p], images[0][p]
+    if any(x * top != lam * e for nb, b in zip(images, u.num) for x, e in zip(nb, b)):
+        return None
+    return Fraction(lam, top * y.den)
+
+
+def _zero_dim3_case(xt: RatMatrix, u: Subspace, im: Subspace, outside: list[RatMatrix]) -> _BranchResult:
+    """u = Ker xt has dimension 3, so xt = v phi with Ker phi = u and Im xt =
+    im. A y outside span(I, xt) with y|u = c id gives y - cI = w phi, w not
+    parallel to v; commuting with xt forces phi(w) v = phi(v) w, so phi(v) =
+    phi(w) = 0 and Im xt, Im(y - cI) are distinct lines in u: the flag
+    needs no test. Without such a y, some y outside span(I, xt) restricts
+    non-scalar."""
+    for y in outside:
         # a radial shift killing a scalar restriction keeps the field
         # independent and makes it vanish on u; a non-scalar restriction
         # is nonzero, so this is the only way to reach the vanishing case
-        restriction = restrict_to_subspace(y, u)
-        if restriction.is_scalar():
-            v = image_of(xt)
-            w = image_of(y - ident.scale(restriction.rows[0][0]))
+        c = _scalar_on(y, u)
+        if c is not None:
+            w = image_of(y - RatMatrix.identity(4).scale(c))
             return _BranchResult(
-                Flag((v, v.add(w), u)),
+                Flag((im, im.add(w), u)),
                 notes=[
                     "zero set of dimension 3: the images of two independent"
                     " commuting fields inside it form an invariant complete flag"
@@ -266,12 +251,12 @@ def _zero_dim3_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
     )
 
 
-def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _BranchResult:
-    """u = Ker xt has dimension 2. In the last, complementary case Q^4 = u +
-    Im xt, the first y outside span(I, xt) decides: if xt|Im = r id and y|Im
-    = s id, then z = y - sI vanishes on Im xt, and z|u = t id would put y =
-    (s + t)I - (t/r)xt in span(I, xt), so z|u is non-scalar without a test."""
-    im = image_of(xt)
+def _zero_dim2_case(xt: RatMatrix, u: Subspace, im: Subspace, outside: list[RatMatrix]) -> _BranchResult:
+    """u = Ker xt has dimension 2 and im = Im xt. In the last, complementary
+    case Q^4 = u + im, the first y outside span(I, xt) decides: if xt|im = r
+    id and y|im = s id, then z = y - sI vanishes on im, and z|u = t id would
+    put y = (s + t)I - (t/r)xt in span(I, xt), so z|u is non-scalar without
+    a test."""
     inter = u.intersect(im)
     if inter.dim == 1:
         return _BranchResult(
@@ -298,9 +283,7 @@ def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
                 "equal-diagonal-block form verified in an adapted basis",
             ],
         )
-    plane = Subspace.span([numerator_vector(RatMatrix.identity(4)), numerator_vector(xt)], 16)
-    y = next(y for y in lin_parts if not plane.contains(numerator_vector(y)))
-    if restrict_to_subspace(xt, im).is_scalar() and restrict_to_subspace(y, im).is_scalar():
+    if _scalar_on(xt, im) is not None and _scalar_on(outside[0], im) is not None:
         note = (
             "zero set complementary to the image with scalar restrictions:"
             " subtracting the scalar yields a field vanishing on the image and"
@@ -323,18 +306,20 @@ def _zero_dim2_case(xt: RatMatrix, u: Subspace, lin_parts: list[RatMatrix]) -> _
 def _zero_dim1_case(u: Subspace, lin_parts: list[RatMatrix], decomp: Decomposition) -> _BranchResult:
     """Reduce a one-dimensional zero set u to a kernel of dimension 2 or 3:
     that of a nonzero square-zero radical element (rank <= 2), or, for a
-    zero radical, of the first idempotent witness e or of e - I (dim Ker e +
-    dim Ker(e - I) = 4). A zero radical makes C semisimple, so the element
-    with eigenspace u has a squarefree minimal polynomial with a linear and
-    another factor, from which the witness search builds an idempotent."""
+    zero radical, of the first idempotent witness e or of e - I (Ker(e - I)
+    = Im e and Im(e - I) = Ker e, so dim Ker e + dim Ker(e - I) = 4). A zero
+    radical makes C semisimple, so the element with eigenspace u has a
+    squarefree minimal polynomial with a linear and another factor, from
+    which the witness search builds an idempotent."""
     if decomp.radical.dim:
         a = _square_zero_element(decomp.radical)
-        k = kernel_of(a)
+        k, im = kernel_and_image(a)
     else:
         e = decomp.idempotent_witnesses[0]
-        ker, im = kernel_and_image(e)  # Ker(e - I) = Im e
-        a, k = (e, ker) if ker.dim > 1 else (e - RatMatrix.identity(4), im)
-    sub = _zero_dim3_case(a, k, lin_parts) if k.dim == 3 else _zero_dim2_case(a, k, lin_parts)
+        ker, img = kernel_and_image(e)
+        a, k, im = (e, ker, img) if ker.dim > 1 else (e - RatMatrix.identity(4), img, ker)
+    case = _zero_dim3_case if k.dim == 3 else _zero_dim2_case
+    sub = case(a, k, im, _outside_plane(a, lin_parts))
     sub.certificates.append(InvariantSubspaceCertificate(u))
     sub.notes.insert(
         0,
@@ -350,36 +335,33 @@ def _commutative_branch(cent: AlgebraBasis, decomp: Decomposition) -> _BranchRes
     """The first zero set whose analysis gives a flag, else the first
     assumption-backed result, else None. C is commutative, contains I and
     has dim C >= 3 (classify_dim3 stops at AutTooSmall otherwise), so for
-    each non-scalar xt some basis element lies outside span(I, xt) and every
+    each non-scalar x some basis element lies outside span(I, x) and every
     case concludes. A zero set of dimension 1 enters its reduction only as
     an appended certificate, so only the first one is reduced."""
     # The invariant affine fields of the suspension are (x, 0) for x in the
     # centralizer: invariance under the central generator k * I, k != 1,
-    # forces k c = c for the constant part c.
+    # forces k c = c for the constant part c. The zero set of (x, 0) shifted
+    # by c is the eigenspace Ker(x + c I), a line, plane or hyperplane.
     lin_parts = list(cent.basis)
-    zero = zero_vec(cent.ambient_dim)
     assumed: _BranchResult | None = None
     reduced = False
     for x in lin_parts:
         if x.is_scalar():
             continue
-        f = AffineField(x, zero)
-        analysis = zero_set_of_affine_field(f)
-        variants = [(Fraction(0), analysis.base)] + list(analysis.shifts)
-        for shift, zs in variants:
-            # f and its shifts are (y, 0), so zs is the eigenspace Ker y: never
-            # empty, and the origin alone only for the base of an invertible x
-            if zs.dim == 0 or (zs.dim == 1 and reduced):
-                continue
-            u = zs.direction_space
-            xt = f.shifted(shift).linear_part
-            if zs.dim == 3:
-                res = _zero_dim3_case(xt, u, lin_parts)
-            elif zs.dim == 2:
-                res = _zero_dim2_case(xt, u, lin_parts)
-            else:
+        outside: list[RatMatrix] | None = None
+        for shift in zero_set_of_affine_field(x):
+            xt = x + RatMatrix.identity(4).scale(shift) if shift else x
+            u, im = kernel_and_image(xt)
+            if u.dim == 1:
+                if reduced:
+                    continue
                 res = _zero_dim1_case(u, lin_parts, decomp)
                 reduced = True
+            else:
+                if outside is None:
+                    outside = _outside_plane(x, lin_parts)
+                case = _zero_dim3_case if u.dim == 3 else _zero_dim2_case
+                res = case(xt, u, im, outside)
             if shift != 0:
                 res.notes.append(f"zero set realized after radial shift by {shift}")
             if res.flag is not None:

@@ -506,17 +506,15 @@ def verify_certificate(rep: Representation, cert: Certificate) -> bool:
     mats = rep.matrices
     if isinstance(cert, InvariantFlagCertificate):
         return verify_flag_invariant(rep, cert.flag)[0]
-    if isinstance(cert, InvariantSubspaceCertificate):
-        s = cert.subspace
-        return all(s.apply(g) == s for g in mats)
     if isinstance(cert, FixedProjectivePointCertificate):
+        # a projective point is fixed iff the line through it is invariant
         v = vector(cert.point)
         if is_zero_vec(v):
             return False
-        for g in mats:
-            if _rank_of_rows([v, g.apply(v)]) != 1:
-                return False
-        return True
+        cert = InvariantSubspaceCertificate(Subspace.span([v], len(v)))
+    if isinstance(cert, InvariantSubspaceCertificate):
+        s = cert.subspace
+        return all(s.apply(g) == s for g in mats)
     if isinstance(cert, RotationalElementCertificate):
         j = cert.element
         if not _is_rotational_minpoly(minimal_polynomial(j)):
@@ -533,11 +531,6 @@ def verify_certificate(rep: Representation, cert: Certificate) -> bool:
                 return False
         return True
     raise TypeError(f"unknown certificate type: {type(cert).__name__}")
-
-
-def _rank_of_rows(rows) -> int:
-    _, pivots = rref([list(r) for r in rows])
-    return len(pivots)
 
 
 def find_rotational_element(

@@ -508,19 +508,3 @@ def solve_linear(a: RatMatrix, b: Sequence) -> tuple[Vec, Subspace] | None:
     for i, p in enumerate(pivots):
         sol[p] = Fraction(reduced[i][a.ncols], reduced[i][p])
     return tuple(sol), nullspace(reduced, pivots, a.ncols)
-
-
-def restrict_to_subspace(m: RatMatrix, s: Subspace) -> RatMatrix:
-    """Matrix of m restricted to an m-invariant subspace, in its canonical basis.
-
-    Basis vector i is 1 at its own pivot and 0 at the other pivots, so a
-    vector w of s is the sum of w[p_i] times basis vector i: its coordinates
-    are read off at the pivots. Raises ValueError when s is not invariant.
-    """
-    cols = []
-    for b in s.basis:
-        w = m.apply(b)
-        if not s.contains(w):
-            raise ValueError("subspace is not invariant under the matrix")
-        cols.append([w[p] for p in s._pivots])
-    return RatMatrix.from_rows(cols).transpose()

@@ -205,13 +205,6 @@ class AffineField:
     def dim(self) -> int:
         return self.linear_part.nrows
 
-    def shifted(self, c) -> "AffineField":
-        """Add c times the radial field x -> x."""
-        c = to_fraction(c)
-        return AffineField(
-            self.linear_part + RatMatrix.identity(self.dim).scale(c), self.constant_part
-        )
-
 
 def affine_parts(m: RatMatrix) -> tuple[RatMatrix, Vec]:
     """Split a homogeneous affine matrix into (linear part, translation)."""
@@ -221,18 +214,19 @@ def affine_parts(m: RatMatrix) -> tuple[RatMatrix, Vec]:
     return lin, trans
 
 
-def radiant_fixed_point(rep: Representation) -> tuple[Vec, Vec] | None:
+def radiant_fixed_point(rep: Representation) -> Vec | None:
     """Common fixed point of an affine representation, if one exists.
 
     Solves the joint system (L_i - I) x = -t_i over all generators. Returns
-    (fixed point, translation conjugating the representation to its linear
-    part); both are the same vector. None when there is no common fixed point.
+    the fixed point, which is also the translation that conjugates the
+    representation to its linear part, or None when there is no common
+    fixed point.
     """
     if rep.kind != KIND_AFFINE:
         raise ValidationError("kind must be affine (homogeneous form)")
     n = rep.dimension
     if not rep.generators:
-        return zero_vec(n), zero_vec(n)
+        return zero_vec(n)
     rows: list[Vec] = []
     rhs: list[Fraction] = []
     for g in rep.generators:
@@ -241,7 +235,4 @@ def radiant_fixed_point(rep: Representation) -> tuple[Vec, Vec] | None:
         rows.extend(shifted.rows)
         rhs.extend(-t for t in trans)
     res = solve_linear(RatMatrix.from_rows(rows), tuple(rhs))
-    if res is None:
-        return None
-    point = res[0]
-    return point, point
+    return None if res is None else res[0]

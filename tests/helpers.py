@@ -11,9 +11,10 @@ before commuting levels were settled from a basis, the Fraction affine
 fields are invariant_affine_fields as it was before it read its kernel off
 the integer RREF, FractionPolynomial is Polynomial's arithmetic as it
 was before polynomials were stored in their integer form, the solve-based
-restriction is restrict_to_subspace as it was before it read coordinates
-at the pivots, the equal-diagonal-block check is the one the
-classifier ran before it was shown to always pass, and the primary-
+restriction is the restriction to an invariant subspace that the
+classifier read before it checked a scalar action on integer rows, the
+equal-diagonal-block check is the one the classifier ran before it was
+shown to always pass, and the primary-
 decomposition harvest is the flag search's candidate harvest as it was
 before it skipped the subspaces that it rejects, and the harvested flag
 is the flag search's result as it was before a group of scalars got its
@@ -545,7 +546,8 @@ def fraction_affine_fields(rep) -> list[AffineField]:
 
 
 def solve_restrict_to_subspace(m: RatMatrix, s: Subspace) -> RatMatrix:
-    """restrict_to_subspace by one linear solve per basis vector of s."""
+    """The matrix of m restricted to the m-invariant subspace s in its
+    canonical basis, by one linear solve per basis vector of s."""
     cols = []
     basis_matrix = RatMatrix.from_rows(s.basis).transpose()
     for b in s.basis:

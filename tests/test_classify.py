@@ -41,7 +41,6 @@ from holonomy.commutant import (
 )
 from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of
 from holonomy.representation import (
-    AffineField,
     AssumptionSet,
     ValidationError,
     benzecri_suspend,
@@ -55,6 +54,7 @@ from helpers import (
     equal_diagonal_blocks,
     frac_rows,
     random_unimodular,
+    solve_restrict_to_subspace,
 )
 
 from holonomy.fileio import load_rep_file
@@ -141,24 +141,13 @@ class TestNilpotentElementFlag:
 
 class TestZeroSet:
     def test_radial_field_vanishes_at_origin(self):
-        analysis = zero_set_of_affine_field(
-            AffineField(RatMatrix.identity(4), (0, 0, 0, 0))
-        )
-        assert analysis.base.dim == 0
-        assert analysis.base.point == (0, 0, 0, 0)
-
-    def test_translation_field_needs_shift(self):
-        # a pure translation vanishes nowhere; only a radial shift would give
-        # it a zero, and none is tried: its linear part has no nonzero eigenvalue
-        f = AffineField(RatMatrix.zeros(2, 2), (Fraction(1), Fraction(0)))
-        analysis = zero_set_of_affine_field(f)
-        assert analysis.base.is_empty
-        assert analysis.shifts == ()
+        # I is invertible, so 0 is no shift; I - I vanishes everywhere
+        assert zero_set_of_affine_field(RatMatrix.identity(4)) == [-1]
 
     # 2 x 2 blocks without rational eigenvalues: +-sqrt(2), +-i, golden ratio
     IRRATIONAL_BLOCKS = ([[0, 2], [1, 0]], [[0, -1], [1, 0]], [[1, 1], [1, 0]])
 
-    def test_shifts_are_the_negated_nonzero_rational_eigenvalues(self):
+    def test_shifts_are_the_negated_rational_eigenvalues(self):
         rng = random.Random(17)
         for _ in range(30):
             # p t p^-1 with t block upper triangular: its rational eigenvalues
@@ -178,24 +167,52 @@ class TestZeroSet:
                     i += 1
             p = random_unimodular(rng, 4)
             lin = p * frac_rows(t) * p.inverse()
-            analysis = zero_set_of_affine_field(AffineField(lin, (0, 0, 0, 0)))
-            shifts = [c for c, _ in analysis.shifts]
-            assert shifts == sorted(-e for e in eigen if e != 0)
-            for c, zs in analysis.shifts:
-                assert zs.dim >= 1 and zs.point == (0, 0, 0, 0)
-                assert zs.direction_space == kernel_of(lin + RatMatrix.identity(4).scale(c))
+            shifts = zero_set_of_affine_field(lin)
+            # 0 first when lin is singular, then increasing
+            assert shifts == [0] * (0 in eigen) + sorted(-e for e in eigen if e != 0)
+            for c in shifts:
+                assert kernel_of(lin + RatMatrix.identity(4).scale(c)).dim >= 1
             # every other shift leaves the origin as the only zero
             for c in range(-3, 4):
-                if c != 0 and c not in shifts:
+                if c not in shifts:
                     assert kernel_of(lin + RatMatrix.identity(4).scale(c)).dim == 0
 
     def test_rank_one_projection_kernel(self):
         lin = frac_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-        analysis = zero_set_of_affine_field(AffineField(lin, (0, 0, 0, 0)))
-        assert analysis.base.dim == 3
-        assert analysis.base.direction_space == span4(
-            [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]
-        )
+        assert zero_set_of_affine_field(lin) == [0, -1]
+        assert kernel_of(lin) == span4([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])
+
+
+def test_scalar_restriction_check_matches_the_solve_reference():
+    """_scalar_on reads y|u = c id off integer rows; the reference restricts
+    y to u by linear solves. The eigenspaces of x are invariant under every
+    y that commutes with x, and both outcomes occur."""
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(25):
+        # repeated eigenvalues give eigenspaces of dimension >= 2, on which
+        # a commuting y need not act as a scalar
+        diag = [rng.choice([-1, 0, 0, 2]) for _ in range(4)]
+        t = [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)]
+        for i in range(3):
+            if diag[i] == diag[i + 1] and rng.random() < 0.3:
+                t[i][i + 1] = 1
+        p = random_unimodular(rng, 4)
+        x = p * frac_rows(t) * p.inverse()
+        commuting = list(matrix_centralizer([x], 4).basis)
+        y = RatMatrix.zeros(4, 4)
+        for b in commuting:
+            y = y + b.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for c in set(diag):
+            u = kernel_of(x - RatMatrix.identity(4).scale(c))
+            for z in (x, y):
+                expected = solve_restrict_to_subspace(z, u)
+                scalar = classify_module._scalar_on(z, u)
+                outcomes.add(scalar is not None)
+                assert (scalar is not None) == expected.is_scalar()
+                if scalar is not None:
+                    assert expected == RatMatrix.identity(u.dim).scale(scalar)
+    assert outcomes == {True, False}
 
 
 class TestEqualDiagonalBlocks:
@@ -210,9 +227,9 @@ class TestEqualDiagonalBlocks:
         reached = []
         original = classify_module._zero_dim2_case
 
-        def recording(xt, u, lin_parts):
+        def recording(xt, u, im, outside):
             reached.append((xt, u))
-            return original(xt, u, lin_parts)
+            return original(xt, u, im, outside)
 
         monkeypatch.setattr(classify_module, "_zero_dim2_case", recording)
         out = classify_dim3(rep)
@@ -403,9 +420,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     "name, classify_fn, expected",
     [
         ("conj_dim3_torus_translations_1", classify_dim3,
-         dict(minimal_polynomial=0, factor_polynomial=1, eliminate=173, rref_rows=100)),
+         dict(minimal_polynomial=0, factor_polynomial=1, eliminate=162, rref_rows=93)),
         ("conj_dim2_translation_torus_2", classify_dim2,
-         dict(minimal_polynomial=0, factor_polynomial=0, eliminate=64, rref_rows=33)),
+         dict(minimal_polynomial=0, factor_polynomial=0, eliminate=62, rref_rows=32)),
     ],
 )
 def test_work_counts_of_conjugated_translation_groups(name, classify_fn, expected, monkeypatch):
@@ -419,8 +436,15 @@ def test_work_counts_of_conjugated_translation_groups(name, classify_fn, expecte
     centralizer's closure is proven when it is built, so no product of its
     basis is reduced along its span (13 and 9 eliminations). The radical's
     trace-form kernel vectors are combined with the basis before they are
-    spanned, so no canonical kernel is spanned (3 and 2 rows). The counts
-    are deterministic; a search, zero rows or a closure check brought back
+    spanned, so no canonical kernel is spanned (3 and 2 rows). The zero
+    sets are eigenspaces: the invertible basis field is not solved for a
+    zero set, Ker and Im of the shifted field come from one RREF (its image
+    is spanned from 1 pivot column, not 4 transposed rows), and the scalar
+    restriction is an integer check with no membership test (93 rows, not
+    100; 162 eliminations, not 173). A fixed point is verified as the line
+    through it: one row is spanned, then one row per generator, not two
+    (32 rows, not 33; 62 eliminations, not 64). The counts are
+    deterministic; a search, zero rows or a closure check brought back
     raise them."""
     rep = load_rep_file(DATA / f"{name}.json")
     counts = _count_work(monkeypatch)

@@ -1337,6 +1337,18 @@ class TestCertificates:
         # with no generator, only the zero test rejects the zero vector
         assert not verify_certificate(validate_rep([], "linear", 2), FixedProjectivePointCertificate((0, 0)))
 
+    def test_point_sent_to_zero_is_not_fixed(self):
+        # diag(1, 1, 0) sends e3 to 0, so span(e3) is not kept: the point
+        # and its line get the same verdict. validate_rep refuses singular
+        # matrices, so the representation is built directly
+        g = frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        rep = Representation(3, "linear", (Generator("g", g),))
+        line = Subspace.span([[0, 0, 1]], 3)
+        assert not verify_certificate(rep, InvariantSubspaceCertificate(line))
+        assert not verify_certificate(rep, FixedProjectivePointCertificate((0, 0, 1)))
+        assert not verify_certificate(rep, FixedProjectivePointCertificate((0, 0, 0)))
+        assert verify_certificate(rep, FixedProjectivePointCertificate((1, 1, 0)))
+
     # j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]: x(x^2 + 1), rotation plane
     # span(e1, e2), fixed line span(e3)
     J3 = frac_rows([[0, -1, 0], [1, 0, 0], [0, 0, 0]])

@@ -12,11 +12,10 @@ from holonomy.linalg import (
     image_of,
     kernel_and_image,
     kernel_of,
-    restrict_to_subspace,
     solve_linear,
 )
 
-from helpers import frac_rows, random_int_matrix, random_invertible, solve_restrict_to_subspace
+from helpers import frac_rows, random_int_matrix, random_invertible
 
 
 def span4(*vecs):
@@ -164,48 +163,6 @@ class TestMatrixBasics:
             a = random_int_matrix(rng, 3)
             b = random_int_matrix(rng, 3)
             assert (a * b).det() == a.det() * b.det()
-
-    def test_restrict_to_invariant_subspace(self):
-        m = frac_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
-        s = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
-        r = restrict_to_subspace(m, s)
-        assert r == frac_rows([[2, 1], [0, 2]])
-
-    def test_restrict_rejects_noninvariant(self):
-        m = frac_rows([[0, -1], [1, 0]])
-        s = Subspace.span([[1, 0]], 2)
-        with pytest.raises(ValueError):
-            restrict_to_subspace(m, s)
-
-    def test_restrict_matches_solve_reference(self):
-        rng = random.Random(13)
-        # the first k columns of p span an invariant subspace of p t p^-1
-        # when t is block upper triangular with a leading k x k block
-        for _ in range(40):
-            n = rng.randint(1, 5)
-            k = rng.randint(0, n)
-            t = [[0 if i >= k > j else rng.randint(-3, 3) for j in range(n)] for i in range(n)]
-            p = random_invertible(rng, n)
-            m = p * frac_rows(t) * p.inverse()
-            s = Subspace.span(p.transpose().rows[:k], n)
-            assert s.dim == k
-            assert restrict_to_subspace(m, s) == solve_restrict_to_subspace(m, s)
-        # random subspaces of random matrices: mostly not invariant
-        raised = 0
-        for _ in range(40):
-            n = rng.randint(2, 5)
-            m = random_int_matrix(rng, n)
-            vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
-            s = Subspace.span(vecs, n)
-            try:
-                expected = solve_restrict_to_subspace(m, s)
-            except ValueError:
-                raised += 1
-                with pytest.raises(ValueError, match="not invariant"):
-                    restrict_to_subspace(m, s)
-            else:
-                assert restrict_to_subspace(m, s) == expected
-        assert raised > 0
 
     def test_matrices_hashable_and_immutable(self):
         m = RatMatrix.identity(3)
