@@ -182,6 +182,29 @@ class TestZeroSet:
         assert zero_set_of_affine_field(lin) == [0, -1]
         assert kernel_of(lin) == span4([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])
 
+    def test_zero_field_and_rotation(self):
+        # the zero field vanishes everywhere with no shift; a rotation has no
+        # rational eigenvalue, so it vanishes only at the origin for every c
+        assert zero_set_of_affine_field(RatMatrix.zeros(2, 2)) == [0]
+        assert zero_set_of_affine_field(frac_rows([[0, -1], [1, 0]])) == []
+
+
+class TestScalarOn:
+    def test_scalar_and_jordan_restrictions(self):
+        s = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
+        assert classify_module._scalar_on(frac_rows([[2, 0, 0], [0, 2, 0], [0, 0, 5]]), s) == 2
+        assert classify_module._scalar_on(frac_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]]), s) is None
+        # the denominator of y enters the scalar
+        half = frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 3]]).scale(Fraction(1, 2))
+        assert classify_module._scalar_on(half, s) == Fraction(1, 2)
+
+    def test_noninvariant_line_is_not_scalar(self):
+        # the rotation sends e1 to e2, off span(e1)
+        rot = frac_rows([[0, -1], [1, 0]])
+        assert classify_module._scalar_on(rot, Subspace.span([[1, 0]], 2)) is None
+        # a line through a vector with a leading zero: the pivot is not 0
+        assert classify_module._scalar_on(frac_rows([[3, 0], [0, -2]]), Subspace.span([[0, 1]], 2)) == -2
+
 
 def test_scalar_restriction_check_matches_the_solve_reference():
     """_scalar_on reads y|u = c id off integer rows; the reference restricts
