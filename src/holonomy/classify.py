@@ -41,8 +41,9 @@ from .linalg import (
     image_of,
     integer_matmul,
     kernel_and_image,
-    kernel_of,
+    nullspace,
     numerator_vector,
+    rref,
 )
 from .polys import characteristic_polynomial, factor_polynomial
 from .representation import (
@@ -138,7 +139,7 @@ def flag_from_nilpotent_pair(a: RatMatrix, b: RatMatrix) -> Flag:
         raise ValueError("both squares must vanish")
     if a * b == b * a:
         raise ValueError("pair commutes")
-    ka, kb = kernel_of(a), kernel_of(b)
+    ka, kb = nullspace(*rref(a.num), a.ncols), nullspace(*rref(b.num), b.ncols)
     if ka.dim == 3 or kb.dim == 3:
         raise CaseAnalysisError(
             "case analysis: a kernel of dimension 3 forces a commuting pair"
@@ -175,7 +176,7 @@ def _element_flag(a: RatMatrix, sq: RatMatrix) -> Flag:
     nilpotent, and its caller has formed sq already."""
     ka, ia = kernel_and_image(a)
     if ka.dim == 1:
-        return Flag((ka, kernel_of(sq), ia))
+        return Flag((ka, nullspace(*rref(sq.num), sq.ncols), ia))
     return Flag((ka.intersect(ia), ka, ka.add(ia)))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, islice
 from math import gcd, lcm
 from operator import mul
@@ -41,7 +41,6 @@ from .polys import (
     characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
-    poly_egcd,
 )
 from .representation import (
     KIND_AFFINE,
@@ -318,17 +317,29 @@ class Decomposition:
     idempotent_witnesses: tuple[RatMatrix, ...]
 
 
+def _projection(onto: Subspace, along: Subspace) -> RatMatrix:
+    """The projection onto `onto` along `along`, for complementary subspaces
+    of Q^n: P diag(I, 0) P^-1, where P has the canonical rows of onto and
+    then of along as its columns. Only the first dim(onto) columns of P and
+    rows of P^-1 meet the identity block."""
+    k = onto.dim
+    cols = RatMatrix(tuple(zip(*(onto.num + along.num))))
+    inv, den = cols.inverse().integer_form
+    return RatMatrix.from_integer_form(integer_matmul([r[:k] for r in cols.num], inv[:k]), den)
+
+
 def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     """Bounded search for idempotents e with e*e = e, e not in {0, I}.
 
-    For each candidate element m whose minimal polynomial minp has at least
-    two distinct factors, and each linear factor f of minp, take primary =
-    f^multiplicity, cofactor = minp / primary and s * cofactor + t * primary
-    = 1. Then e = (s * cofactor)(m) satisfies e(I - e) = (s * t * minp)(m)
-    = 0; e is the identity on the nonzero Ker primary(m) and zero on the
-    nonzero Ker cofactor(m). So e*e = e, e != 0 and e != I hold without a
-    check. e is a polynomial in m, so a unital closed algebra contains it;
-    membership is tested because a non-unital algebra need not.
+    For each candidate element m whose minimal polynomial has at least two
+    distinct factors, and each linear factor f of it, of multiplicity k, let
+    B = f(m)^k. By Fitting's lemma Q^n is the direct sum of Ker B and Im B,
+    and e is the projection onto Ker B along Im B (_projection). Ker B != 0
+    as f divides the minimal polynomial, and Im B != 0 as another factor
+    remains, so e*e = e, e != 0 and e != I hold without a check. e is a
+    polynomial in m, (s c)(m) for c the cofactor of f^k and s c + t f^k = 1,
+    so a unital closed algebra contains it; membership is tested because a
+    non-unital algebra need not.
 
     dickson_radical calls it only when the semisimple quotient has
     dimension >= 2 or the algebra lacks I: on a local algebra every
@@ -342,17 +353,14 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     for m in islice(chain(a.basis, sums), _MAX_CANDIDATES):
         if len(witnesses) >= _MAX_WITNESSES:
             break
-        minp = minimal_polynomial(m)
-        factors = factor_polynomial(minp)
+        factors = factor_polynomial(minimal_polynomial(m))
         if len(factors) < 2:
             continue
         for f in factors:
             if f.poly.degree != 1:
                 continue
-            primary = f.poly**f.multiplicity
-            cofactor = minp.divmod(primary)[0]
-            _, s, _ = poly_egcd(cofactor, primary)
-            e = (s * cofactor).eval_matrix(m)
+            power = reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
+            e = _projection(*kernel_and_image(RatMatrix.from_integer_form(power, 1)))
             if e in seen or not span.contains(numerator_vector(e)):
                 continue
             witnesses.append(e)

@@ -239,13 +239,17 @@ class RatMatrix:
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        # the RREF of [N | d I] is [I | d N^-1], and d N^-1 is the inverse of N / d
+        # the RREF of [N | d I] is [I | d N^-1], and d N^-1 is the inverse of
+        # N / d; row i of the integer RREF is p_i times its RREF row, so over
+        # L = lcm(p_i) the inverse is the rows (L / p_i) row_i[n:] over L
         n, d = self.nrows, self.den
         aug = [list(r) + [d if j == i else 0 for j in range(n)] for i, r in enumerate(self.num)]
         reduced, pivots = rref(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix.from_rows([Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced))
+        den = lcm(*[row[i] for i, row in enumerate(reduced)])
+        inv = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
+        return RatMatrix.from_integer_form(inv, den)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))

@@ -1,9 +1,10 @@
 """Rational polynomials: characteristic and minimal polynomials, complete
 factorization over Q, and primary decomposition into invariant subspaces.
 
-A polynomial is stored as its normalized integer form, as a `RatMatrix` is;
-its arithmetic runs on the integer coefficient lists that the factorization
-uses too, and `Polynomial.coeffs` is the `Fraction` view.
+A polynomial is stored as its normalized integer form, as a `RatMatrix` is,
+and `Polynomial.coeffs` is the `Fraction` view. The library evaluates
+polynomials at matrices and factors them, and does no other arithmetic on
+them: the factorization runs on integer coefficient lists.
 
 Factorization is Zassenhaus's algorithm on integer coefficients: the
 squarefree part of the primitive integer polynomial is factored modulo a
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -31,7 +32,6 @@ from .linalg import (
     nullspace,
     primitive_part,
     rref,
-    to_fraction,
 )
 
 
@@ -40,17 +40,11 @@ class Polynomial:
     """Rational polynomial num / den in its normalized integer form: num the
     integer coefficients, lowest degree first, without trailing zeros (() is
     the zero polynomial), and den > 0 coprime to their content. The form is
-    unique, so == and hash compare integers. from_coeffs and
-    from_integer_form normalize; `coeffs` is the Fraction view."""
+    unique, so == and hash compare integers. from_integer_form normalizes;
+    `coeffs` is the Fraction view."""
 
     num: tuple[int, ...]
     den: int = 1
-
-    @staticmethod
-    def from_coeffs(cs) -> "Polynomial":
-        cs = [to_fraction(c) for c in cs]
-        den = lcm(*[c.denominator for c in cs])
-        return Polynomial.from_integer_form([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def from_integer_form(num: Sequence[int], den: int) -> "Polynomial":
@@ -60,14 +54,6 @@ class Polynomial:
         if g != 1:
             num, den = [x // g for x in num], den // g
         return Polynomial(tuple(num), den)
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial(())
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial((1,))
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -81,61 +67,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return Polynomial.from_integer_form(self.num, self.num[-1])
-
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other, on the integer forms."""
-        den = lcm(self.den, other.den)
-        a = [x * (den // self.den) for x in self.num]
-        return Polynomial.from_integer_form(_add(a, other.num, sign * (den // other.den)), den)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, -1)
-
-    def scale(self, c) -> "Polynomial":
-        c = to_fraction(c)
-        return Polynomial.from_integer_form([c.numerator * x for x in self.num], self.den * c.denominator)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.from_integer_form(_mul(self.num, other.num), self.den * other.den)
-
-    def __pow__(self, k: int) -> "Polynomial":
-        out = Polynomial.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder. With self = a / da and other = b / db,
-        c a = q b + r in Z[x] gives self = (q db / (c da)) other + r / (c da)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, c = _pseudo_divmod(self.num, other.num)
-        quot = Polynomial.from_integer_form([x * other.den for x in q], c * self.den)
-        return quot, Polynomial.from_integer_form(r, c * self.den)
-
-    def divides(self, other: "Polynomial") -> bool:
-        return other.divmod(self)[1].is_zero
-
-    def eval_scalar(self, x) -> Fraction:
-        x = to_fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def eval_matrix(self, m: RatMatrix) -> RatMatrix:
         """p(m) by Horner's rule on integers: with m = N / d and p = num / L,
@@ -152,22 +83,6 @@ class Polynomial:
             for r in range(n):
                 acc[r][r] += a
         return RatMatrix.from_integer_form(acc, self.den * d ** max(self.degree, 0))
-
-
-def poly_egcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """g, s, t with s*a + t*b = g and g monic."""
-    r0, r1 = a, b
-    s0, s1 = Polynomial.one(), Polynomial.zero()
-    t0, t1 = Polynomial.zero(), Polynomial.one()
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    inv = 1 / r0.leading
-    return r0.monic(), s0.scale(inv), t0.scale(inv)
 
 
 def minimal_polynomial(m: RatMatrix) -> Polynomial:
@@ -275,31 +190,27 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r[:d]) else q
 
 
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """(q, r, c) with c a = q b + r and deg r < deg b in Z[x], for nonzero b,
-    by steps r <- lc(b) r - r_top x^(deg r - deg b) b; c is a power of lc(b)."""
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """r with c a = q b + r and deg r < deg b in Z[x] for some q and some
+    power c of lc(b), for nonzero b, by steps
+    r <- lc(b) r - r_top x^(deg r - deg b) b."""
     r, d, lead = list(a), len(b) - 1, b[-1]
-    q = [0] * max(len(r) - d, 0)
-    c = 1
     while len(r) > d:
         top = r.pop()
         pos = len(r) - d
         if lead != 1:
             r = [x * lead for x in r]
-            q = [x * lead for x in q]
-            c *= lead
-        q[pos] = top
         for j in range(d):
             r[pos + j] -= top * b[j]
         _trim(r)
-    return q, r, c
+    return r
 
 
 def _gcd_z(a: list[int], b: list[int]) -> list[int]:
     """A primitive gcd of the primitive a and b (b nonzero) in Z[x], by the
     primitive polynomial remainder sequence."""
     while b:
-        a, b = b, primitive_part(_pseudo_divmod(a, b)[1])
+        a, b = b, primitive_part(_pseudo_remainder(a, b))
     return a
 
 
@@ -496,6 +407,7 @@ def primary_decomposition(m: RatMatrix) -> list[PrimaryComponent]:
         raise ValueError("square matrix required")
     out = []
     for f in factor_polynomial(characteristic_polynomial(m)):
-        sub = nullspace(*rref((f.poly**f.multiplicity).eval_matrix(m).num), m.ncols)
+        power = reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
+        sub = nullspace(*rref(power), m.ncols)
         out.append(PrimaryComponent(f.poly, f.multiplicity, sub))
     return out

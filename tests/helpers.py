@@ -9,8 +9,11 @@ unscreened rotational walk is the rotational search as it was before the
 trace screen, the pair-loop probe is the derived-series probe as it was
 before commuting levels were settled from a basis, the Fraction affine
 fields are invariant_affine_fields as it was before it read its kernel off
-the integer RREF, FractionPolynomial is Polynomial's arithmetic as it
-was before polynomials were stored in their integer form, the solve-based
+the integer RREF, FractionPolynomial is the polynomial arithmetic (sums,
+products, division, the extended gcd) that the library dropped when its
+idempotent witnesses became Fitting projections, and `polynomial` builds
+a library Polynomial from rational coefficients, the egcd witnesses are
+the idempotent search as it was before that, the solve-based
 restriction is the restriction to an invariant subspace that the
 classifier read before it checked a scalar action on integer rows, the
 equal-diagonal-block check is the one the classifier ran before it was
@@ -32,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +48,8 @@ from holonomy.commutant import (
     Flag,
     RotationalElementCertificate,
     _FLAG_CANDIDATE_CAP,
+    _MAX_CANDIDATES,
+    _MAX_WITNESSES,
     _commutation_rows,
     _invariant_candidates,
     _longest_chain,
@@ -64,7 +70,7 @@ from holonomy.representation import (
     canonicalize_projective_class,
     validate_rep,
 )
-from holonomy.polys import Polynomial, minimal_polynomial, primary_decomposition
+from holonomy.polys import Polynomial, factor_polynomial, minimal_polynomial, primary_decomposition
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -221,6 +227,14 @@ def centralizer_oracle(mats: list[RatMatrix], size: int) -> Subspace:
     return Subspace.span(basis, size * size)
 
 
+def polynomial(coeffs) -> Polynomial:
+    """The library Polynomial with the given coefficients (ints, Fractions or
+    'p/q' strings), lowest degree first, over their common denominator."""
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*[c.denominator for c in cs])
+    return Polynomial.from_integer_form([c.numerator * (den // c.denominator) for c in cs], den)
+
+
 class FractionPolynomial:
     """Plain Fraction coefficients, lowest degree first, no trailing zeros."""
 
@@ -297,6 +311,38 @@ class FractionPolynomial:
         return acc
 
 
+def egcd_idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
+    """The idempotent search as it was before its witnesses became Fitting
+    projections: the same candidate walk, dedupe and membership test, with
+    each witness e = (s * cofactor)(m) built in FractionPolynomial, where
+    primary = f^k for a linear factor f of multiplicity k of the minimal
+    polynomial, cofactor = minp / primary and s * cofactor + t * primary = 1."""
+    sums = (x + y for x, y in itertools.combinations(a.basis, 2))
+    witnesses: list[RatMatrix] = []
+    for m in itertools.islice(itertools.chain(a.basis, sums), _MAX_CANDIDATES):
+        if len(witnesses) >= _MAX_WITNESSES:
+            break
+        minp = minimal_polynomial(m)
+        factors = factor_polynomial(minp)
+        if len(factors) < 2:
+            continue
+        for f in factors:
+            if f.poly.degree != 1:
+                continue
+            primary = FractionPolynomial([1])
+            for _ in range(f.multiplicity):
+                primary = primary * FractionPolynomial(f.poly.coeffs)
+            cofactor = FractionPolynomial(minp.coeffs).divmod(primary)[0]
+            _, s, _ = cofactor.egcd(primary)
+            e = RatMatrix.from_rows((s * cofactor).eval_matrix([list(r) for r in m.rows]))
+            if e in witnesses or not a.contains(e):
+                continue
+            witnesses.append(e)
+            if len(witnesses) >= _MAX_WITNESSES:
+                break
+    return tuple(witnesses)
+
+
 def charpoly_oracle(m: RatMatrix) -> Polynomial:
     """det(xI - A) by the Leibniz permutation expansion over Q[x], in
     FractionPolynomial arithmetic."""
@@ -325,7 +371,7 @@ def charpoly_oracle(m: RatMatrix) -> Polynomial:
         for i in range(n):
             term = term * entries[i][perm[i]]
         total = total + (term if sign == 1 else term.scale(-1))
-    return Polynomial.from_coeffs(total.coeffs)
+    return polynomial(total.coeffs)
 
 
 def algebra_closure_of(mats: list[RatMatrix], size: int, include_identity: bool) -> AlgebraBasis:

@@ -39,7 +39,7 @@ from holonomy.commutant import (
     verify_flag_invariant,
 )
 from holonomy.fileio import load_rep_file
-from holonomy.linalg import RatMatrix, Subspace, kernel_of
+from holonomy.linalg import RatMatrix, Subspace, kernel_and_image, kernel_of
 from holonomy.representation import (
     Generator,
     Representation,
@@ -53,6 +53,7 @@ from helpers import (
     centralizer_oracle,
     closed_under_products,
     conjugate_representation,
+    egcd_idempotent_witnesses,
     frac_rows,
     fraction_affine_fields,
     fraction_rref,
@@ -583,6 +584,47 @@ class TestClosureAndRadical:
             frac_rows([[int(r == c and r in ones) for c in range(4)] for r in range(4)])
             for ones in ((0,), (1, 2, 3), (1,), (0, 2, 3), (2,), (0, 1, 3))
         )
+
+    def test_witnesses_match_the_egcd_construction(self):
+        # the projection onto Ker f(m)^k along Im f(m)^k is the polynomial
+        # (s * cofactor)(m) that the search built before, witness for witness
+        # and in order, on diagonal, Jordan and trivial groups and on two
+        # unimodular conjugates of each
+        rng = random.Random(47)
+        groups = [
+            ([_diagonal(1, 2, 3)], 3),
+            ([_diagonal(1, 1, 2)], 3),
+            ([_diagonal(-1, Fraction(1, 2), Fraction(1, 2), 3)], 4),
+            ([_diagonal(2, 2, 5, 5)], 4),
+            ([_jordan(3, 1, 2)], 3),
+            ([_jordan(4, Fraction(-2, 3), 3)], 4),
+            ([_block_diagonal(_jordan(2, 1, 2), _jordan(2, 3, 2))], 4),
+            ([], 2),
+            ([], 3),
+        ]
+        found = []
+        for gens, n in groups:
+            for conjugate in (False, True, True):
+                p = random_unimodular(rng, n) if conjugate else RatMatrix.identity(n)
+                pinv = p.inverse()
+                cent = matrix_centralizer([p * g * pinv for g in gens], n)
+                witnesses = commutant._idempotent_witnesses(cent)
+                assert witnesses == egcd_idempotent_witnesses(cent)
+                found.append(len(witnesses))
+        assert len(found) == 27 and all(found) and sum(found) == 144
+
+    def test_projection_has_the_given_image_and_kernel(self):
+        rng = random.Random(59)
+        for n in range(2, 6):
+            for k in range(1, n + 1):
+                p = random_invertible(rng, n) * random_unimodular(rng, n).scale(Fraction(2, 3))
+                cols = list(zip(*p.rows))
+                onto, along = Subspace.span(cols[:k], n), Subspace.span(cols[k:], n)
+                e = commutant._projection(onto, along)
+                assert e * e == e
+                assert kernel_and_image(e) == (along, onto)
+                keep = frac_rows([[int(i == j and i < k) for j in range(n)] for i in range(n)])
+                assert e == p * keep * p.inverse()
 
 
 class TestAlgebraProducts:

@@ -26,9 +26,14 @@ leading underscore and is not in `holonomy.__all__`. It counts as used by
 the same rule as an exported name, without an allowlist: a package module
 other than `__init__.py` or the bench must refer to it. A helper that only
 tests need lives in `tests/helpers.py`.
+
+The runtime is stdlib-only: every import of a package module, `__init__.py`
+included and function-level imports too, is package-relative, `__future__`
+or a module of `sys.stdlib_module_names`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +65,24 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def nonstandard_imports(source: str) -> list[str]:
+    """`line N: module` for each import of source that is not package-relative,
+    `__future__` or in the standard library, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "__future__" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, module))
+    return [f"line {line}: {module}" for line, module in sorted(found)]
 
 
 def unreferenced_definitions(sources: dict[str, str], wanted) -> list[str]:
@@ -158,6 +181,20 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_stdlib_check_sees_a_planted_import():
+    source = (
+        "from __future__ import annotations\nimport json, numpy.linalg\nfrom . import linalg\n"
+        "from .polys import Polynomial\nfrom fractions import Fraction\nimport os.path as osp\n"
+        "def f():\n    import sympy\n    from scipy import sparse\n"
+    )
+    assert nonstandard_imports(source) == ["line 2: numpy.linalg", "line 8: sympy", "line 9: scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_runtime_imports_only_the_standard_library(path):
+    assert nonstandard_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_orphan_check_sees_an_unreferenced_definition():

@@ -159,7 +159,10 @@ FAMILIES = [
         id="diagonal-6",
         marks=_xfail(
             "diag(1, 1, 1, 1, 1, 2) gets flag dims (1, 2, 4, 5) in the construction basis and on"
-            " 5/60 conjugate generating sets, all five of seed 7"
+            " 5/60 conjugate generating sets, all five of seed 7. The cap never binds: the harvest"
+            " gives 12 candidates (six lines, six hyperplanes), one round of sums and intersections"
+            " reaches no 3-dimensional member, and only their fixpoint, 62 subspaces, holds a"
+            " complete flag (126 and 254 for n = 7 and 8, over twice the cap of 48)"
         ),
     ),
 ]

@@ -15,11 +15,28 @@ from holonomy.polys import (
     primary_decomposition,
 )
 
-from helpers import charpoly_oracle, frac_rows, random_int_matrix, random_unimodular
+from helpers import FractionPolynomial, charpoly_oracle, frac_rows, polynomial, random_int_matrix, random_unimodular
 
 
 def poly(*coeffs):
-    return Polynomial.from_coeffs(list(coeffs))
+    return polynomial(coeffs)
+
+
+def product(*factors: Polynomial) -> Polynomial:
+    """The product of the factors, formed in FractionPolynomial."""
+    out = FractionPolynomial([1])
+    for f in factors:
+        out = out * FractionPolynomial(f.coeffs)
+    return polynomial(out.coeffs)
+
+
+def monic(p: Polynomial) -> Polynomial:
+    return polynomial(FractionPolynomial(p.coeffs).monic().coeffs)
+
+
+def reconstruct(factors) -> Polynomial:
+    """The product of factor_polynomial's factors, each to its multiplicity."""
+    return product(*[f.poly for f in factors for _ in range(f.multiplicity)])
 
 
 def sympy_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -31,7 +48,7 @@ def sympy_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     out = []
     for f, k in factors:
         coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
-        out.append((Polynomial.from_coeffs(coeffs), k))
+        out.append((polynomial(coeffs), k))
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
@@ -69,7 +86,7 @@ class TestCharMinPoly:
             char, minp, _ = char_min_poly(m)
             assert char.eval_matrix(m).is_zero()
             assert minp.eval_matrix(m).is_zero()
-            assert minp.divides(char)
+            assert FractionPolynomial(char.coeffs).divmod(FractionPolynomial(minp.coeffs))[1].is_zero
 
     def test_minimal_polynomial_standalone_agrees(self):
         rng = random.Random(15)
@@ -81,18 +98,26 @@ class TestCharMinPoly:
 class TestFactorization:
     def test_rational_roots_with_multiplicity(self):
         # (x-1)^2 (x+2) x
-        p = poly(-1, 1) * poly(-1, 1) * poly(2, 1) * poly(0, 1)
+        p = product(poly(-1, 1), poly(-1, 1), poly(2, 1), poly(0, 1))
         factors = {(f.poly, f.multiplicity) for f in factor_polynomial(p)}
         assert (poly(-1, 1), 2) in factors
         assert (poly(2, 1), 1) in factors
         assert (poly(0, 1), 1) in factors
+
+    def test_nonzero_constant_has_no_factor(self):
+        # a nonzero constant is a unit of Q[x], the empty product; only the
+        # zero polynomial is refused
+        for c in (1, -3, Fraction(5, 7)):
+            assert factor_polynomial(poly(c)) == []
+        with pytest.raises(ValueError, match="zero polynomial"):
+            factor_polynomial(poly())
 
     def test_irreducible_quadratic_proven(self):
         [f] = factor_polynomial(poly(1, 0, 1))
         assert (f.poly, f.multiplicity) == (poly(1, 0, 1), 1)
 
     def test_quartic_splits_into_quadratics(self):
-        p = poly(1, 0, 1) * poly(-2, 0, 1)  # (x^2+1)(x^2-2)
+        p = product(poly(1, 0, 1), poly(-2, 0, 1))  # (x^2+1)(x^2-2)
         factors = sorted((f.poly.coeffs for f in factor_polynomial(p)))
         assert factors == [(Fraction(-2), Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(1))]
 
@@ -104,7 +129,7 @@ class TestFactorization:
         # (x + 12/11)^4: the primitive integer multiple (11x + 12)^4 has a
         # squarefree part of degree 1, whose multiplicity is counted by
         # exact division
-        p = poly(Fraction(12, 11), 1) ** 4
+        p = product(*[poly(Fraction(12, 11), 1)] * 4)
         [f] = factor_polynomial(p)
         assert (f.poly, f.multiplicity) == (poly(Fraction(12, 11), 1), 4)
 
@@ -114,7 +139,7 @@ class TestFactorization:
         # before x + 1/3; the order decides which idempotents the capped
         # witness search keeps
         linear = [poly(Fraction(1, 2), 1), poly(Fraction(2, 3), 1), poly(-2, 1), poly(Fraction(1, 3), 1)]
-        p = linear[0] * linear[1] * linear[2] * linear[3] * poly(1, 0, 1)
+        p = product(*linear, poly(1, 0, 1))
         factors = [f.poly for f in factor_polynomial(p)]
         assert factors == [poly(-2, 1), poly(Fraction(1, 3), 1), poly(Fraction(1, 2), 1),
                            poly(Fraction(2, 3), 1), poly(1, 0, 1)]
@@ -124,21 +149,21 @@ class TestFactorization:
         # (x^2+x+300)(x^2+x+420) has constant term 126000; a search cut at a
         # fixed lattice size once kept only b = 1 here and returned the
         # product as one quartic marked proven irreducible
-        p = poly(300, 1, 1) * poly(420, 1, 1)
+        p = product(poly(300, 1, 1), poly(420, 1, 1))
         factors = [(f.poly, f.multiplicity) for f in factor_polynomial(p)]
         assert factors == [(poly(300, 1, 1), 1), (poly(420, 1, 1), 1)]
 
     def test_degree_eight_splits_into_quartics(self):
         # x^4+2 and x^4+3 are Eisenstein, so the product has no factor of
         # degree 1, 2 or 3 and splits only into the two quartics
-        p = poly(2, 0, 0, 0, 1) * poly(3, 0, 0, 0, 1)
+        p = product(poly(2, 0, 0, 0, 1), poly(3, 0, 0, 0, 1))
         factors = [(f.poly, f.multiplicity) for f in factor_polynomial(p)]
         assert factors == [(poly(2, 0, 0, 0, 1), 1), (poly(3, 0, 0, 0, 1), 1)]
         assert factors == sympy_factors(p)
 
     def test_rational_coefficients(self):
         # (x - 1/2)(x^2 + 1/3): denominators are cleared internally
-        p = poly(Fraction(-1, 2), 1) * poly(Fraction(1, 3), 0, 1)
+        p = product(poly(Fraction(-1, 2), 1), poly(Fraction(1, 3), 0, 1))
         factors = {f.poly for f in factor_polynomial(p)}
         assert poly(Fraction(-1, 2), 1) in factors
         assert poly(Fraction(1, 3), 0, 1) in factors
@@ -148,10 +173,7 @@ class TestFactorization:
         for _ in range(15):
             m = random_int_matrix(rng, 4, -2, 2)
             char, _, _ = char_min_poly(m)
-            product = Polynomial.one()
-            for f in factor_polynomial(char):
-                product = product * f.poly**f.multiplicity
-            assert product == char.monic()
+            assert reconstruct(factor_polynomial(char)) == char
 
 
 class TestPrimaryDecomposition:
@@ -214,23 +236,6 @@ class TestPrimaryDecomposition:
             assert all(c.subspace.contains(m.apply(b)) for b in c.subspace.basis)
 
 
-class TestPolynomialArithmetic:
-    def test_divmod_roundtrip(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            a = poly(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 6))])
-            b = poly(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-            if b.is_zero:
-                continue
-            q, r = a.divmod(b)
-            assert q * b + r == a
-            assert r.is_zero or r.degree < b.degree
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            poly(1, 1).divmod(Polynomial.zero())
-
-
 class TestIntegerDivisors:
     """Inputs with large integer coefficients, which factoring through the
     divisors of integer coefficients could not finish or could not prove;
@@ -239,16 +244,13 @@ class TestIntegerDivisors:
     def test_large_constant_finishes(self):
         # clearing the denominators of this degree-9 product gives a constant
         # term of about 1.7e17
-        p = Polynomial.from_coeffs(
-            [-1, 2, Fraction(-65, 9), Fraction(47, 3), Fraction(-227, 27), Fraction(572, 27),
+        p = poly(
+            *[-1, 2, Fraction(-65, 9), Fraction(47, 3), Fraction(-227, 27), Fraction(572, 27),
              Fraction(-22, 3), Fraction(-62, 9), Fraction(-16, 3), -12]
         )
         factors = factor_polynomial(p)
         assert [f.poly.degree for f in factors] == [2, 3, 4]
-        product = Polynomial.one()
-        for f in factors:
-            product = product * f.poly**f.multiplicity
-        assert product == p.monic()
+        assert reconstruct(factors) == monic(p)
         assert [(f.poly, f.multiplicity) for f in factors] == sympy_factors(p)
 
     @pytest.mark.parametrize(
@@ -264,8 +266,8 @@ class TestIntegerDivisors:
         p = poly(const, 0, 0, 0, 1)
         assert [(f.poly, f.multiplicity) for f in factor_polynomial(p)] == [(p, 1)] == sympy_factors(p)
         q = poly(const, 1)
-        factors = [(f.poly, f.multiplicity) for f in factor_polynomial(q * poly(1, 0, 1))]
-        assert factors == [(q, 1), (poly(1, 0, 1), 1)] == sympy_factors(q * poly(1, 0, 1))
+        factors = [(f.poly, f.multiplicity) for f in factor_polynomial(product(q, poly(1, 0, 1)))]
+        assert factors == [(q, 1), (poly(1, 0, 1), 1)] == sympy_factors(product(q, poly(1, 0, 1)))
 
     def test_unfactored_value_at_one_proves_nothing(self):
         # p(1) is a product of two 61-bit primes; p is irreducible
@@ -278,21 +280,19 @@ def factored_polynomials(draw):
     """Products of one to three polynomials of degree 1 to 4 with small
     integer or rational coefficients, so that reducible inputs are common."""
     coeff = st.one_of(st.integers(-3, 3).map(Fraction), st.fractions(-2, 2, max_denominator=3))
-    out = Polynomial.one()
+    factors = []
     for _ in range(draw(st.integers(1, 3))):
         deg = draw(st.integers(1, 4))
         lower = draw(st.lists(coeff, min_size=deg, max_size=deg))
-        out = out * Polynomial.from_coeffs(lower + [draw(st.sampled_from([1, 1, 2, -3]))])
-    return out
+        factors.append(polynomial(lower + [draw(st.sampled_from([1, 1, 2, -3]))]))
+    return product(*factors)
 
 
 @settings(max_examples=80, deadline=None)
 @given(factored_polynomials())
 def test_factors_reconstruct_and_proofs_hold(p):
     factors = factor_polynomial(p)
-    product = Polynomial.one()
     for f in factors:
-        assert f.multiplicity >= 1 and f.poly == f.poly.monic()
-        product = product * f.poly**f.multiplicity
-    assert product == p.monic()
+        assert f.multiplicity >= 1 and f.poly == monic(f.poly)
+    assert reconstruct(factors) == monic(p)
     assert [(f.poly, f.multiplicity) for f in factors] == sympy_factors(p)

@@ -104,6 +104,11 @@ class TestRadiantFixedPoint:
         rep = validate_rep([("a", frac_rows([[2, 1], [1, 1]]))], "linear", 2)
         assert radiant_fixed_point(embed_linear_as_affine(rep)) == (0, 0)
 
+    def test_no_generators_fix_the_origin(self):
+        # the trivial group fixes every point; the origin is the one returned
+        for n in (1, 3):
+            assert radiant_fixed_point(validate_rep([], "affine", n)) == (0,) * n
+
     def test_pure_translation_has_no_fixed_point(self):
         t = frac_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
         assert radiant_fixed_point(validate_rep([("t", t)], "affine", 2)) is None
