@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations, islice
 from math import gcd, lcm
 from operator import mul
@@ -38,6 +38,7 @@ from .linalg import (
 )
 from .polys import (
     Polynomial,
+    _factor_power,
     characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
@@ -317,13 +318,15 @@ class Decomposition:
     idempotent_witnesses: tuple[RatMatrix, ...]
 
 
-def _projection(onto: Subspace, along: Subspace) -> RatMatrix:
-    """The projection onto `onto` along `along`, for complementary subspaces
-    of Q^n: P diag(I, 0) P^-1, where P has the canonical rows of onto and
-    then of along as its columns. Only the first dim(onto) columns of P and
+def _projection(onto: Sequence[Sequence[int]], along: Sequence[Sequence[int]]) -> RatMatrix:
+    """The projection onto the span of the integer vectors `onto` along the
+    span of `along`, two bases of complementary subspaces of Q^n:
+    P diag(I, 0) P^-1, where P has the vectors of onto and then of along as
+    its columns. The projection depends on the two subspaces only, so any
+    bases give the same matrix. Only the first len(onto) columns of P and
     rows of P^-1 meet the identity block."""
-    k = onto.dim
-    cols = RatMatrix(tuple(zip(*(onto.num + along.num))))
+    k = len(onto)
+    cols = RatMatrix(tuple(zip(*(list(onto) + list(along)))))
     inv, den = cols.inverse().integer_form
     return RatMatrix.from_integer_form(integer_matmul([r[:k] for r in cols.num], inv[:k]), den)
 
@@ -334,7 +337,8 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     For each candidate element m whose minimal polynomial has at least two
     distinct factors, and each linear factor f of it, of multiplicity k, let
     B = f(m)^k. By Fitting's lemma Q^n is the direct sum of Ker B and Im B,
-    and e is the projection onto Ker B along Im B (_projection). Ker B != 0
+    and e is the projection onto Ker B along Im B (_projection), read from
+    one RREF of B: its kernel vectors and its pivot columns. Ker B != 0
     as f divides the minimal polynomial, and Im B != 0 as another factor
     remains, so e*e = e, e != 0 and e != I hold without a check. e is a
     polynomial in m, (s c)(m) for c the cofactor of f^k and s c + t f^k = 1,
@@ -359,8 +363,10 @@ def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
         for f in factors:
             if f.poly.degree != 1:
                 continue
-            power = reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
-            e = _projection(*kernel_and_image(RatMatrix.from_integer_form(power, 1)))
+            power = _factor_power(f, m)
+            reduced, pivots = rref(power)
+            image = [[r[p] for r in power] for p in pivots]
+            e = _projection(kernel_vectors(reduced, pivots, len(power)), image)
             if e in seen or not span.contains(numerator_vector(e)):
                 continue
             witnesses.append(e)

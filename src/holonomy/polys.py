@@ -388,6 +388,12 @@ def factor_polynomial(p: Polynomial) -> list[PolyFactor]:
     return sorted(out, key=lambda f: (f.poly.degree, [x * (den // f.poly.den) for x in f.poly.num]))
 
 
+def _factor_power(f: PolyFactor, m: RatMatrix) -> list[list[int]]:
+    """The integer rows of f(m)^k, k the multiplicity of f: a positive
+    multiple of that matrix, so with the same kernel and image."""
+    return reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
+
+
 @dataclass(frozen=True)
 class PrimaryComponent:
     factor: Polynomial
@@ -407,7 +413,6 @@ def primary_decomposition(m: RatMatrix) -> list[PrimaryComponent]:
         raise ValueError("square matrix required")
     out = []
     for f in factor_polynomial(characteristic_polynomial(m)):
-        power = reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
-        sub = nullspace(*rref(power), m.ncols)
+        sub = nullspace(*rref(_factor_power(f, m)), m.ncols)
         out.append(PrimaryComponent(f.poly, f.multiplicity, sub))
     return out

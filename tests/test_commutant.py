@@ -618,9 +618,10 @@ class TestClosureAndRadical:
         for n in range(2, 6):
             for k in range(1, n + 1):
                 p = random_invertible(rng, n) * random_unimodular(rng, n).scale(Fraction(2, 3))
-                cols = list(zip(*p.rows))
+                cols = list(zip(*p.num))
                 onto, along = Subspace.span(cols[:k], n), Subspace.span(cols[k:], n)
-                e = commutant._projection(onto, along)
+                e = commutant._projection(onto.num, along.num)
+                assert commutant._projection(cols[:k], cols[k:]) == e
                 assert e * e == e
                 assert kernel_and_image(e) == (along, onto)
                 keep = frac_rows([[int(i == j and i < k) for j in range(n)] for i in range(n)])

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holonomy import commutant
+from holonomy import commutant, polys
 from holonomy.commutant import truncated_derived_series
 from holonomy.linalg import RatMatrix, Subspace, _integer_row, krylov_powers, nullspace, rref
 from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynomial, minimal_polynomial
@@ -435,12 +435,17 @@ class TestPolynomialIntegerForm:
         new = Fraction.__new__
         monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
         minp, char = minimal_polynomial(m), characteristic_polynomial(m * m)
-        factors = factor_polynomial(char) + factor_polynomial(minp) + factor_polynomial(a)
+        # char * minp * a on the integer forms, as a degree-8 reducible product
+        product = Polynomial.from_integer_form(
+            polys._mul(polys._mul(char.num, minp.num), a.num), char.den * minp.den * a.den
+        )
+        factors = factor_polynomial(product)
         inverse = m.inverse()
         minp.eval_matrix(m)
         monkeypatch.undo()
         assert built == []
-        assert len(factors) >= 2
+        assert product.degree == 8 and len(factors) >= 2
+        assert sum(f.poly.degree * f.multiplicity for f in factors) == 8
         assert inverse * m == RatMatrix.identity(3)
 
 
