@@ -14,15 +14,25 @@ rows. A subspace is stored the same way: its RREF rows, each scaled to a
 primitive integer row with a positive pivot entry. `RatMatrix.rows` and
 `Subspace.basis` are the public `Fraction` views, built on first use;
 vectors are `Fraction`s.
+
+The two inner loops, the integer product (integer_matmul) and the
+elimination step (eliminate), run as fixed-width functions compiled from
+generated source once per width k and cached, as `dataclasses` builds its
+methods: a row is unpacked into k locals and every entry is one written-out
+expression, so the interpreter does no per-entry call, zip or iteration;
+entries are mostly small, so that bookkeeping would otherwise take more
+time than the integer arithmetic. Only k enters the source. A product
+entry's k terms are summed in parenthesized groups of at most 64, because
+one flat chain of k additions nests k deep and the compiler's recursion
+limit rejects it at k near 3000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -79,24 +89,67 @@ def primitive_part(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
+# Largest number of terms in one parenthesized group of a product entry.
+_CHUNK = 64
+
+
+def _compile_kernel(source: str, label: str):
+    """The function `kernel` defined by source, compiled on its own."""
+    namespace: dict = {}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _names(prefix: str, k: int) -> str:
+    """The unpacking target (prefix0, ..., prefix{k-1},)."""
+    return "(" + "".join(f"{prefix}{i}, " for i in range(k)) + ")"
+
+
+@cache
+def _product_kernel(k: int):
+    """kernel(a, cols): the rows [row . col for col in cols] for each row of
+    a, every row and col of length k (otherwise ValueError)."""
+    chunks = [
+        "(" + " + ".join(f"x{i} * y{i}" for i in range(lo, min(lo + _CHUNK, k))) + ")"
+        for lo in range(0, k, _CHUNK)
+    ]
+    entry = " + ".join(chunks) or "0"
+    source = (
+        "def kernel(a, cols):\n"
+        f"    return [[{entry} for {_names('y', k)} in cols] for {_names('x', k)} in a]\n"
+    )
+    return _compile_kernel(source, f"product kernel {k}")
+
+
+@cache
+def _combination_kernel(k: int):
+    """kernel(a, b, v, top): the row a*v - b*top, v and top of length k
+    (otherwise ValueError)."""
+    entries = ", ".join(f"a * x{i} - b * y{i}" for i in range(k))
+    source = (
+        "def kernel(a, b, v, top):\n"
+        f"    {_names('x', k)} = v\n"
+        f"    {_names('y', k)} = top\n"
+        f"    return [{entries}]\n"
+    )
+    return _compile_kernel(source, f"combination kernel {k}")
+
+
 def eliminate(v: list[int], top: Sequence[int], col: int) -> tuple[int, list[int]]:
     """Clear column col of the integer row v (v[col] != 0) against top by
     integer cross-multiplication: (a, a*v - b*top) with a/b = top[col]/v[col]
-    in lowest terms."""
+    in lowest terms. v and top have one length (otherwise ValueError)."""
     p, f = top[col], v[col]
     g = gcd(p, f)
     a, b = p // g, f // g
-    return a, [a * x - b * y for x, y in zip(v, top)]
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
+    return a, _combination_kernel(len(v))(a, b, v, top)
 
 
 def integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Product of two integer matrices given as rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """Product of two integer matrices given as rows. Every row of a has
+    len(b) entries and the rows of b have one length (otherwise
+    ValueError)."""
+    return _product_kernel(len(b))(a, list(zip(*b, strict=True)))
 
 
 @dataclass(frozen=True)
@@ -205,7 +258,7 @@ class RatMatrix:
             raise ValueError("shape mismatch in matrix-vector product")
         w, dw = _integer_row(v)
         den = self.den * dw
-        return tuple(Fraction(_dot(row, w), den) for row in self.num)
+        return tuple(Fraction(x, den) for (x,) in _product_kernel(len(w))(self.num, [w]))
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -390,7 +443,7 @@ class Subspace:
         """Image of this subspace under m."""
         if m.ncols != self.ambient_dim:
             raise ValueError("shape mismatch")
-        return Subspace.span([[_dot(r, b) for r in m.num] for b in self.num], m.nrows)
+        return Subspace.span(integer_matmul(self.num, m.transpose().num), m.nrows)
 
 
 def kernel_and_image(m: RatMatrix) -> tuple[Subspace, Subspace]:

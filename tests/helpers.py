@@ -28,6 +28,9 @@ AlgebraBasis.from_span's check. assert_dim3_invariance is the
 conjugation, rescaling and permutation check of acceptance criterion 5.
 vectorize, matrix_from_vec and conjugate_representation are the tests'
 own conversions and conjugation; no library path needs them.
+reference_matmul and reference_eliminate are linalg's integer product and
+elimination step as they were before each became a function compiled once
+per width, as loops over zipped rows.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -79,6 +83,22 @@ INVARIANCE_SCALES = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1, 2), Fra
 
 def frac_rows(rows):
     return RatMatrix.from_rows(rows)
+
+
+def reference_matmul(a, b) -> list[list[int]]:
+    """Product of two integer matrices given as rows, one sum of zipped
+    products per entry."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def reference_eliminate(v, top, col: int) -> tuple[int, list[int]]:
+    """(a, a*v - b*top) with a/b = top[col]/v[col] in lowest terms, row by
+    zipped row."""
+    p, f = top[col], v[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return a, [a * x - b * y for x, y in zip(v, top)]
 
 
 def vectorize(m: RatMatrix) -> tuple[Fraction, ...]:

@@ -8,10 +8,15 @@ computation or one of the oracles in helpers.py, on inputs with
 non-integer entries, zero rows, empty inputs and 1 x n shapes. RatMatrix and Polynomial store their
 normalized integer forms, so their == and hash are checked against
 Fraction equality, and the derived-series probe's entry-size budget
-against reduced entries.
+against reduced entries. integer_matmul and eliminate run functions
+compiled once per width; they are checked against the loops they replaced
+(helpers.reference_matmul, helpers.reference_eliminate) at widths 0-70 and
+5000, on small and 300-bit entries.
 """
 
 import dataclasses
+import random
+import types
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,11 +26,30 @@ from hypothesis import strategies as st
 
 from holonomy import commutant, polys
 from holonomy.commutant import truncated_derived_series
-from holonomy.linalg import RatMatrix, Subspace, _integer_row, krylov_powers, nullspace, rref
+from holonomy.linalg import (
+    RatMatrix,
+    Subspace,
+    _combination_kernel,
+    _integer_row,
+    _product_kernel,
+    eliminate,
+    integer_matmul,
+    krylov_powers,
+    nullspace,
+    rref,
+)
 from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynomial, minimal_polynomial
 from holonomy.representation import validate_rep
 
-from helpers import FractionPolynomial, brute_force_nullspace, charpoly_oracle, fraction_rref, polynomial
+from helpers import (
+    FractionPolynomial,
+    brute_force_nullspace,
+    charpoly_oracle,
+    fraction_rref,
+    polynomial,
+    reference_eliminate,
+    reference_matmul,
+)
 
 entries = st.one_of(
     st.integers(-5, 5).map(Fraction),
@@ -74,7 +98,7 @@ def matrices(nrows, ncols):
 
 @st.composite
 def product_pairs(draw):
-    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    n, k, m = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
     return draw(matrices(n, k)), draw(matrices(k, m))
 
 
@@ -231,6 +255,88 @@ class TestMatrixArithmetic:
         inv = m.inverse()
         assert is_normalized(inv)
         assert [list(r) for r in inv.rows] == [r[n:] for r in reduced[:n]]
+
+
+KERNEL_WIDTHS = [*range(71), 5000]
+
+
+def int_rows(rng, nrows, ncols, bound):
+    return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def global_names(code: types.CodeType):
+    """The global and attribute names read by code and its nested code."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from global_names(const)
+
+
+class TestFixedWidthKernels:
+    """integer_matmul and eliminate run one function per width k, compiled
+    on first use; each is checked against the loop it replaced."""
+
+    @pytest.mark.parametrize("bound", [3, 2**300], ids=["small", "300-bit"])
+    def test_products_match_the_reference_loop(self, bound):
+        rng = random.Random(bound.bit_length())
+        for k in KERNEL_WIDTHS:
+            n, m = (2, 3) if k == 5000 else (rng.randint(1, 4), rng.randint(1, 4))
+            a, b = int_rows(rng, n, k, bound), int_rows(rng, k, m, bound)
+            assert integer_matmul(a, b) == reference_matmul(a, b)
+            assert integer_matmul(tuple(map(tuple, a)), tuple(map(tuple, b))) == reference_matmul(a, b)
+            row, col = int_rows(rng, 1, k, bound), int_rows(rng, k, 1, bound)
+            assert integer_matmul(row, col) == reference_matmul(row, col)  # 1 x k times k x 1
+            small = col[:70]  # at k = 5000 the full outer product has 25 million entries
+            assert integer_matmul(small, row) == reference_matmul(small, row)  # k x 1 times 1 x k
+
+    def test_empty_factors(self):
+        assert integer_matmul([[], [], []], []) == [[], [], []] == reference_matmul([[], [], []], [])
+        assert integer_matmul([], []) == [] == reference_matmul([], [])
+        assert integer_matmul([], [[1, 2], [3, 4]]) == []
+        assert integer_matmul([[1, 2]], [[], []]) == [[]] == reference_matmul([[1, 2]], [[], []])
+
+    @pytest.mark.parametrize("bound", [3, 2**300], ids=["small", "300-bit"])
+    def test_elimination_matches_the_reference_loop(self, bound):
+        rng = random.Random(bound.bit_length() + 1)
+        for k in KERNEL_WIDTHS[1:]:
+            v, top = int_rows(rng, 2, k, bound)
+            col = rng.randrange(k)
+            v[col] = v[col] or 1
+            top[col] = top[col] or -1
+            a, row = eliminate(v, top, col)
+            assert (a, row) == reference_eliminate(v, top, col)
+            assert row[col] == 0 and len(row) == k
+            assert eliminate(v, tuple(top), col) == (a, row)
+
+    def test_each_width_compiles_once(self):
+        a, b = [[1, 2, 3]], [[4], [5], [6]]
+        integer_matmul(a, b)
+        misses = _product_kernel.cache_info().misses
+        assert integer_matmul(a, b) == [[32]]
+        assert _product_kernel.cache_info().misses == misses
+        for k in (0, 1, 3, 64, 65, 5000):
+            assert _product_kernel(k) is _product_kernel(k)
+            assert _combination_kernel(k) is _combination_kernel(k)
+
+    def test_kernels_read_no_global_name(self):
+        # only the locals x0, y0, ... derived from k appear in the source
+        for k in (0, 1, 2, 64, 65, 129):
+            assert not list(global_names(_product_kernel(k).__code__))
+            assert not list(global_names(_combination_kernel(k).__code__))
+
+    def test_rows_of_unequal_length_raise(self):
+        with pytest.raises(ValueError):
+            integer_matmul([[1, 2], [3]], [[1], [2]])  # a row of a is short
+        with pytest.raises(ValueError):
+            integer_matmul([[1, 2, 3]], [[1], [2]])  # a row of a is long
+        with pytest.raises(ValueError):
+            integer_matmul([[1, 2]], [[1, 2], [3]])  # the rows of b differ
+        with pytest.raises(ValueError):
+            integer_matmul([[1, 2]], [[], [2]])
+        with pytest.raises(ValueError):
+            eliminate([1, 2], [1, 2, 3], 0)
+        with pytest.raises(ValueError):
+            eliminate([1, 2, 3], [1, 2], 0)
 
 
 class TestSubspaceResidual:
