@@ -38,8 +38,8 @@ from .commutant import (
 from .linalg import (
     RatMatrix,
     Subspace,
+    _product_kernel,
     image_of,
-    integer_matmul,
     kernel_and_image,
     nullspace,
     numerator_vector,
@@ -210,7 +210,7 @@ def _scalar_on(y: RatMatrix, u: Subspace) -> Fraction | None:
     acts otherwise. With N = y.num, b0 the first canonical row of u and p
     its pivot, y acts as a scalar iff (N b) b0[p] = (N b0)[p] b for every
     canonical row b: a check in integers."""
-    images = integer_matmul(u.num, y.transpose().num)  # row i is N times row i of u
+    images = _product_kernel(u.ambient_dim)(u.num, y.num)  # row i is N times row i of u
     b0 = u.num[0]
     p = next(i for i, x in enumerate(b0) if x)
     top, lam = b0[p], images[0][p]

@@ -24,6 +24,7 @@ from .linalg import (
     RatMatrix,
     Subspace,
     Vec,
+    _product_kernel,
     eliminate,
     integer_matmul,
     is_zero_vec,
@@ -632,7 +633,7 @@ def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], 
     def consider(s: Subspace, check: bool):
         if not 0 < s.dim < size or s in seen or len(seen) >= _FLAG_CANDIDATE_CAP:
             return
-        if not check or all(all(map(s.contains, integer_matmul(s.num, g.transpose().num))) for g in gens):
+        if not check or all(all(map(s.contains, _product_kernel(size)(s.num, g.num))) for g in gens):
             seen[s] = None
 
     for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:

@@ -15,16 +15,23 @@ primitive integer row with a positive pivot entry. `RatMatrix.rows` and
 `Subspace.basis` are the public `Fraction` views, built on first use;
 vectors are `Fraction`s.
 
-The two inner loops, the integer product (integer_matmul) and the
-elimination step (eliminate), run as fixed-width functions compiled from
-generated source once per width k and cached, as `dataclasses` builds its
-methods: a row is unpacked into k locals and every entry is one written-out
-expression, so the interpreter does no per-entry call, zip or iteration;
-entries are mostly small, so that bookkeeping would otherwise take more
-time than the integer arithmetic. Only k enters the source. A product
-entry's k terms are summed in parenthesized groups of at most 64, because
-one flat chain of k additions nests k deep and the compiler's recursion
-limit rejects it at k near 3000.
+The inner loops run as functions compiled from generated source on first
+use and cached, as `dataclasses` builds its methods: rows are unpacked into
+locals and every entry is one written-out expression, so the interpreter
+does no per-entry call, zip or iteration; entries are mostly small, so that
+bookkeeping would otherwise take more time than the integer arithmetic.
+RatMatrix.matmul, the product of two operators on Q^n with n <= 8, runs one
+function per shape k x m of its right factor (_shape_kernel): it unpacks
+that factor into k * m locals once per call and returns the rows as the
+tuples RatMatrix stores. The integer product integer_matmul and the
+elimination step eliminate run one function per width k (_product_kernel,
+_combination_kernel). Their callers combine kernel vectors with wide bases,
+shapes such as dim x n^2, where a kernel per shape would cost more to
+compile than it saves: 15 ms at 36 x 36 and 77 ms at 64 x 64, against
+0.48 ms and 0.69 ms for the width kernels of k = 36 and 64. Only the
+shape enters the source. A product entry's k terms are summed in
+parenthesized groups of at most 64, because one flat chain of k additions
+nests k deep and the compiler's recursion limit rejects it at k near 3000.
 """
 
 from __future__ import annotations
@@ -105,20 +112,38 @@ def _names(prefix: str, k: int) -> str:
     return "(" + "".join(f"{prefix}{i}, " for i in range(k)) + ")"
 
 
+def _sum(terms: list[str]) -> str:
+    """The sum of terms as one expression, in parenthesized groups of at
+    most _CHUNK terms; "0" when there are none."""
+    chunks = ["(" + " + ".join(terms[lo : lo + _CHUNK]) + ")" for lo in range(0, len(terms), _CHUNK)]
+    return " + ".join(chunks) or "0"
+
+
 @cache
 def _product_kernel(k: int):
     """kernel(a, cols): the rows [row . col for col in cols] for each row of
     a, every row and col of length k (otherwise ValueError)."""
-    chunks = [
-        "(" + " + ".join(f"x{i} * y{i}" for i in range(lo, min(lo + _CHUNK, k))) + ")"
-        for lo in range(0, k, _CHUNK)
-    ]
-    entry = " + ".join(chunks) or "0"
+    entry = _sum([f"x{i} * y{i}" for i in range(k)])
     source = (
         "def kernel(a, cols):\n"
         f"    return [[{entry} for {_names('y', k)} in cols] for {_names('x', k)} in a]\n"
     )
     return _compile_kernel(source, f"product kernel {k}")
+
+
+@cache
+def _shape_kernel(k: int, m: int):
+    """kernel(a, b): the product of the rows a and the k x m matrix b as a
+    tuple of row tuples. b is unpacked into the k * m locals y{i}_{j} once
+    per call; a row of a of another length than k, or a b of another shape,
+    raises ValueError."""
+    entries = "".join(_sum([f"x{i} * y{i}_{j}" for i in range(k)]) + ", " for j in range(m))
+    source = (
+        "def kernel(a, b):\n"
+        f"    ({''.join(_names(f'y{i}_', m) + ', ' for i in range(k))}) = b\n"
+        f"    return (*[({entries}) for {_names('x', k)} in a],)\n"
+    )
+    return _compile_kernel(source, f"shape kernel {k} x {m}")
 
 
 @cache
@@ -249,9 +274,15 @@ class RatMatrix:
         return self.matmul(other)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        return RatMatrix.from_integer_form(integer_matmul(self.num, other.num), self.den * other.den)
+        a, b = self.num, other.num
+        try:
+            if b and not a:  # a matrix without rows has no columns
+                raise ValueError
+            num = _shape_kernel(len(b), len(b[0]) if b else 0)(a, b)
+        except ValueError:
+            raise ValueError("shape mismatch in matrix product") from None
+        den = self.den * other.den
+        return RatMatrix(num) if den == 1 else RatMatrix.from_integer_form(num, den)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
@@ -443,7 +474,8 @@ class Subspace:
         """Image of this subspace under m."""
         if m.ncols != self.ambient_dim:
             raise ValueError("shape mismatch")
-        return Subspace.span(integer_matmul(self.num, m.transpose().num), m.nrows)
+        # row i of the product kernel's result is m times row i
+        return Subspace.span(_product_kernel(self.ambient_dim)(self.num, m.num), m.nrows)
 
 
 def kernel_and_image(m: RatMatrix) -> tuple[Subspace, Subspace]:

@@ -215,7 +215,8 @@ def _gcd_z(a: list[int], b: list[int]) -> list[int]:
 
 
 def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b (nonzero mod p) in F_p[x]."""
+    """Quotient and remainder of a by b (nonzero mod p) in F_p[x]; also in
+    (Z/p)[x] for any modulus p when b is monic, as the Hensel lift uses it."""
     r, d = [x % p for x in a], len(b) - 1
     inv = pow(b[-1], -1, p)
     q = [0] * max(len(r) - d, 0)
@@ -296,17 +297,32 @@ def _berlekamp(f: list[int], p: int) -> list[int]:
 
 
 def _hensel_lift(f: list[int], g: list[int], h: list[int], p: int, k: int) -> tuple[list[int], list[int]]:
-    """G, H with f = G H mod p^k and G monic, lifted linearly from f = g h mod
-    p with g monic and g, h coprime mod p."""
-    t = _inverse_p(h, g, p)
-    q = p
-    for _ in range(k - 1):
-        # solve a h + b g = e mod p with deg a < deg g, then G += q a, H += q b
-        e = _mod([x // q for x in _add(f, _mul(g, h), -1)], p)
-        a = _divmod_p(_mul(t, e), g, p)[1]
-        b = _divmod_p(_add(e, _mul(a, h), -1), g, p)[0]
-        g, h = _add(g, a, q), _add(h, b, q)
-        q *= p
+    """G, H with f = G H mod p^k and G monic, lifted from f = g h mod p with
+    g monic and g, h coprime mod p; the lift is unique, so G and H are the
+    representatives in [0, p^k).
+
+    Quadratic lifting: f = g h holds mod p^e and u h = 1 modulo g and p^j,
+    with j <= e. A step splits the error f - g h = 0 mod p^e as a h + b g
+    with a = u (f - g h) mod g and adds a, b to g, h, which makes f = g h
+    hold mod p^(e + j). When the next step would still fall short of p^k,
+    one Newton step u (2 - u h) mod g doubles j. So e runs 1, 2, 4, 8, ...
+    and about log2 k steps reach p^k, against k - 1 steps that gain one
+    power of p each.
+    """
+    u = _inverse_p(h, g, p)
+    e = j = 1
+    while e < k:
+        e = min(e + j, k)
+        q = p**e
+        err = _mod(_add(f, _mul(g, h), -1), q)
+        a = _divmod_p(_mul(u, err), g, q)[1]
+        b = _divmod_p(_add(err, _mul(a, h), -1), g, q)[0]
+        g, h = _mod(_add(g, a), q), _mod(_add(h, b), q)
+        if j < k - e:
+            j *= 2
+            q = p**j
+            uh = _divmod_p(_mul(u, h), g, q)[1]
+            u = _divmod_p(_mul(u, _add([2], uh, -1)), g, q)[1]
     return g, h
 
 

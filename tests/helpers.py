@@ -30,7 +30,9 @@ vectorize, matrix_from_vec and conjugate_representation are the tests'
 own conversions and conjugation; no library path needs them.
 reference_matmul and reference_eliminate are linalg's integer product and
 elimination step as they were before each became a function compiled once
-per width, as loops over zipped rows.
+per width, as loops over zipped rows. linear_hensel_lift is the Hensel
+lift of the factorization as it was before it doubled the modulus, one
+power of p per step.
 """
 
 from __future__ import annotations
@@ -74,7 +76,17 @@ from holonomy.representation import (
     canonicalize_projective_class,
     validate_rep,
 )
-from holonomy.polys import Polynomial, factor_polynomial, minimal_polynomial, primary_decomposition
+from holonomy.polys import (
+    Polynomial,
+    _add,
+    _divmod_p,
+    _inverse_p,
+    _mod,
+    _mul,
+    factor_polynomial,
+    minimal_polynomial,
+    primary_decomposition,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -99,6 +111,21 @@ def reference_eliminate(v, top, col: int) -> tuple[int, list[int]]:
     g = gcd(p, f)
     a, b = p // g, f // g
     return a, [a * x - b * y for x, y in zip(v, top)]
+
+
+def linear_hensel_lift(f: list[int], g: list[int], h: list[int], p: int, k: int) -> tuple[list[int], list[int]]:
+    """G, H with f = G H mod p^k and G monic, lifted one power of p per step
+    from f = g h mod p with g monic and g, h coprime mod p."""
+    t = _inverse_p(h, g, p)
+    q = p
+    for _ in range(k - 1):
+        # solve a h + b g = e mod p with deg a < deg g, then G += q a, H += q b
+        e = _mod([x // q for x in _add(f, _mul(g, h), -1)], p)
+        a = _divmod_p(_mul(t, e), g, p)[1]
+        b = _divmod_p(_add(e, _mul(a, h), -1), g, p)[0]
+        g, h = _add(g, a, q), _add(h, b, q)
+        q *= p
+    return g, h
 
 
 def vectorize(m: RatMatrix) -> tuple[Fraction, ...]:

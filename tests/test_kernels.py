@@ -11,7 +11,9 @@ Fraction equality, and the derived-series probe's entry-size budget
 against reduced entries. integer_matmul and eliminate run functions
 compiled once per width; they are checked against the loops they replaced
 (helpers.reference_matmul, helpers.reference_eliminate) at widths 0-70 and
-5000, on small and 300-bit entries.
+5000, on small and 300-bit entries. RatMatrix.matmul runs a function
+compiled once per shape k x m of its right factor; its products are checked
+against the same loop and against Fraction products.
 """
 
 import dataclasses
@@ -24,7 +26,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holonomy import commutant, polys
+from holonomy import commutant, linalg, polys
+from holonomy.cli import main
 from holonomy.commutant import truncated_derived_series
 from holonomy.linalg import (
     RatMatrix,
@@ -32,6 +35,7 @@ from holonomy.linalg import (
     _combination_kernel,
     _integer_row,
     _product_kernel,
+    _shape_kernel,
     eliminate,
     integer_matmul,
     krylov_powers,
@@ -42,6 +46,7 @@ from holonomy.polys import Polynomial, characteristic_polynomial, factor_polynom
 from holonomy.representation import validate_rep
 
 from helpers import (
+    CORPUS,
     FractionPolynomial,
     brute_force_nullspace,
     charpoly_oracle,
@@ -337,6 +342,81 @@ class TestFixedWidthKernels:
             eliminate([1, 2], [1, 2, 3], 0)
         with pytest.raises(ValueError):
             eliminate([1, 2, 3], [1, 2], 0)
+
+
+SHAPE_WIDTHS = [*range(9), 64, 65, 130]
+
+
+class TestShapeKernel:
+    """RatMatrix.matmul runs one function per shape k x m of its right
+    factor, compiled on first use, which returns the rows as tuples."""
+
+    @pytest.mark.parametrize("bound", [3, 2**300], ids=["small", "300-bit"])
+    def test_products_match_the_reference_loop_and_fractions(self, bound):
+        rng = random.Random(bound.bit_length() + 2)
+        for k in SHAPE_WIDTHS:
+            for m in range(9) if k < 9 else (1, 2):
+                n = rng.randint(1, 3)
+                a, b = int_rows(rng, n, k, bound), int_rows(rng, k, m, bound)
+                prod = RatMatrix(tuple(map(tuple, a))) * RatMatrix(tuple(map(tuple, b)))
+                assert prod == RatMatrix(tuple(map(tuple, reference_matmul(a, b))))
+                assert type(prod.num) is tuple and all(type(r) is tuple for r in prod.num)
+                da, db = rng.randint(1, 12), rng.randint(1, 12)
+                x, y = RatMatrix.from_integer_form(a, da), RatMatrix.from_integer_form(b, db)
+                prod = x * y
+                assert is_normalized(prod)
+                assert [list(r) for r in prod.rows] == naive_product(x.rows, y.rows) if k else prod.is_zero()
+
+    def test_denominators_that_need_the_gcd_step(self):
+        # odd entries over 2: a product of even width has even entries over 4
+        rng = random.Random(3)
+        for k in (2, 4, 6, 8, 64):
+            a = [[2 * rng.randint(-9, 9) + 1 for _ in range(k)] for _ in range(3)]
+            b = [[2 * rng.randint(-9, 9) + 1 for _ in range(2)] for _ in range(k)]
+            x, y = RatMatrix.from_integer_form(a, 2), RatMatrix.from_integer_form(b, 2)
+            assert (x.den, y.den) == (2, 2)
+            prod = x * y
+            assert is_normalized(prod) and prod.den < 4
+            assert [list(r) for r in prod.rows] == naive_product(x.rows, y.rows)
+
+    def test_each_shape_compiles_once(self):
+        a, b = RatMatrix.from_rows([[1, 2, 3]]), RatMatrix.from_rows([[4, 1], [5, 1], [6, 1]])
+        a * b
+        misses = _shape_kernel.cache_info().misses
+        assert (a * b).num == ((32, 6),)
+        assert _shape_kernel.cache_info().misses == misses
+        for k, m in ((0, 0), (1, 0), (3, 2), (2, 3), (65, 1)):
+            assert _shape_kernel(k, m) is _shape_kernel(k, m)
+
+    def test_kernel_reads_no_global_name(self):
+        # only the locals x0, y0_0, ... derived from k and m appear in the source
+        for k, m in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (65, 2), (129, 1)):
+            assert not list(global_names(_shape_kernel(k, m).__code__))
+
+    def test_wrong_shape_raises(self):
+        square = RatMatrix.from_rows([[1, 2], [3, 4]])
+        for x, y in (
+            (RatMatrix.from_rows([[1, 2, 3]]), square),  # a row of self is long
+            (RatMatrix.from_rows([[1]]), square),  # a row of self is short
+            (square, RatMatrix.from_rows([[1], [2], [3]])),
+            (RatMatrix(((1, 2), (3,))), square),  # ragged rows of self
+            (square, RatMatrix(((1, 2), (3,)))),  # ragged rows of other
+            (RatMatrix(()), square),  # a matrix without rows has no columns
+        ):
+            with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+                x * y
+
+    def test_corpus_cli_compiles_shapes_within_the_matrix_size(self, monkeypatch, capsys):
+        # the corpus documents have dimension 2 and 3; their suspensions and
+        # affine matrices have one row and column more
+        shapes = set()
+        monkeypatch.setattr(linalg, "_shape_kernel", lambda k, m: shapes.add((k, m)) or _shape_kernel(k, m))
+        docs = sorted(CORPUS.glob("*.json"))
+        for dim in ("2", "3"):
+            assert main(["classify", "--dim", dim, *[str(p) for p in docs if p.name.startswith(f"dim{dim}")]]) == 0
+        assert main(["analyze", *map(str, docs)]) == 0
+        capsys.readouterr()
+        assert shapes and all(k <= 4 and m <= 4 for k, m in shapes)
 
 
 class TestSubspaceResidual:

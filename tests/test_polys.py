@@ -1,4 +1,5 @@
 import random
+from math import lcm
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,14 @@ from hypothesis import strategies as st
 from holonomy.linalg import RatMatrix, Subspace
 from holonomy.polys import (
     Polynomial,
+    _add,
+    _berlekamp,
+    _derivative,
+    _divmod_p,
+    _gcd_p,
+    _hensel_lift,
+    _mod,
+    _mul,
     char_min_poly,
     characteristic_polynomial,
     factor_polynomial,
@@ -15,7 +24,15 @@ from holonomy.polys import (
     primary_decomposition,
 )
 
-from helpers import FractionPolynomial, charpoly_oracle, frac_rows, polynomial, random_int_matrix, random_unimodular
+from helpers import (
+    FractionPolynomial,
+    charpoly_oracle,
+    frac_rows,
+    linear_hensel_lift,
+    polynomial,
+    random_int_matrix,
+    random_unimodular,
+)
 
 
 def poly(*coeffs):
@@ -234,6 +251,57 @@ class TestPrimaryDecomposition:
         assert Subspace.span([b for c in comps for b in c.subspace.basis], 6).dim == 6
         for c in comps:
             assert all(c.subspace.contains(m.apply(b)) for b in c.subspace.basis)
+
+
+class TestHenselLift:
+    """The quadratic lift against the linear one it replaced
+    (helpers.linear_hensel_lift): both give the unique lift, so they agree
+    exactly, at every target exponent, odd ones included."""
+
+    @staticmethod
+    def split(f: list[int]) -> tuple[int, list[int], list[int]] | None:
+        """(p, g, h) with f = g h mod p, g the first monic Berlekamp factor
+        of f mod p, for the smallest odd prime p that keeps f squarefree and
+        of its degree, as factor_polynomial picks it; None when f is
+        irreducible mod p or no such p < 100."""
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
+            if f[-1] % p == 0 or len(_gcd_p(_mod(f, p), _mod(_derivative(f), p), p)) != 1:
+                continue
+            factors = _berlekamp([x * pow(f[-1], -1, p) % p for x in f], p)
+            if len(factors) < 2:
+                return None
+            return p, factors[0], _divmod_p(f, factors[0], p)[0]
+        return None
+
+    def test_matches_the_linear_lift(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(2, 8)
+            f = [rng.randint(-(10**6), 10**6) for _ in range(n)] + [rng.choice([1, -3, 7, 10**6 + 3])]
+            found = self.split(f)
+            if found is None:
+                continue
+            p, g, h = found
+            for k in (1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 65, 100):
+                lifted = _hensel_lift(f, g, h, p, k)
+                assert lifted == linear_hensel_lift(f, g, h, p, k)
+                big_g, big_h = lifted
+                assert big_g[-1] == 1 and _mod(_add(f, _mul(big_g, big_h), -1), p**k) == []
+            checked += 1
+
+    def test_hostile_characteristic_polynomial(self):
+        # the 8 x 8 p/q matrix whose factorization lifts four factors mod
+        # 37 to 37^394
+        rng = random.Random(7)
+        m = frac_rows([[Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)) for _ in range(8)]
+                       for _ in range(8)])
+        coeffs = characteristic_polynomial(m).coeffs
+        den = lcm(*[c.denominator for c in coeffs])
+        f = [int(c * den) for c in coeffs]
+        p, g, h = self.split(f)
+        assert p == 37
+        assert _hensel_lift(f, g, h, p, 394) == linear_hensel_lift(f, g, h, p, 394)
 
 
 class TestIntegerDivisors:
