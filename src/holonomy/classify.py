@@ -45,7 +45,7 @@ from .linalg import (
     numerator_vector,
     rref,
 )
-from .polys import characteristic_polynomial, factor_polynomial
+from .polys import PrimaryComponent, primary_decomposition
 from .representation import (
     KIND_PROJECTIVE,
     AssumptionSet,
@@ -106,16 +106,15 @@ def zero_set_of_affine_field(x: RatMatrix) -> list[Fraction]:
     x + c I is invertible.
 
     The invariant fields of the suspension are linear, so this is the whole
-    zero-set analysis of an affine field there. It returns a list, not a
-    generator, so the factorization runs inside the call, where a tracer
-    that wraps the call times it.
+    zero-set analysis of an affine field there, in _shift_order's order.
     """
-    shifts = {
-        fac.poly.coeffs[0]
-        for fac in factor_polynomial(characteristic_polynomial(x))
-        if fac.poly.degree == 1
-    }
-    return sorted(shifts, key=lambda c: (c != 0, c))
+    return [c.factor.coeffs[0] for c in _shift_order(primary_decomposition(x))]
+
+
+def _shift_order(components: list[PrimaryComponent]) -> list[PrimaryComponent]:
+    """The components of the linear factors x + c: c = 0 first, then by increasing c."""
+    linear = [comp for comp in components if comp.factor.degree == 1]
+    return sorted(linear, key=lambda comp: (comp.factor.coeffs[0] != 0, comp.factor.coeffs[0]))
 
 
 def _require_m4(m: RatMatrix, name: str) -> None:
@@ -139,6 +138,11 @@ def flag_from_nilpotent_pair(a: RatMatrix, b: RatMatrix) -> Flag:
         raise ValueError("both squares must vanish")
     if a * b == b * a:
         raise ValueError("pair commutes")
+    return _pair_flag(a, b)
+
+
+def _pair_flag(a: RatMatrix, b: RatMatrix) -> Flag:
+    """flag_from_nilpotent_pair without its checks on the products."""
     ka, kb = nullspace(*rref(a.num), a.ncols), nullspace(*rref(b.num), b.ncols)
     if ka.dim == 3 or kb.dim == 3:
         raise CaseAnalysisError(
@@ -346,13 +350,12 @@ def _commutative_branch(cent: AlgebraBasis, decomp: Decomposition) -> _BranchRes
     lin_parts = list(cent.basis)
     assumed: _BranchResult | None = None
     reduced = False
-    for x in lin_parts:
+    for i, x in enumerate(lin_parts):
         if x.is_scalar():
             continue
         outside: list[RatMatrix] | None = None
-        for shift in zero_set_of_affine_field(x):
-            xt = x + RatMatrix.identity(4).scale(shift) if shift else x
-            u, im = kernel_and_image(xt)
+        for comp in _shift_order(cent.components(i)):  # comp.value is x + shift I
+            shift, xt, u, im = comp.factor.coeffs[0], comp.value, comp.kernel_chain[0], comp.image
             if u.dim == 1:
                 if reduced:
                     continue
@@ -391,8 +394,9 @@ def _flag_from_noncommutative_radical(radical: AlgebraBasis) -> tuple[Flag, list
                 "noncommutative radical: a nilpotent element with nonzero square"
                 " yields the invariant kernel-image chain"
             ]
-    x, y = next((x, y) for x, y in combinations(basis, 2) if x * y != y * x)
-    return flag_from_nilpotent_pair(x, y), [
+    product = radical.product  # the commutativity test formed these
+    i, j = next((i, j) for i, j in combinations(range(radical.dim), 2) if product(i, j) != product(j, i))
+    return _pair_flag(basis[i], basis[j]), [
         "noncommutative radical of square-zero elements: a noncommuting pair"
         " yields the invariant kernel chain"
     ]

@@ -39,10 +39,9 @@ from .linalg import (
 )
 from .polys import (
     Polynomial,
-    _factor_power,
-    characteristic_polynomial,
-    factor_polynomial,
+    PrimaryComponent,
     minimal_polynomial,
+    primary_decomposition,
 )
 from .representation import (
     KIND_AFFINE,
@@ -91,7 +90,7 @@ class AlgebraBasis:
     from_span, which takes arbitrary matrices, checks it. The basis
     products are formed on demand by product(i, j) and memoized, so every
     consumer (from_span's check, the commutativity tests) shares each one
-    and pays only for the pairs it reads.
+    and pays only for the pairs it reads; so does components(i).
     """
 
     ambient_dim: int
@@ -153,6 +152,16 @@ class AlgebraBasis:
         if p is None:
             p = self._products[i, j] = self.basis[i] * self.basis[j]
         return p
+
+    @cached_property
+    def _components(self) -> dict[int, list[PrimaryComponent]]:
+        return {}
+
+    def components(self, i: int) -> list[PrimaryComponent]:
+        """primary_decomposition(basis[i]), formed on first request and memoized."""
+        if i not in self._components:
+            self._components[i] = primary_decomposition(self.basis[i])
+        return self._components[i]
 
     @cached_property
     def _common_rows(self) -> tuple[list[list[int]], int]:
@@ -335,44 +344,33 @@ def _projection(onto: Sequence[Sequence[int]], along: Sequence[Sequence[int]]) -
 def _idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
     """Bounded search for idempotents e with e*e = e, e not in {0, I}.
 
-    For each candidate element m whose minimal polynomial has at least two
-    distinct factors, and each linear factor f of it, of multiplicity k, let
-    B = f(m)^k. By Fitting's lemma Q^n is the direct sum of Ker B and Im B,
-    and e is the projection onto Ker B along Im B (_projection), read from
-    one RREF of B: its kernel vectors and its pivot columns. Ker B != 0
-    as f divides the minimal polynomial, and Im B != 0 as another factor
-    remains, so e*e = e, e != 0 and e != I hold without a check. e is a
+    For each candidate m (the basis elements, through the algebra's memo,
+    then sums of basis pairs) whose primary decomposition has at least two
+    components, and each component Ker f(m)^k with f linear, e is the
+    projection onto it along Im f(m)^k, the sum of the others. Both are
+    nonzero, so e*e = e, e != 0 and e != I hold without a check. e is a
     polynomial in m, (s c)(m) for c the cofactor of f^k and s c + t f^k = 1,
     so a unital closed algebra contains it; membership is tested because a
     non-unital algebra need not.
 
     dickson_radical calls it only when the semisimple quotient has
     dimension >= 2 or the algebra lacks I: on a local algebra every
-    candidate has a minimal polynomial with one factor, so it would find
-    nothing.
+    candidate has a characteristic polynomial with one factor, so it would
+    find nothing.
     """
-    sums = (x + y for x, y in combinations(a.basis, 2))
-    witnesses: list[RatMatrix] = []
-    seen: set[RatMatrix] = set()
-    span = a.span
-    for m in islice(chain(a.basis, sums), _MAX_CANDIDATES):
-        if len(witnesses) >= _MAX_WITNESSES:
-            break
-        factors = factor_polynomial(minimal_polynomial(m))
-        if len(factors) < 2:
-            continue
-        for f in factors:
-            if f.poly.degree != 1:
-                continue
-            power = _factor_power(f, m)
-            reduced, pivots = rref(power)
-            image = [[r[p] for r in power] for p in pivots]
-            e = _projection(kernel_vectors(reduced, pivots, len(power)), image)
-            if e in seen or not span.contains(numerator_vector(e)):
-                continue
-            witnesses.append(e)
-            seen.add(e)
-            if len(witnesses) >= _MAX_WITNESSES:
+    sums = (primary_decomposition(x + y) for x, y in combinations(a.basis, 2))
+    projections = (
+        _projection(*c.splits[-1])  # the Fitting split
+        for components in islice(chain(map(a.components, range(a.dim)), sums), _MAX_CANDIDATES)
+        if len(components) > 1
+        for c in components
+        if c.factor.degree == 1
+    )
+    witnesses: dict[RatMatrix, None] = {}
+    for e in projections:
+        if e not in witnesses and a.contains(e):
+            witnesses[e] = None
+            if len(witnesses) == _MAX_WITNESSES:
                 break
     return tuple(witnesses)
 
@@ -604,21 +602,13 @@ def find_rotational_element(
     return None
 
 
-def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], size: int) -> list[Subspace]:
-    """Harvest the kernel chains and images of f(m) for the centralizer
-    elements cent, then for the generators.
+def _invariant_candidates(gens: Sequence[RatMatrix], cent: AlgebraBasis, size: int) -> list[Subspace]:
+    """Harvest the kernel chains and images of f(m) for the basis elements
+    of the centralizer cent, then for the generators.
 
-    For each non-scalar m and each irreducible factor f, of multiplicity k,
-    of the characteristic polynomial (in factor_polynomial's order): Ker f(m)
-    and Im f(m), both from one kernel_and_image, then Ker f(m)^j for
-    j = 2, 3, ... The kernel chain grows strictly until it reaches the
-    primary component Ker f(m)^k, of dimension k * deg f, and is constant
-    from there on, so the chain stops at that dimension. The factor f = x
-    gives Ker m and Im m, and the last kernel of each chain is its
-    component. Nothing is formed that would be rejected as Q^n: a factor
-    of degree n has f(m) = 0, so it is skipped; and each step of the chain
-    adds a multiple of deg f to the kernel's dimension, so the chain also
-    stops once that dimension reaches n - deg f.
+    For each non-scalar m and each component of its primary decomposition
+    (PrimaryComponent), with f its factor: Ker f(m), Im f(m), then the rest
+    of the kernel chain. A factor of degree n has f(m) = 0, so it is skipped.
 
     One taken from a generator is kept only when every generator maps each
     of its basis vectors into it; as every generator is invertible, it then
@@ -629,29 +619,14 @@ def _invariant_candidates(gens: Sequence[RatMatrix], cent: Sequence[RatMatrix], 
     than _FLAG_CANDIDATE_CAP are.
     """
     seen: dict[Subspace, None] = {}
-
-    def consider(s: Subspace, check: bool):
-        if not 0 < s.dim < size or s in seen or len(seen) >= _FLAG_CANDIDATE_CAP:
-            return
-        if not check or all(all(map(s.contains, _product_kernel(size)(s.num, g.num))) for g in gens):
-            seen[s] = None
-
-    for m, check in [(m, False) for m in cent] + [(g, True) for g in gens]:
-        if m.is_scalar():
-            continue
-        for f in factor_polynomial(characteristic_polynomial(m)):
-            d = f.poly.degree
-            if d == size:  # f(m) = 0: its kernel is Q^n and its image 0
-                continue
-            fm = f.poly.eval_matrix(m)
-            kernel, image = kernel_and_image(fm)
-            consider(kernel, check)
-            consider(image, check)
-            power = fm.num
-            while kernel.dim < min(f.multiplicity * d, size - d):
-                power = integer_matmul(power, fm.num)
-                kernel = nullspace(*rref(power), size)
-                consider(kernel, check)
+    owned = [(cent.components(i), False) for i, m in enumerate(cent.basis) if not m.is_scalar()]
+    for components, check in owned + [(primary_decomposition(g), True) for g in gens if not g.is_scalar()]:
+        for c in (c for c in components if c.factor.degree < size):
+            for s in (c.kernel_chain[0], c.image, *c.kernel_chain[1:]):
+                if not 0 < s.dim < size or s in seen or len(seen) >= _FLAG_CANDIDATE_CAP:
+                    continue
+                if not check or all(all(map(s.contains, _product_kernel(size)(s.num, g.num))) for g in gens):
+                    seen[s] = None
     return list(seen)
 
 
@@ -695,8 +670,8 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
     and an invertible generator maps sums and intersections of such
     subspaces onto themselves too, so the returned flag is invariant by
     construction. Absence of a find is not a nonexistence claim. cent is
-    the centralizer of rep when the caller already holds it; it is computed
-    here otherwise.
+    the centralizer of rep when the caller already holds it, with the
+    primary decompositions that its memo holds; it is computed otherwise.
     """
     gens = list(rep.matrices)
     size = rep.matrix_size
@@ -707,7 +682,7 @@ def invariant_flag_search(rep: Representation, cent: AlgebraBasis | None = None)
         return Flag(tuple(Subspace(size, units[k:]) for k in range(size - 1, 0, -1)))
     if cent is None:
         cent = matrix_centralizer(gens, size)
-    cands = _invariant_candidates(gens, cent.basis, size)
+    cands = _invariant_candidates(gens, cent, size)
     chain = _longest_chain(cands)
     if chain and len(chain) == size - 1:  # a strictly increasing chain this long is complete
         return Flag(tuple(chain))

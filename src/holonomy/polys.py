@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -28,8 +28,8 @@ from .linalg import (
     RatMatrix,
     Subspace,
     integer_matmul,
+    kernel_vectors,
     krylov_powers,
-    nullspace,
     primitive_part,
     rref,
 )
@@ -77,8 +77,8 @@ class Polynomial:
         num, d = m.integer_form
         acc = [[0] * n for _ in range(n)]
         for i, a in enumerate(reversed(self.num)):  # a = num_(k-i)
-            if i:
-                acc = integer_matmul(acc, num)
+            if i:  # acc is num_k I at i = 1
+                acc = integer_matmul(acc, num) if i > 1 else [[self.num[-1] * x for x in r] for r in num]
             a *= d**i
             for r in range(n):
                 acc[r][r] += a
@@ -113,13 +113,13 @@ def characteristic_polynomial(m: RatMatrix) -> Polynomial:
     num, d = m.integer_form
     n = m.nrows
     coeffs = [1]  # c_0, c_1, ..., leading first
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    mk = [list(r) for r in num]  # N M_0, with M_0 = I
     for k in range(1, n + 1):
-        mk = integer_matmul(num, mk)
         ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
+        mk = integer_matmul(num, mk) if k < n else mk  # N M_k
     return Polynomial.from_integer_form([coeffs[k] * d ** (n - k) for k in range(n, -1, -1)], d**n)
 
 
@@ -404,31 +404,55 @@ def factor_polynomial(p: Polynomial) -> list[PolyFactor]:
     return sorted(out, key=lambda f: (f.poly.degree, [x * (den // f.poly.den) for x in f.poly.num]))
 
 
-def _factor_power(f: PolyFactor, m: RatMatrix) -> list[list[int]]:
-    """The integer rows of f(m)^k, k the multiplicity of f: a positive
-    multiple of that matrix, so with the same kernel and image."""
-    return reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
-
-
 @dataclass(frozen=True)
 class PrimaryComponent:
+    """Ker f(m)^k for an irreducible factor f, of multiplicity k, of the
+    characteristic polynomial of the n x n matrix m, and the parts of the
+    split of Q^n by f(m), each formed on first use. The kernel chain
+    Ker f(m) < Ker f(m)^2 < ... grows by multiples of deg f until it
+    reaches the component, of dimension k deg f; when f is the only factor
+    the component is Q^n, so the chain also stops once its dimension
+    reaches n - deg f. Q^n is the direct sum of the component and the image
+    of the chain's last power, Im f(m)^k (Fitting's lemma)."""
+
     factor: Polynomial
     multiplicity: int
-    subspace: Subspace
+    matrix: RatMatrix
+
+    @cached_property
+    def value(self) -> RatMatrix:  # f(m)
+        return self.factor.eval_matrix(self.matrix)
+
+    @cached_property
+    def splits(self) -> list[tuple[list[list[int]], list[list[int]]]]:
+        """Integer rows spanning Ker f(m)^j and Im f(m)^j, for each power of
+        the chain: its kernel vectors and its pivot columns."""
+        n, d = self.matrix.nrows, self.factor.degree
+        out, fm = [], self.value.num
+        while not out or n - len(out[-1][1]) < min(self.multiplicity * d, n - d):
+            rows = integer_matmul(rows, fm) if out else fm
+            reduced, pivots = rref(rows)
+            out.append((kernel_vectors(reduced, pivots, n), [[r[p] for r in rows] for p in pivots]))
+        return out
+
+    @cached_property
+    def kernel_chain(self) -> tuple[Subspace, ...]:
+        return tuple(Subspace.span(vectors, self.matrix.nrows) for vectors, _ in self.splits)
+
+    @cached_property
+    def image(self) -> Subspace:  # Im f(m)
+        return Subspace.span(self.splits[0][1], self.matrix.nrows)
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        n = self.matrix.nrows
+        return Subspace.full(n) if self.multiplicity * self.factor.degree == n else self.kernel_chain[-1]
 
 
 def primary_decomposition(m: RatMatrix) -> list[PrimaryComponent]:
-    """Split the ambient space into the generalized kernels ker f(m)^k of the
-    irreducible factors f, of multiplicity k, of the characteristic
-    polynomial.
-
-    The components are m-invariant, pairwise independent, and sum to the
-    full space.
-    """
+    """The components Ker f(m)^k, in factor_polynomial's order: they are
+    m-invariant, pairwise independent, and sum to the full space."""
     if not m.is_square:
         raise ValueError("square matrix required")
-    out = []
-    for f in factor_polynomial(characteristic_polynomial(m)):
-        sub = nullspace(*rref(_factor_power(f, m)), m.ncols)
-        out.append(PrimaryComponent(f.poly, f.multiplicity, sub))
-    return out
+    factors = factor_polynomial(characteristic_polynomial(m))
+    return [PrimaryComponent(f.poly, f.multiplicity, m) for f in factors]

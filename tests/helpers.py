@@ -32,11 +32,16 @@ reference_matmul and reference_eliminate are linalg's integer product and
 elimination step as they were before each became a function compiled once
 per width, as loops over zipped rows. linear_hensel_lift is the Hensel
 lift of the factorization as it was before it doubled the modulus, one
-power of p per step.
+power of p per step. factor_power_decomposition is primary_decomposition as
+it was before its components formed their parts on first use, and
+minimal_polynomial_witnesses is the idempotent search as it was before it
+read those parts: the Fitting projections of the linear factors of each
+candidate's minimal polynomial, from one RREF of f(m)^k.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -59,13 +64,19 @@ from holonomy.commutant import (
     _commutation_rows,
     _invariant_candidates,
     _longest_chain,
+    _projection,
     verify_certificate,
 )
 from holonomy.linalg import (
     RatMatrix,
     Subspace,
     image_of,
+    integer_matmul,
     kernel_of,
+    kernel_vectors,
+    nullspace,
+    numerator_vector,
+    rref,
     solve_linear,
 )
 from holonomy.representation import (
@@ -83,6 +94,7 @@ from holonomy.polys import (
     _inverse_p,
     _mod,
     _mul,
+    characteristic_polynomial,
     factor_polynomial,
     minimal_polynomial,
     primary_decomposition,
@@ -383,6 +395,50 @@ def egcd_idempotent_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
             _, s, _ = cofactor.egcd(primary)
             e = RatMatrix.from_rows((s * cofactor).eval_matrix([list(r) for r in m.rows]))
             if e in witnesses or not a.contains(e):
+                continue
+            witnesses.append(e)
+            if len(witnesses) >= _MAX_WITNESSES:
+                break
+    return tuple(witnesses)
+
+
+def _factor_power(f, m: RatMatrix) -> list[list[int]]:
+    """The integer rows of f(m)^k for the factor f of multiplicity k: a
+    positive multiple of that matrix, so with the same kernel and image."""
+    return functools.reduce(integer_matmul, [f.poly.eval_matrix(m).num] * f.multiplicity)
+
+
+def factor_power_decomposition(m: RatMatrix) -> list[tuple[Polynomial, int, Subspace]]:
+    """(factor, multiplicity, Ker f(m)^k) for each factor of the
+    characteristic polynomial, each kernel from one RREF of f(m)^k."""
+    return [
+        (f.poly, f.multiplicity, nullspace(*rref(_factor_power(f, m)), m.ncols))
+        for f in factor_polynomial(characteristic_polynomial(m))
+    ]
+
+
+def minimal_polynomial_witnesses(a: AlgebraBasis) -> tuple[RatMatrix, ...]:
+    """The idempotent search on the same candidates, with the same dedupe
+    and membership test, each witness the projection onto Ker f(m)^k along
+    Im f(m)^k for a linear factor f, of multiplicity k, of a minimal
+    polynomial with at least two distinct factors: the kernel vectors and
+    pivot columns of one RREF of f(m)^k."""
+    sums = (x + y for x, y in itertools.combinations(a.basis, 2))
+    witnesses: list[RatMatrix] = []
+    for m in itertools.islice(itertools.chain(a.basis, sums), _MAX_CANDIDATES):
+        if len(witnesses) >= _MAX_WITNESSES:
+            break
+        factors = factor_polynomial(minimal_polynomial(m))
+        if len(factors) < 2:
+            continue
+        for f in factors:
+            if f.poly.degree != 1:
+                continue
+            power = _factor_power(f, m)
+            reduced, pivots = rref(power)
+            image = [[r[p] for r in power] for p in pivots]
+            e = _projection(kernel_vectors(reduced, pivots, len(power)), image)
+            if e in witnesses or not a.span.contains(numerator_vector(e)):
                 continue
             witnesses.append(e)
             if len(witnesses) >= _MAX_WITNESSES:
@@ -708,8 +764,9 @@ def primary_decomposition_harvest(gens, cent, size: int, cap: int) -> list[Subsp
     return list(seen)
 
 
-def harvested_flag(gens, cent, size: int) -> Flag | None:
-    """The flag search on any generators, scalar ones included: the longest
+def harvested_flag(gens, cent: AlgebraBasis, size: int) -> Flag | None:
+    """The flag search on any generators, scalar ones included, with cent
+    their centralizer or any algebra that commutes with them: the longest
     chain of the harvest (_invariant_candidates) when it is complete, else
     the longest chain once the harvest is closed under pairwise sums and
     intersections, up to twice the candidate cap."""

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy import classify as classify_module
-from holonomy import cli, commutant, linalg
+from holonomy import cli, commutant, linalg, polys
 from holonomy.commutant import (
     AlgebraBasis,
     ClosureError,
@@ -58,6 +58,7 @@ from helpers import (
     fraction_affine_fields,
     fraction_rref,
     harvested_flag,
+    minimal_polynomial_witnesses,
     pair_loop_derived_series,
     passes_trace_screen,
     primary_decomposition_harvest,
@@ -564,8 +565,8 @@ class TestClosureAndRadical:
     def test_idempotent_witnesses_are_pinned(self):
         # reports carry only the witness count, so this pins which
         # idempotents the search keeps and their order: it walks the basis,
-        # then sums of basis pairs, and each minimal polynomial's linear
-        # factors in factor_polynomial's order
+        # then sums of basis pairs, and the linear factors of each one's
+        # characteristic polynomial in factor_polynomial's order
         rep = load_rep_file(DATA / "dim3_noncommutative_radical.json")
         cent = centralizer_algebra(benzecri_suspend(rep))
         assert dickson_radical(cent).idempotent_witnesses == tuple(
@@ -587,9 +588,10 @@ class TestClosureAndRadical:
 
     def test_witnesses_match_the_egcd_construction(self):
         # the projection onto Ker f(m)^k along Im f(m)^k is the polynomial
-        # (s * cofactor)(m) that the search built before, witness for witness
-        # and in order, on diagonal, Jordan and trivial groups and on two
-        # unimodular conjugates of each
+        # (s * cofactor)(m) that the search built before, and the projection
+        # that it read off one RREF of f(m)^k for the minimal polynomial's
+        # factors, witness for witness and in order, on diagonal, Jordan and
+        # trivial groups and on two unimodular conjugates of each
         rng = random.Random(47)
         groups = [
             ([_diagonal(1, 2, 3)], 3),
@@ -609,7 +611,7 @@ class TestClosureAndRadical:
                 pinv = p.inverse()
                 cent = matrix_centralizer([p * g * pinv for g in gens], n)
                 witnesses = commutant._idempotent_witnesses(cent)
-                assert witnesses == egcd_idempotent_witnesses(cent)
+                assert witnesses == egcd_idempotent_witnesses(cent) == minimal_polynomial_witnesses(cent)
                 found.append(len(witnesses))
         assert len(found) == 27 and all(found) and sum(found) == 144
 
@@ -962,8 +964,8 @@ class TestFlagHarvest:
         cap = commutant._FLAG_CANDIDATE_CAP
         sizes = {}
         for name, gens, size in _harvest_inputs():
-            cent = matrix_centralizer(gens, size).basis
-            expected = primary_decomposition_harvest(gens, cent, size, cap)
+            cent = matrix_centralizer(gens, size)
+            expected = primary_decomposition_harvest(gens, cent.basis, size, cap)
             assert _invariant_candidates(gens, cent, size) == expected, name
             sizes[name] = len(expected)
         if cap == 48:
@@ -973,6 +975,18 @@ class TestFlagHarvest:
         else:
             # the cap cuts the harvest of many inputs short
             assert sum(k == cap for k in sizes.values()) >= 15
+
+    def test_witnesses_match_the_minimal_polynomial_search(self):
+        # the search reads each candidate's primary decomposition, through
+        # the memo for basis elements; the parent construction factored
+        # each minimal polynomial and took one RREF of f(m)^k
+        found = 0
+        for name, gens, size in _harvest_inputs():
+            cent = matrix_centralizer(gens, size)
+            witnesses = commutant._idempotent_witnesses(cent)
+            assert witnesses == minimal_polynomial_witnesses(cent), name
+            found += len(witnesses)
+        assert found == 117  # over 41 centralizers
 
     def test_closure_skips_are_exact(self):
         # invariant_flag_search forms no sum or intersection of a nested
@@ -985,10 +999,70 @@ class TestFlagHarvest:
                 continue
             cent = matrix_centralizer(gens, size)
             rep = validate_rep([(f"g{i}", g) for i, g in enumerate(gens)], "linear", size)
-            assert invariant_flag_search(rep, cent) == harvested_flag(gens, cent.basis, size), name
-            if len(_longest_chain(_invariant_candidates(gens, cent.basis, size))) < size - 1:
+            assert invariant_flag_search(rep, cent) == harvested_flag(gens, cent, size), name
+            if len(_longest_chain(_invariant_candidates(gens, cent, size))) < size - 1:
                 closed.append(name)
         assert {"rotation-4", "rotation-5", "rotation-6"} <= set(closed)
+
+
+class TestOneFactorizationPerElement:
+    """The idempotent search, the flag harvest and the zero-set analysis
+    read each centralizer basis element's primary decomposition from the
+    algebra's memo, so within one analyze or classify call no basis
+    element's polynomial is factored twice."""
+
+    @staticmethod
+    def _factored_matrices(monkeypatch) -> list:
+        """Wraps factor_polynomial, and the polynomials it is fed, in every
+        namespace that binds them; returns the list that collects the matrix
+        whose polynomial each factor_polynomial call receives."""
+        made, factored = {}, []  # made keeps each polynomial alive, so its id names it
+
+        def track(fn):
+            def tracked(m):
+                p = fn(m)
+                made[id(p)] = (p, m)
+                return p
+            return tracked
+
+        def count(fn):
+            def counted(p):
+                factored.append(made[id(p)][1] if id(p) in made else None)
+                return fn(p)
+            return counted
+
+        wrappers = {
+            "factor_polynomial": count(polys.factor_polynomial),
+            "characteristic_polynomial": track(polys.characteristic_polynomial),
+            "minimal_polynomial": track(polys.minimal_polynomial),
+        }
+        for module in (polys, commutant, classify_module):
+            for name, wrapper in wrappers.items():
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+        return factored
+
+    @staticmethod
+    def _assert_once(factored, cent):
+        counts = {b: sum(m == b for m in factored) for b in cent.basis}
+        assert max(counts.values()) == 1, counts
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_analyze_on_rotation_blocks(self, n, monkeypatch):
+        p = random_unimodular(random.Random(n), n)
+        pinv = p.inverse()
+        rep = validate_rep([(f"g{i}", p * g * pinv) for i, g in enumerate(_rotation_pair(n))], "linear", n)
+        options = {"search_bound": 2, "commutator_depth": 8, "max_word_length": 6, "format": "json"}
+        factored = self._factored_matrices(monkeypatch)
+        cli._analyze_one(rep, options)
+        self._assert_once(factored, centralizer_algebra(rep))
+
+    @pytest.mark.parametrize("name", ["conj_dim3_torus_translations_1.json", "dim3_zero_set_line.json"])
+    def test_classify_dim3_on_commutative_conjugates(self, name, monkeypatch):
+        rep = load_rep_file(DATA / name)
+        factored = self._factored_matrices(monkeypatch)
+        outcome = classify_module.classify_dim3(rep)
+        assert outcome.branch == classify_module.BRANCH_COMMUTATIVE
+        self._assert_once(factored, outcome.commutant)
 
 
 class TestKernelChainFlag:
@@ -1026,7 +1100,7 @@ class TestScalarGroupFlag:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_the_harvest_on_the_full_matrix_algebra(self, n):
-        full = matrix_centralizer([], n).basis
+        full = matrix_centralizer([], n)
         for scalars in ((2,), (1, Fraction(-3, 2)), ()):
             rep = self._scalar_rep(n, *scalars)
             flag = invariant_flag_search(rep)
@@ -1048,7 +1122,7 @@ class TestScalarGroupFlag:
         # the defect that the construction fixes: the harvest on M_6(Q) ends
         # with the incomplete chain of dimensions (1, 2, 4, 5)
         rep = self._scalar_rep(6, 2)
-        flag = harvested_flag(list(rep.matrices), matrix_centralizer([], 6).basis, 6)
+        flag = harvested_flag(list(rep.matrices), matrix_centralizer([], 6), 6)
         assert flag.dims == (1, 2, 4, 5)
 
     @pytest.mark.parametrize(

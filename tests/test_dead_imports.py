@@ -47,6 +47,7 @@ BENCH = ROOT / "bench"
 # kept because an acceptance criterion in tests/test_acceptance.py calls them.
 ACCEPTANCE_ONLY = {
     "flag_from_nilpotent_element": "criterion 3 builds the nilpotent flag of each single element",
+    "flag_from_nilpotent_pair": "criterion 3 builds the flag of each noncommuting square-zero pair",
     "embed_linear_as_affine": "criterion 4 reads the suspension in affine form",
     "radiant_fixed_point": "criterion 4 checks that the suspension fixes the origin",
     "orbit_dimension_at": "criterion 7 computes orbit dimensions",

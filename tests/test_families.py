@@ -7,9 +7,10 @@ dims, derived-series verdict) of `centralizer_algebra`, `dickson_radical`,
 `invariant_flag_search` and `truncated_derived_series`. The ledger of the
 construction basis is the expected one on every conjugate by
 `random_unimodular(random.Random(s), n, ops=12)` for s = 0-11, each under
-five generating sets: as given, reversed, inverted, with g1 g2 appended
-(g1^2 for one generator) and with g1^2 appended. Where the construction
-basis shows the answer, the ledger is also checked against it.
+six generating sets: as given, reversed, inverted, with g1 g2 appended
+(g1^2 for one generator), with g1^2 appended, and rescaled (each generator
+times RESCALE). Where the construction basis shows the answer, the ledger
+is also checked against it.
 
 A family that fails today is a strict xfail whose reason gives the measured
 count and the ROADMAP item that would mend it.
@@ -28,6 +29,10 @@ from holonomy.representation import validate_rep
 from helpers import frac_rows, random_unimodular
 
 SEEDS = range(12)
+
+# A scalar commutes with everything, so it changes no centralizer, radical,
+# invariant subspace or commutator.
+RESCALE = Fraction(-5, 3)
 
 
 class Ledger(NamedTuple):
@@ -64,6 +69,7 @@ def generating_sets(mats: list[RatMatrix]) -> dict[str, list[RatMatrix]]:
         "inverted": [m.inverse() for m in mats],
         "g1g2": mats + [appended],
         "g1^2": mats + [g1 * g1],
+        "rescaled": [m.scale(RESCALE) for m in mats],
     }
 
 
@@ -141,7 +147,7 @@ FAMILIES = [
             _complete(n),
             id=f"upper-unitriangular-{n}",
             marks=_xfail(
-                f"U_{n} gets flag dims (1, {n - 1}) in the construction basis and on 48/60 conjugate"
+                f"U_{n} gets flag dims (1, {n - 1}) in the construction basis and on 60/72 conjugate"
                 f" generating sets, (1, 2, {n - 1}) on the 12 with g1 g2 appended"
             ),
         )
@@ -151,7 +157,7 @@ FAMILIES = [
         [_tensor_identity([[1, 1], [0, 1]]), _tensor_identity([[1, 0], [1, 1]])],
         {"centralizer": 4, "radical": 0, "quotient": 4, "commutative": False, "flag": (2,)},
         id="tensor-identity",
-        marks=_xfail("B (x) I_2 loses its (2,) partial flag on 5/60 conjugate generating sets: all five of seed 0"),
+        marks=_xfail("B (x) I_2 loses its (2,) partial flag on 6/72 conjugate generating sets: all six of seed 0"),
     ),
     pytest.param(
         [_diagonal(1, 1, 1, 1, 1, 2)],
@@ -159,7 +165,7 @@ FAMILIES = [
         id="diagonal-6",
         marks=_xfail(
             "diag(1, 1, 1, 1, 1, 2) gets flag dims (1, 2, 4, 5) in the construction basis and on"
-            " 5/60 conjugate generating sets, all five of seed 7. The cap never binds: the harvest"
+            " 6/72 conjugate generating sets, all six of seed 7. The cap never binds: the harvest"
             " gives 12 candidates (six lines, six hyperplanes), one round of sums and intersections"
             " reaches no 3-dimensional member, and only their fixpoint, 62 subspaces, holds a"
             " complete flag (126 and 254 for n = 7 and 8, over twice the cap of 48)"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy.linalg import RatMatrix, Subspace
+from holonomy.linalg import RatMatrix, Subspace, image_of, kernel_of
 from holonomy.polys import (
     Polynomial,
     _add,
@@ -27,6 +27,7 @@ from holonomy.polys import (
 from helpers import (
     FractionPolynomial,
     charpoly_oracle,
+    factor_power_decomposition,
     frac_rows,
     linear_hensel_lift,
     polynomial,
@@ -251,6 +252,120 @@ class TestPrimaryDecomposition:
         assert Subspace.span([b for c in comps for b in c.subspace.basis], 6).dim == 6
         for c in comps:
             assert all(c.subspace.contains(m.apply(b)) for b in c.subspace.basis)
+
+
+def _blocks(*blocks) -> list[list[Fraction]]:
+    """The block-diagonal matrix of the square row lists blocks."""
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[at + i][at : at + len(b)] = r
+        at += len(b)
+    return rows
+
+
+def _jordan_block(n, lam) -> list[list[Fraction]]:
+    return [[Fraction(lam) if i == j else Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
+
+
+def _companion_block(*low) -> list[list[Fraction]]:
+    """The companion matrix of x^n + low[n-1] x^(n-1) + ... + low[0]."""
+    n = len(low)
+    rows = [[Fraction(int(i == j + 1)) for j in range(n)] for i in range(n)]
+    for i, c in enumerate(low):
+        rows[i][n - 1] = Fraction(-c)
+    return rows
+
+
+def _component_inputs() -> list[tuple[str, RatMatrix]]:
+    """Seeded matrices of sizes 2-8 with p/q entries: dense ones (mostly
+    one irreducible factor of degree n), companion matrices of x^n - 2
+    (degree n, f(m) = 0), one Jordan block (one linear factor), nilpotent
+    and repeated-block single factors, and mixed block sums, all but the
+    dense ones conjugated by a unimodular matrix and rescaled by 3/7."""
+    rng = random.Random(31)
+    shapes = []
+    for n in range(2, 9):
+        dense = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        shapes.append((f"dense-{n}", dense, False))
+        shapes.append((f"x^{n}-2", _companion_block(-2, *[0] * (n - 1)), True))
+        shapes.append((f"J{n}(1/2)", _jordan_block(n, Fraction(1, 2)), True))
+    rotation = _companion_block(1, 0)
+    shapes += [
+        ("J4(0)", _jordan_block(4, 0), True),
+        ("J3(0)+J3(0)", _blocks(_jordan_block(3, 0), _jordan_block(3, 0)), True),
+        ("J3(0)+J2(0)+J1(0)", _blocks(_jordan_block(3, 0), _jordan_block(2, 0), _jordan_block(1, 0)), True),
+        ("R+R", _blocks(rotation, rotation), True),
+        ("[[C,I],[0,C]] for x^2-2", [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]], True),
+        ("J2(0)+J2(3/2)+R", _blocks(_jordan_block(2, 0), _jordan_block(2, Fraction(3, 2)), rotation), True),
+        ("J3(-1)+1+C(x^3-2)", _blocks(_jordan_block(3, -1), [[1]], _companion_block(-2, 0, 0)), True),
+        ("J2(2)+J2(2)+J1(2)+R+0", _blocks(_jordan_block(2, 2), _jordan_block(2, 2), [[2]], rotation, [[0]]), True),
+    ]
+    out = []
+    for name, rows, conjugate in shapes:
+        m = RatMatrix.from_rows(rows)
+        if conjugate:
+            u = random_unimodular(rng, m.nrows)
+            m = (u * m * u.inverse()).scale(Fraction(3, 7))
+        out.append((name, m))
+    return out
+
+
+class TestPrimaryComponents:
+    """Each component's parts against kernel_of and image_of of the powers
+    f(m)^j formed by matrix products, and the components against the
+    decomposition that took one RREF of f(m)^k per factor
+    (helpers.factor_power_decomposition)."""
+
+    @pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _component_inputs()])
+    def test_parts_match_the_explicit_powers(self, m):
+        n = m.nrows
+        comps = primary_decomposition(m)
+        assert [(c.factor, c.multiplicity, c.subspace) for c in comps] == factor_power_decomposition(m)
+        for c in comps:
+            d, k = c.factor.degree, c.multiplicity
+            fm = RatMatrix.from_rows(FractionPolynomial(c.factor.coeffs).eval_matrix(m.rows))
+            assert c.value == fm
+            assert c.image == image_of(fm)
+            power, dims = fm, []
+            for s, (onto, along) in zip(c.kernel_chain, c.splits, strict=True):
+                assert s == kernel_of(power) == Subspace.span(onto, n)
+                assert Subspace.span(along, n) == image_of(power)
+                dims.append(s.dim)
+                power = power * fm
+            # strictly increasing by multiples of deg f, up to min(k deg f, n - deg f)
+            assert all(b > a for a, b in zip(dims, dims[1:])) and all(x % d == 0 for x in dims)
+            assert all(x < min(k * d, n - d) for x in dims[:-1]) and dims[-1] >= min(k * d, n - d)
+            fk = fm
+            for _ in range(k - 1):
+                fk = fk * fm
+            if k * d < n:
+                # the last split is the Fitting split: the component and Im f(m)^k
+                onto, along = c.splits[-1]
+                assert Subspace.span(onto, n) == c.kernel_chain[-1] == c.subspace == kernel_of(fk)
+                assert Subspace.span(along, n) == image_of(fk)
+            else:
+                assert len(comps) == 1 and c.subspace == Subspace.full(n) == kernel_of(fk)
+
+    @pytest.mark.parametrize(
+        ("name", "dims"),
+        [
+            ("J4(0)", (1, 2, 3)),
+            # the chain stops once its dimension reaches n - deg f = 5, so the
+            # step from 4 to 6 still forms Q^6
+            ("J3(0)+J3(0)", (2, 4, 6)),
+            ("J3(0)+J2(0)+J1(0)", (3, 5)),
+            ("R+R", (4,)),
+            ("[[C,I],[0,C]] for x^2-2", (2,)),
+            ("x^5-2", (5,)),
+        ],
+    )
+    def test_single_factor_chains(self, name, dims):
+        m = dict(_component_inputs())[name]
+        [c] = primary_decomposition(m)
+        assert tuple(s.dim for s in c.kernel_chain) == dims
 
 
 class TestHenselLift:
